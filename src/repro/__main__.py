@@ -289,7 +289,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .testgen import run_fuzz
+    from .testgen import run_fuzz, shutdown_serve_oracle
     from .testgen.differential import fuzz_options
     from .testgen.generator import GenConfig
 
@@ -315,6 +315,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        shutdown_serve_oracle()
     if args.json:
         json.dump(report.to_dict(), sys.stdout, indent=2)
         print()

@@ -23,7 +23,9 @@ machine-readable results (wired to the ``python -m repro`` CLI).
 
 from __future__ import annotations
 
+import pickle
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
 
@@ -86,7 +88,10 @@ class Budget:
     so a bound is required; the baseline refiner in particular diverges by
     design on the paper's examples).  ``max_nodes`` bounds cumulative ART
     nodes, ``max_seconds`` the wall clock, and ``max_solver_calls`` the
-    checker's Hoare-triple count.
+    Hoare-triple checks of the run itself, counted from the run's start and
+    charged as on a fresh checker: a checker shared with earlier runs
+    neither charges their work to this one nor lets their memo entries make
+    this one cheaper (:meth:`repro.smt.vcgen.VcChecker.begin_run`).
     """
 
     max_refinements: int = 25
@@ -105,8 +110,9 @@ class IterationRecord:
     counterexample_feasible: Optional[bool] = None
     refinement: Optional[RefinementOutcome] = None
     seconds: float = 0.0
-    #: Cumulative checker/solver counters at the end of the iteration (the
-    #: shared VcChecker memoises queries across iterations, so deltas between
+    #: Checker/solver counters of the run up to the end of the iteration,
+    #: counted from the run's start (the VcChecker memoises queries across
+    #: iterations and may have served earlier runs; deltas between
     #: consecutive records show what each round actually cost).
     solver_stats: Optional[dict[str, int]] = None
     #: Abstract-post decisions requested by reachability this iteration.
@@ -250,7 +256,7 @@ class Result:
         ``per_iteration``       one record per iteration (nodes, posts,
                                 counterexample length/feasibility, repair)
         ``witness``             (unsafe only) input valuation as strings
-        ``solver``              final cumulative solver/checker counters
+        ``solver``              solver/checker counters of this run
         ``portfolio``           (portfolio only) mode, winner, per-arm reports
         ``attempts``            (supervised, optional) execution count when
                                 the task was retried (> 1)
@@ -358,6 +364,13 @@ class VerificationEngine:
         self.jobs = jobs
         self.parallel_backend = parallel_backend
         self._pool: Optional[SpeculativePool] = None
+        #: Checker statistics the solver budget and each record's
+        #: ``solver_stats`` count from.  ``None`` starts a run on the checker
+        #: and snapshots it at every fresh run; the portfolio starts the run
+        #: and pins one snapshot for all its arms, so they share one budget
+        #: from the portfolio's start.
+        self.counters_origin: Optional[dict[str, float]] = None
+        self._origin: dict[str, float] = {}
         if isinstance(strategy, Frontier):
             # A frontier instance is consumed by the first tree only; later
             # fresh trees (restart mode, repeated run()) get a new frontier —
@@ -420,6 +433,11 @@ class VerificationEngine:
                 self._precision = capped
             self._iterations = []
             self._elapsed = 0.0
+            if self.counters_origin is not None:
+                self._origin = self.counters_origin
+            else:
+                self.checker.begin_run()
+                self._origin = self.checker.snapshot()
             self.art = self._fresh_art()
         precision = self._precision
         iterations = self._iterations
@@ -430,6 +448,8 @@ class VerificationEngine:
             max_nodes=self.budget.max_nodes,
             deadline=deadline,
             max_solver_calls=self.budget.max_solver_calls,
+            solver_calls_base=self._origin.get("triple_checks", 0)
+            + self._origin.get("carried_hits", 0),
         )
 
         pool: Optional[SpeculativePool] = None
@@ -480,7 +500,7 @@ class VerificationEngine:
                 created_before: int = created_before,
             ) -> None:
                 record.seconds = time.perf_counter() - started
-                record.solver_stats = self.checker.statistics()
+                record.solver_stats = self.checker.delta_since(self._origin)
                 record.post_decisions = art.post_decisions - posts_before
                 record.nodes_created = art.nodes_created - created_before
                 record.frontier_size = len(art.frontier)
@@ -817,6 +837,10 @@ class PortfolioEngine:
         deadline = (
             start + self.budget.max_seconds if self.budget.max_seconds is not None else None
         )
+        # Every arm counts its solver budget and statistics from here: the
+        # pools are portfolio totals, not per-arm or per-checker-lifetime.
+        self.checker.begin_run()
+        origin = self.checker.snapshot()
         arms = []
         for name, entry in zip(self.refiner_names, self.refiners):
             engine = VerificationEngine(
@@ -834,6 +858,7 @@ class PortfolioEngine:
                 incremental=self.incremental,
                 max_predicates_per_location=self.max_predicates_per_location,
             )
+            engine.counters_origin = origin
             arms.append(_PortfolioArm(name, engine, DivergenceMonitor(self.monitor_window)))
 
         winner: Optional[_PortfolioArm] = None
@@ -874,7 +899,7 @@ class PortfolioEngine:
                         arm.engine.elapsed_seconds + slice_wall
                     )
                 before = arm.engine.refinements_done
-                work_before = self.checker.num_triple_checks
+                work_before = self.checker.charged_checks
                 # initial_precision only takes effect on the arm's first
                 # slice (before its tree exists); resumed slices ignore it.
                 arm.result = arm.engine.run(
@@ -887,7 +912,7 @@ class PortfolioEngine:
                 # budgets) count as no progress, which terminates the loop.
                 if (
                     arm.engine.refinements_done > before
-                    or self.checker.num_triple_checks > work_before
+                    or self.checker.charged_checks > work_before
                 ):
                     progressed = True
                 if arm.result.verdict in (Verdict.SAFE, Verdict.UNSAFE):
@@ -1228,12 +1253,92 @@ def error_doc(name: str, error: Exception) -> dict[str, Any]:
     }
 
 
+class WarmChecker:
+    """The one :class:`VcChecker` a persistent worker process keeps across
+    the tasks it serves (see :class:`repro.core.supervision.WorkerSlot`).
+
+    Obligations that recur across tasks served by the same worker — a
+    resubmitted program, programs sharing edges and predicates — are then
+    answered from the checker's memo tables instead of re-proved.  Worker
+    memory stays bounded by a fixed cap rather than an option: after a task,
+    once the checker's memo tables plus its solver's hold more than
+    :attr:`CAP` entries, the holder starts over with a fresh checker and
+    clears the hash-consing tables the old one kept alive — but carries over
+    the edge and post verdicts that the most recent tasks asked for, at most
+    ``CAP // 2`` of them (the run ledger,
+    :meth:`~repro.smt.vcgen.VcChecker.asked_keys`, names them at no cost per
+    query).  Obligations that keep recurring therefore survive every
+    recycle: a worker does not go cold again after its first requests, and
+    its speed does not swing with how long ago it last recycled.  Within one
+    task the tables grow only as far as that task's budget lets them,
+    exactly as on a fresh checker.
+    """
+
+    #: Memo-table entries a warm checker may carry from one task to the next
+    #: (on a half-repeat, half-fresh request stream a worker adds ~16 per
+    #: request, so it recycles about every 1,000 requests and peaks near
+    #: 63 MB resident).
+    CAP = 20_000
+
+    def __init__(self) -> None:
+        #: Times the holder started over with a fresh checker.
+        self.recycles = 0
+        self.checker = VcChecker()
+        #: The edge/post keys recent tasks asked for, newest last, at most
+        #: ``CAP // 2`` in all: what a recycle carries over.
+        self._recent: deque[set] = deque()
+        self._recent_keys = 0
+
+    def entries(self) -> int:
+        """Entries across the checker's and its solver's memo tables."""
+        sizes = self.checker.cache_sizes()
+        sizes.pop("evictions")
+        return sum(sizes.values())
+
+    def release(self) -> None:
+        """End of a task: note what it asked; recycle if past the cap."""
+        asked = self.checker.asked_keys()
+        if asked:
+            self._recent.append(asked)
+            self._recent_keys += len(asked)
+            while self._recent_keys > self.CAP // 2:
+                self._recent_keys -= len(self._recent.popleft())
+        if self.entries() > self.CAP:
+            from ..logic import clear_intern_caches
+
+            carried = self.checker.memo_verdicts(set().union(*self._recent))
+            clear_intern_caches()
+            # The round trip re-interns the carried keys into the fresh
+            # tables, so later tasks hit them by identity, not by structure.
+            self.checker = VcChecker()
+            self.checker.install_verdicts(*pickle.loads(pickle.dumps(carried)))
+            self.recycles += 1
+
+
+#: The worker-process checker holder; ``None`` (a fresh checker per task)
+#: unless this process is a persistent worker (:func:`install_warm_checker`).
+_WARM_CHECKER: Optional[WarmChecker] = None
+
+
+def install_warm_checker() -> None:
+    """Initializer of persistent slot workers: keep one bounded checker
+    warm for every task this process runs.  In-process callers never run
+    it, so the thread backend and ``jobs=1`` batches keep a fresh checker
+    per task."""
+    global _WARM_CHECKER
+    _WARM_CHECKER = WarmChecker()
+
+
 def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
     """Process-pool worker: verify one source text and return a result dict.
 
     Module-level so it pickles; builds everything from primitives because
-    Program/VcChecker instances do not cross process boundaries.
+    Program/VcChecker instances do not cross process boundaries.  Runs on
+    the worker's warm checker when it has one, else on a fresh checker.
     """
+    warm = _WARM_CHECKER
+    checker = warm.checker if warm is not None else VcChecker()
+    checker.max_cache_entries = payload.get("max_cache_entries")
     try:
         cap = payload.get("max_predicates_per_location")
         if payload["refiner"] == "portfolio":
@@ -1250,28 +1355,28 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
                 slice_seconds=payload.get("slice_seconds"),
                 monitor_window=payload.get("monitor_window", 3),
                 max_predicates_per_location=cap,
+                checker=checker,
             )
             if payload.get("seed"):
                 portfolio.initial_precision = Precision.from_location_names(
                     portfolio.program, payload["seed"], cap
                 )
-            portfolio.checker.max_cache_entries = payload.get("max_cache_entries")
             result = portfolio.run()
         else:
+            # The refiner needs the engine's checker; build it here rather
+            # than shipping one over.
+            from .verifier import make_refiner
+
             engine = VerificationEngine(
                 payload["source"],
+                refiner=make_refiner(payload["refiner"], checker),
+                checker=checker,
                 strategy=payload["strategy"],
                 budget=Budget(**payload["budget"]),
                 incremental=payload["incremental"],
                 max_predicates_per_location=cap,
                 jobs=payload.get("jobs", 1),
             )
-            engine.checker.max_cache_entries = payload.get("max_cache_entries")
-            # The refiner needs the engine's checker; build it here rather
-            # than shipping one over.
-            from .verifier import make_refiner
-
-            engine.refiner = make_refiner(payload["refiner"], engine.checker)
             seed = None
             if payload.get("seed"):
                 # Apply the cap while rebinding, like PrecisionStore.seed_for
@@ -1294,6 +1399,9 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
         return doc
     except Exception as error:  # pragma: no cover - defensive per-task isolation
         return error_doc(payload["name"], error)
+    finally:
+        if warm is not None:
+            warm.release()
 
 
 def _normalise_tasks(

@@ -438,13 +438,16 @@ class ExploreLimits:
     ``max_nodes`` bounds the *cumulative* nodes created over the tree's
     lifetime (matching the restart engine, which counts per run — a persistent
     tree creates strictly fewer).  ``deadline`` is an absolute
-    ``time.perf_counter()`` value; ``max_solver_calls`` bounds the checker's
-    cumulative triple-check counter.
+    ``time.perf_counter()`` value; ``max_solver_calls`` bounds the checks
+    the checker charged (:attr:`~repro.smt.vcgen.VcChecker.charged_checks`)
+    since that count read ``solver_calls_base`` (the run's start: a checker
+    shared by several runs must not charge one run for another's work).
     """
 
     max_nodes: Optional[int] = None
     deadline: Optional[float] = None
     max_solver_calls: Optional[int] = None
+    solver_calls_base: int = 0
 
 
 class Art:
@@ -554,7 +557,8 @@ class Art:
             return "wall-clock budget exhausted"
         if (
             limits.max_solver_calls is not None
-            and self.checker.num_triple_checks > limits.max_solver_calls
+            and self.checker.charged_checks - limits.solver_calls_base
+            > limits.max_solver_calls
         ):
             return f"solver budget of {limits.max_solver_calls} triple checks exhausted"
         return ""

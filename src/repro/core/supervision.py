@@ -23,6 +23,10 @@ explicit failure policy:
 * **graceful degradation** — when the pool breaks more than
   ``max_pool_rebuilds`` times (or cannot be created at all), the remaining
   tasks run in-process sequentially.  Slower, but the batch completes;
+* **borrowed workers** — a supervisor either owns a pool for the length of
+  its batch, or borrows a long-lived :class:`WorkerSlot` (the daemon's
+  process backend): every policy above still applies per batch, and the
+  slot's worker is only replaced when a timeout kill or a crash took it;
 * **no escaping exceptions** — every task always yields a result document.
   A task that exhausts its retries yields verdict ``unknown`` with a
   structured ``failure`` record and its ``attempts`` count (result schema
@@ -47,6 +51,7 @@ from .faults import FaultPlan
 __all__ = [
     "RetryPolicy",
     "Supervisor",
+    "WorkerSlot",
     "failure_record",
     "failure_doc",
     "supervised_call",
@@ -178,17 +183,194 @@ class _Supervised:
     started: float = 0.0
 
 
+def _shutdown(executor: Any, kill: bool) -> None:
+    """Retire a pool, killing its workers first when they may be wedged.
+
+    ``ProcessPoolExecutor`` has no public kill; its ``_processes`` map has
+    been stable since 3.7 and killing via it is the only way to reclaim a
+    truly wedged worker.  Defensive: missing attributes mean we fall back to
+    abandoning the processes.
+    """
+    if kill:
+        processes = getattr(executor, "_processes", None) or {}
+        for process in list(processes.values()):
+            try:
+                process.kill()
+            except Exception:  # pragma: no cover - already dead
+                pass
+    try:
+        executor.shutdown(wait=not kill, cancel_futures=True)
+    except Exception:  # pragma: no cover - defensive
+        pass
+
+
+def _slot_main(conn: Any, initializer: Optional[Callable[[], None]]) -> None:
+    """A slot's worker process: run the ``(fn, args)`` tasks read from
+    ``conn`` one at a time and answer each with ``(ok, value)``, until the
+    slot sends ``None`` or closes its end."""
+    if initializer is not None:
+        initializer()
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        if task is None:
+            return
+        fn, args = task
+        try:
+            reply = (True, fn(*args))
+        except BaseException as error:  # the borrower's to judge, as in a pool
+            reply = (False, error)
+        try:
+            conn.send(reply)
+        except Exception as error:  # the outcome does not pickle
+            conn.send((False, RuntimeError(f"unpicklable task outcome: {error!r}")))
+
+
+class WorkerSlot:
+    """One long-lived worker process that supervisors borrow.
+
+    The daemon's process backend keeps one slot per executor thread.  The
+    slot's worker process starts lazily on its first task, runs
+    ``initializer`` once (the daemon's keeps a bounded checker warm there,
+    :func:`repro.core.engine.install_warm_checker`) and then serves task
+    after task over a pipe that the borrowing thread writes and reads
+    itself: a task costs one round trip, with no pool manager or queue
+    feeder thread in between.  The worker is replaced only when a borrowing
+    :class:`Supervisor` discards it after a timeout kill or a crash, or when
+    :meth:`acquire` finds it dead between tasks (an idle ``kill -9`` is
+    nobody's request, so it is replaced free of charge).  ``mp_context`` is
+    the multiprocessing context of the worker (``None``: the platform
+    default); a multi-threaded parent must not ``fork`` mid-lock — give it a
+    forkserver or spawn context.
+    """
+
+    #: Seconds a graceful :meth:`discard` waits for the worker to exit.
+    EXIT_GRACE_S = 5.0
+
+    def __init__(
+        self,
+        mp_context: Optional[Any] = None,
+        initializer: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self.mp_context = mp_context
+        self.initializer = initializer
+        self._process: Optional[Any] = None
+        self._conn: Optional[Any] = None
+        self._close_conn: Optional[Callable[[], None]] = None
+        #: The worker's process id (``None`` while it has none); kept apart
+        #: from the process object so ``stats`` can read it mid-discard.
+        self.pid: Optional[int] = None
+        #: The future of the task in flight.
+        self._future: Optional[Any] = None
+        #: Workers started (the first, plus one per replacement).
+        self.starts = 0
+        #: Workers found dead between tasks and replaced.
+        self.idle_deaths = 0
+
+    def acquire(self) -> "WorkerSlot":
+        """The slot, as a one-worker executor with a live worker: started
+        when it has none, replaced when it died idle."""
+        if self._process is not None and not self._process.is_alive():
+            self.idle_deaths += 1
+            self.discard(kill=True)
+        if self._process is None:
+            import multiprocessing
+            from multiprocessing import util
+
+            context = self.mp_context or multiprocessing.get_context()
+            ours, theirs = context.Pipe()
+            process = context.Process(
+                target=_slot_main, args=(theirs, self.initializer), name="repro-slot"
+            )
+            process.start()
+            theirs.close()
+            self._process, self._conn, self.pid = process, ours, process.pid
+            # At interpreter exit multiprocessing joins its children; close
+            # our end first so the worker reads EOF and exits.
+            self._close_conn = util.Finalize(self, ours.close, exitpriority=10)
+            self.starts += 1
+        return self
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """Hand one task to the worker; :meth:`wait` settles its future."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        if self._future is not None:
+            raise RuntimeError("a worker slot runs one task at a time")
+        try:
+            self._conn.send((fn, args))
+        except OSError as error:
+            raise BrokenProcessPool(f"worker slot is gone: {error!r}") from error
+        future = Future()
+        future.set_running_or_notify_cancel()
+        self._future = future
+        return future
+
+    def wait(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for the task in flight and settle
+        its future; returns whether it finished.  A worker that dies first
+        settles it with ``BrokenProcessPool``, as a pool would."""
+        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing.connection import wait
+
+        if not wait([self._conn, self._process.sentinel], timeout):
+            return False
+        future, self._future = self._future, None
+        try:
+            if not self._conn.poll():
+                raise EOFError("the worker died without answering")
+            ok, value = self._conn.recv()
+        except (EOFError, OSError):
+            future.set_exception(BrokenProcessPool("worker process died"))
+        else:
+            if ok:
+                future.set_result(value)
+            else:
+                future.set_exception(value)
+        return True
+
+    def discard(self, kill: bool = False) -> None:
+        """Retire the worker (gracefully unless ``kill``); the next
+        :meth:`acquire` starts a fresh one."""
+        process, self._process, self.pid = self._process, None, None
+        if process is None:
+            return
+        self._future = None
+        if not kill:
+            try:
+                self._conn.send(None)
+            except OSError:
+                pass  # already gone
+            process.join(self.EXIT_GRACE_S)
+        if process.is_alive():
+            process.kill()
+        process.join()
+        process.close()
+        self._close_conn()
+
+    def statistics(self) -> dict[str, Any]:
+        return {"pid": self.pid, "starts": self.starts, "idle_deaths": self.idle_deaths}
+
+
 class Supervisor:
     """Run a batch of task payloads to completion, whatever the workers do.
 
     ``worker`` is the module-level task function (defaults to the engine's
     batch worker); it must be picklable and must return a result document.
-    ``jobs`` is the pool width (``<= 1`` runs everything in-process unless
-    ``force_pool`` asks for process isolation even for a single task).
-    ``task_timeout`` is the per-task wall-clock bound, enforced by killing
-    the worker's process — it is therefore only enforceable in pool mode;
-    the in-process fallback notes a hang but cannot preempt it (injected
-    hangs raise there instead, see :mod:`repro.core.faults`).
+    ``jobs`` is the pool width (``<= 1`` runs everything in-process).  With
+    ``slot`` the supervisor borrows that :class:`WorkerSlot`'s long-lived
+    single worker instead of building a pool of its own: tasks run one at a
+    time in the slot's process, and the supervisor leaves the worker running
+    for the next borrower unless a timeout kill or a crash took it (then the
+    slot rebuilds it lazily).  Timeouts, retries, crash attribution and the
+    rebuild cap stay per batch either way.  ``task_timeout`` is the per-task
+    wall-clock bound, enforced by killing the worker's process — it is
+    therefore only enforceable in pool mode; the in-process fallback notes a
+    hang but cannot preempt it (injected hangs raise there instead, see
+    :mod:`repro.core.faults`).
 
     :meth:`run_batch` returns one document per payload, in input order, and
     never raises for a task-level failure.
@@ -209,8 +391,7 @@ class Supervisor:
         fault_plan: Optional[FaultPlan] = None,
         max_pool_rebuilds: Optional[int] = None,
         sleep: Callable[[float], None] = time.sleep,
-        force_pool: bool = False,
-        mp_context: Optional[Any] = None,
+        slot: Optional[WorkerSlot] = None,
     ) -> None:
         if worker is None:
             from .engine import _run_batch_task
@@ -218,6 +399,8 @@ class Supervisor:
             worker = _run_batch_task
         self.worker = worker
         self.jobs = max(1, jobs or 1)
+        if slot is not None and self.jobs > 1:
+            raise ValueError("a borrowed worker slot runs one task at a time")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError(f"task_timeout must be > 0 or None, got {task_timeout}")
         self.task_timeout = task_timeout
@@ -227,18 +410,7 @@ class Supervisor:
         self.fault_plan = fault_plan if fault_plan is not None else faults.active_plan()
         if max_pool_rebuilds is not None:
             self.max_pool_rebuilds = max_pool_rebuilds
-        #: Use the pool path even at ``jobs == 1`` — process isolation for a
-        #: single task (the daemon's ``worker_backend="process"`` runs every
-        #: request this way so a hard worker death cannot take the service).
-        self.force_pool = force_pool
-        #: Multiprocessing context (or start-method name) for pool workers.
-        #: A multi-threaded parent must not ``fork`` mid-lock — pass
-        #: ``"forkserver"`` or ``"spawn"`` there.
-        if isinstance(mp_context, str):
-            import multiprocessing
-
-            mp_context = multiprocessing.get_context(mp_context)
-        self.mp_context = mp_context
+        self.slot = slot
         self._sleep = sleep
         # Counters (see statistics()).
         self.tasks_supervised = 0
@@ -290,7 +462,7 @@ class Supervisor:
         self.tasks_supervised += len(tasks)
         if len(tasks) == 0:
             return []
-        if self.jobs > 1 or self.force_pool:
+        if self.jobs > 1 or self.slot is not None:
             self._run_pool(tasks)
         else:
             self._run_sequential(tasks)
@@ -326,12 +498,10 @@ class Supervisor:
             nonlocal executor
             if executor is None:
                 return
-            if kill:
-                self._kill_workers(executor)
-            try:
-                executor.shutdown(wait=not kill, cancel_futures=True)
-            except Exception:  # pragma: no cover - defensive
-                pass
+            if self.slot is not None:
+                self.slot.discard(kill)
+            else:
+                _shutdown(executor, kill)
             executor = None
 
         def fail_inflight(kind: str, message: str, charged: bool) -> None:
@@ -356,12 +526,11 @@ class Supervisor:
                     if self.pool_rebuilds > self.max_pool_rebuilds:
                         break  # degrade below
                     try:
-                        if self.mp_context is not None:
-                            executor = ProcessPoolExecutor(
-                                max_workers=self.jobs, mp_context=self.mp_context
-                            )
-                        else:
-                            executor = ProcessPoolExecutor(max_workers=self.jobs)
+                        executor = (
+                            self.slot.acquire()
+                            if self.slot is not None
+                            else ProcessPoolExecutor(max_workers=self.jobs)
+                        )
                     except (OSError, PermissionError, ImportError):
                         break  # platform refuses pools: degrade below
                 # Fill free slots with ready tasks (backoff-respecting).
@@ -400,10 +569,14 @@ class Supervisor:
                         self._sleep(min(pause, self.retry.backoff_max) or self.poll_seconds)
                         continue
                     break
-                done, _ = wait(
-                    list(inflight), timeout=self.poll_seconds,
-                    return_when=FIRST_COMPLETED,
-                )
+                if self.slot is not None:
+                    finished = self.slot.wait(self.poll_seconds)
+                    done = set(inflight) if finished else ()
+                else:
+                    done, _ = wait(
+                        list(inflight), timeout=self.poll_seconds,
+                        return_when=FIRST_COMPLETED,
+                    )
                 broken_tasks: list[tuple[_Supervised, float]] = []
                 for future in done:
                     task = inflight.pop(future)
@@ -476,11 +649,13 @@ class Supervisor:
                         teardown(kill=True)
                         self.pool_rebuilds += 1
         finally:
-            # On a normal exit nothing is in flight and a graceful shutdown
-            # is free.  On an exceptional exit (KeyboardInterrupt, a test
+            # On a normal exit nothing is in flight: an owned pool shuts down
+            # gracefully for free, a borrowed slot keeps its worker for the
+            # next batch.  On an exceptional exit (KeyboardInterrupt, a test
             # timeout) tasks may still be running — possibly wedged — and
             # shutdown(wait=True) would block on them forever: kill instead.
-            teardown(kill=bool(inflight))
+            if inflight or self.slot is None:
+                teardown(kill=bool(inflight))
         if queue:
             # The pool broke repeatedly (or never existed): finish in-process.
             self._degrade(list(queue))
@@ -535,22 +710,6 @@ class Supervisor:
         self.retries += 1
         task.not_before = time.monotonic() + self.retry.delay(task.charged)
         queue.append(task)
-
-    @staticmethod
-    def _kill_workers(executor: Any) -> None:
-        """Forcibly terminate an executor's worker processes (hang recovery).
-
-        ``ProcessPoolExecutor`` has no public kill; its ``_processes`` map
-        has been stable since 3.7 and killing via it is the only way to
-        reclaim a truly wedged worker.  Defensive: missing attributes mean
-        we fall back to abandoning the processes.
-        """
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.kill()
-            except Exception:  # pragma: no cover - already dead
-                pass
 
     # ------------------------------------------------------------------
     # In-process sequential execution (degraded mode and jobs=1)

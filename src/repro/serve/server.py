@@ -1,4 +1,4 @@
-"""The verification daemon: an asyncio front over a supervised worker pool.
+"""The verification daemon: an asyncio front over supervised workers.
 
 Architecture
 ------------
@@ -6,9 +6,10 @@ Architecture
 ::
 
     TCP clients ──> asyncio loop (one thread) ──> ThreadPoolExecutor
-       │              │  parse / admit / coalesce     │  one engine run per
-       │              │  (Coalescer, AdmissionControl │  request, supervised
-       │              │   — loop-confined, lock-free) │  (fresh VcChecker)
+       │              │  parse / admit / coalesce     │  one supervised engine
+       │              │  (Coalescer, AdmissionControl │  run per request; the
+       │              │   — loop-confined, lock-free) │  process backend lends
+       │              │                               │  each run a worker slot
        └── responses <─┘ ── futures resolve ──────────┘
                               │
                        shared Session / PrecisionStore
@@ -18,23 +19,44 @@ The front accepts newline-delimited JSON (see :mod:`repro.serve.protocol`);
 each request line becomes its own asyncio task, so slow verifies never block
 ``stats``/``health`` probes — not even on the same connection.
 
-Every verify runs through a **single-task sequential**
+Every verify runs through a **single-task**
 :class:`~repro.core.supervision.Supervisor` inside a worker thread: the
 PR 6 machinery (per-task timeout, retry with backoff, structured failure
 docs) applies per request, and the ``task`` fault site fires inside the
 request — an injected worker crash mid-request becomes a retry or a
 structured ``failure`` doc, never a dropped connection.
 
-With ``worker_backend="process"`` the same supervised run happens in an
-**isolated worker process** (``Supervisor(force_pool=True)`` on a
-``forkserver``/``spawn`` context — never ``fork``: this parent is
-multi-threaded): a hard worker death — ``kill -9``, OOM, a segfault —
-breaks only that request's private single-process pool; the supervisor
-retries it on a fresh worker or settles a structured ``failure`` doc, and
-the daemon keeps serving every other connection.  Warmth still flows
-between worker processes through the shared disk ``PrecisionStore``.
+With ``worker_backend="thread"`` the run happens on the executor thread
+itself, on a **fresh engine and VcChecker** (prepared solver contexts are
+not safe to share across threads).  With ``worker_backend="process"`` each
+executor thread has one **worker slot**
+(:class:`~repro.core.supervision.WorkerSlot`): a long-lived worker process
+on a ``forkserver``/``spawn`` context — never ``fork``: this parent is
+multi-threaded — that the executor thread feeds over a pipe itself.  A
+request borrows an idle slot for its supervisor instead of building a pool
+of its own; the slot's worker starts on its first request, serves request
+after request, and is rebuilt only after a timeout kill or a crash (or
+when found dead between requests).  A hard worker death — ``kill -9``,
+OOM, a segfault — takes only that worker; the supervisor retries on a
+fresh one or settles a structured ``failure`` doc, and the daemon keeps
+serving every other connection.
 
-Between the transport and the pool sit three loop-confined robustness
+Each slot worker keeps one bounded :class:`~repro.core.engine.WarmChecker`
+across the requests it serves, so obligations that recur across requests
+served by the same worker (a resubmitted program, programs sharing edges
+and predicates) are answered from its memo tables instead of re-proved.
+Worker state stays under a fixed cap (``WarmChecker.CAP`` memo entries;
+past it the worker starts over with a fresh checker that keeps only the
+verdicts its latest requests asked for, so recurring obligations stay
+warm), and the daemon side keeps no per-request state.  Each run's
+``solver`` block counts from the run's own start, and its solver budget
+charges what a fresh checker would: a memo hit on an entry an earlier
+request left counts like the check it saves (``carried_hits``).  So a warm
+checker changes how fast a verdict comes, not which one (barring a
+request's own ``max_cache_entries`` LRU cap, which can evict differently on
+a warm checker).
+
+Between the transport and the workers sit three loop-confined robustness
 layers: the **durable request journal** (:mod:`repro.serve.journal` — an
 admitted request is WAL-logged *before* execution and marked answered
 after its response reaches the transport, so a daemon crash cannot
@@ -42,17 +64,14 @@ silently forget accepted work; ``--recover`` re-executes the backlog on
 restart), **per-client token-bucket quotas** and the **``(fingerprint,
 options)`` circuit breaker** (:mod:`repro.serve.quota` — repeated worker
 crashes on one submission short-circuit to a structured 503 instead of
-burning a pool rebuild per retry).
+burning a worker rebuild per retry).
 
-Each request builds a **fresh engine and VcChecker** (via the same
-module-level ``_run_batch_task`` the batch pool uses): prepared solver
-contexts are not safe to share across threads.  What *is* shared — and what
-makes the daemon more than a loop around the CLI — is the session's
-:class:`~repro.core.api.PrecisionStore`: decided precisions are banked
-under the program fingerprint and seed later requests, so a repeat
-fingerprint does strictly fewer abstract posts (cross-request
-warm-starting).  Dict/set merges under the GIL plus one banking lock keep
-the store coherent across worker threads.
+What every backend shares — and what makes the daemon more than a loop
+around the CLI — is the session's :class:`~repro.core.api.PrecisionStore`:
+decided precisions are banked under the program fingerprint and seed later
+requests, so a repeat fingerprint does strictly fewer abstract posts
+(cross-request warm-starting, across workers).  Dict/set merges under the
+GIL plus one banking lock keep the store coherent across executor threads.
 
 Budget isolation: every request gets its own
 :class:`~repro.core.engine.Budget` from its own options; the service-level
@@ -65,6 +84,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import queue
 import signal
 import threading
 import time
@@ -75,8 +95,8 @@ from typing import Any, Callable, Optional, Union
 
 from ..core import faults
 from ..core.api import Session, VerifierOptions
-from ..core.engine import _run_batch_task, error_doc
-from ..core.supervision import RetryPolicy, Supervisor
+from ..core.engine import _run_batch_task, error_doc, install_warm_checker
+from ..core.supervision import RetryPolicy, Supervisor, WorkerSlot
 from . import protocol
 from .coalesce import AdmissionControl, Coalescer, options_key
 from .journal import RequestJournal
@@ -85,8 +105,27 @@ from .quota import CircuitBreaker, ClientQuota
 __all__ = ["ServiceConfig", "VerificationService", "WORKER_BACKENDS"]
 
 #: Where engine runs execute: ``thread`` (shared address space, GIL-bound)
-#: or ``process`` (one isolated worker process per request, crash-proof).
+#: or ``process`` (one persistent isolated worker process per executor
+#: thread, crash-proof).
 WORKER_BACKENDS = ("thread", "process")
+
+#: Live process-backend services in this process; the last one to stop
+#: also stops the shared forkserver (see ``_main``).
+_forkserver_users = 0
+_forkserver_lock = threading.Lock()
+
+
+def _stop_forkserver() -> None:
+    """Stop multiprocessing's shared fork server, if it is running.
+
+    ``ForkServer._stop`` is private but stable since 3.8; a later
+    process-backend service simply starts a new fork server.
+    """
+    from multiprocessing import forkserver
+
+    stop = getattr(forkserver._forkserver, "_stop", None)
+    if stop is not None:
+        stop()
 
 
 @dataclass
@@ -197,11 +236,17 @@ class VerificationService:
             if self.config.breaker_threshold > 0
             else None
         )
-        self._mp_context = (
-            self._pick_mp_context()
-            if self.config.worker_backend == "process"
-            else None
-        )
+        #: Process backend: one worker slot per executor thread, borrowed
+        #: by each request's supervisor (LIFO, so a lone client keeps
+        #: hitting the warmest worker).  Workers start on first use.
+        self._slots: list[WorkerSlot] = []
+        self._idle_slots: "queue.LifoQueue[WorkerSlot]" = queue.LifoQueue()
+        if self.config.worker_backend == "process":
+            context = self._pick_mp_context()
+            for _ in range(self.config.workers):
+                slot = WorkerSlot(context, initializer=install_warm_checker)
+                self._slots.append(slot)
+                self._idle_slots.put(slot)
         self._bank_lock = threading.Lock()
         # Counters (loop thread or under _bank_lock; reads are GIL-atomic).
         self.requests_total = 0
@@ -253,7 +298,8 @@ class VerificationService:
         try:
             context = multiprocessing.get_context("forkserver")
             # Pay the `import repro` cost once in the fork server, not once
-            # per pool worker (the pools are per-request and short-lived).
+            # per worker (workers are long-lived, but each slot restarts its
+            # worker after a timeout kill or a crash).
             context.set_forkserver_preload(["repro.core.engine"])
             return context
         except ValueError:  # pragma: no cover - platform without forkserver
@@ -265,6 +311,7 @@ class VerificationService:
     async def _main(
         self, on_ready: Optional[Callable[["VerificationService"], None]] = None
     ) -> None:
+        global _forkserver_users
         self._loop = asyncio.get_running_loop()
         self._drained = asyncio.Event()
         self._executor = ThreadPoolExecutor(
@@ -298,11 +345,21 @@ class VerificationService:
             task = asyncio.ensure_future(self._recover_outstanding())
             self._request_tasks.add(task)
             task.add_done_callback(self._request_tasks.discard)
+        if self._slots:
+            with _forkserver_lock:
+                _forkserver_users += 1
         try:
             await self._drained.wait()
         finally:
             if self._executor is not None:
                 self._executor.shutdown(wait=True)
+            if self._slots:
+                for slot in self._slots:
+                    slot.discard()
+                with _forkserver_lock:
+                    _forkserver_users -= 1
+                    if _forkserver_users == 0:
+                        _stop_forkserver()
 
     def _begin_drain(self) -> None:
         """Schedule the drain coroutine (idempotent; loop thread only)."""
@@ -832,20 +889,24 @@ class VerificationService:
                 "ship_precision": True,
             }
             # thread backend: sequential, this executor thread is the worker.
-            # process backend: force_pool gives the single task its own
-            # worker *process* — a hard death breaks only this request's
-            # private pool, never the daemon.
-            supervisor = Supervisor(
-                worker=_run_batch_task,
-                jobs=1,
-                task_timeout=timeout,
-                retry=RetryPolicy(
-                    max_retries=opts.task_retries, degrade=opts.degrade_on_retry
-                ),
-                force_pool=self.config.worker_backend == "process",
-                mp_context=self._mp_context,
-            )
-            doc = supervisor.run_batch([payload], keys=[(fingerprint, name)])[0]
+            # process backend: the request borrows an idle slot's worker
+            # *process* — a hard death takes only that worker (the slot
+            # rebuilds it), never the daemon.  There are as many slots as
+            # executor threads, so one is always idle here.
+            slot = self._idle_slots.get() if self._slots else None
+            try:
+                supervisor = Supervisor(
+                    worker=_run_batch_task,
+                    task_timeout=timeout,
+                    retry=RetryPolicy(
+                        max_retries=opts.task_retries, degrade=opts.degrade_on_retry
+                    ),
+                    slot=slot,
+                )
+                doc = supervisor.run_batch([payload], keys=[(fingerprint, name)])[0]
+            finally:
+                if slot is not None:
+                    self._idle_slots.put(slot)
             precision_payload = doc.pop("_precision", None)
             rendered = {
                 location: sorted(str(predicate) for predicate in predicates)
@@ -907,6 +968,7 @@ class VerificationService:
                 "connections_dropped": self.connections_dropped,
                 "recovery_runs": self.recovery_runs,
                 "supervision": dict(self.supervision_totals),
+                "worker_slots": [slot.statistics() for slot in self._slots],
                 "journal": (
                     self.journal.statistics() if self.journal is not None else None
                 ),

@@ -140,6 +140,14 @@ class VcChecker:
         #: baseline the batched path is tested and benchmarked against.
         self.batched_posts = batched_posts
         self.num_triple_checks = 0
+        #: Edge/post memo hits on entries an earlier run left: the triple
+        #: checks a fresh checker would have made for them, charged to the
+        #: run's solver budget all the same (see :meth:`begin_run`).
+        self.num_carried_hits = 0
+        #: The edge/post obligations the current run has asked, kept only
+        #: while the run started on populated memo tables (see
+        #: :meth:`begin_run`).
+        self._run_asked: Optional[set] = None
         self.num_feasibility_checks = 0
         self.cache_hits = 0
         #: Memoised triple verdicts.  CEGAR re-checks the same (state, edge,
@@ -223,7 +231,8 @@ class VcChecker:
     def statistics(self) -> dict[str, float]:
         """Counter snapshot across the checker and its solver.
 
-        Keys: ``triple_checks``, ``feasibility_checks``, ``triple_cache_hits``,
+        Keys: ``triple_checks``, ``carried_hits`` (see :meth:`begin_run`),
+        ``feasibility_checks``, ``triple_cache_hits``,
         the abstract-post counters (``edge_queries``/``post_queries`` and
         their cache hits), the batched-oracle counters (``prepare_calls``,
         ``context_reuses``, ``batched_posts``, ``scalar_fallbacks``,
@@ -235,6 +244,7 @@ class VcChecker:
         """
         stats = {
             "triple_checks": self.num_triple_checks,
+            "carried_hits": self.num_carried_hits,
             "feasibility_checks": self.num_feasibility_checks,
             "triple_cache_hits": self.cache_hits,
             "edge_queries": self.num_edge_queries,
@@ -258,13 +268,14 @@ class VcChecker:
         return stats
 
     def cache_sizes(self) -> dict[str, int]:
-        """Entry counts of the checker-level memo tables.
+        """Entry counts of the checker's and its solver's memo tables.
 
-        Long-lived sessions (:class:`repro.core.api.Session`) share one
-        checker across many tasks; these sizes are the memory-side of that
-        bargain and feed :meth:`Session.statistics` so a service can watch
-        cache growth and decide when to recycle a session.  ``evictions``
-        counts entries dropped by the LRU cap (``max_cache_entries``).
+        Long-lived sessions (:class:`repro.core.api.Session`) and daemon
+        workers share one checker across many tasks; these sizes are the
+        memory-side of that bargain and feed :meth:`Session.statistics` so a
+        service can watch cache growth and decide when to recycle a checker.
+        ``evictions`` counts entries dropped by the LRU cap
+        (``max_cache_entries``); the solver's tables have no LRU.
         """
         return {
             "triple_cache": len(self._triple_cache),
@@ -272,16 +283,18 @@ class VcChecker:
             "post_cache": len(self._post_cache),
             "state_formulas": len(self._state_formulas),
             "prepared_edges": len(self._prepared_edges),
+            "sat_cache": len(self.solver._sat_cache),
+            "normal_forms": len(self.solver._normal_form),
             "evictions": self.cache_evictions,
         }
 
     def snapshot(self) -> dict[str, float]:
         """A frozen copy of :meth:`statistics`, for later delta computation.
 
-        The portfolio layer snapshots the (shared) checker's counters before
-        giving a refiner its budget slice and attributes the difference to
-        that slice with :meth:`delta_since` — the counters themselves are
-        cumulative and shared by every engine using this checker.
+        The engine snapshots the checker when a run starts and reports the
+        run's own work with :meth:`delta_since` — the counters themselves are
+        cumulative and shared by every run using this checker (a session, a
+        portfolio's arms, a daemon worker serving many requests).
         """
         return dict(self.statistics())
 
@@ -290,9 +303,74 @@ class VcChecker:
 
         Counters absent from the snapshot (none today, but the solver's
         cache-info keys may grow) are reported at their full current value.
+        Timings are re-rounded like :meth:`statistics` rounds them, so the
+        delta from an all-zero snapshot equals the statistics themselves.
         """
         current = self.statistics()
-        return {key: value - snapshot.get(key, 0) for key, value in current.items()}
+        return {
+            key: round(value - snapshot.get(key, 0), 6)
+            for key, value in current.items()
+        }
+
+    # ------------------------------------------------------------------
+    # Per-run charging
+    # ------------------------------------------------------------------
+    @property
+    def charged_checks(self) -> int:
+        """The count solver budgets charge: triple checks made plus carried
+        memo hits (the checks a fresh checker would have made instead)."""
+        return self.num_triple_checks + self.num_carried_hits
+
+    def begin_run(self) -> None:
+        """Start charging a new run as if it ran on a fresh checker.
+
+        A fresh checker charges each edge/post obligation once per run: the
+        first ask is decided (one triple check), later asks hit the memo
+        entry the run itself paid for.  On memo tables an earlier run left,
+        the first ask of an obligation may hit instead; it is then counted as
+        a carried hit, so ``max_solver_calls`` trips at the same point and a
+        warm checker changes how fast a run goes, never where it stops.  The
+        ledger this needs is only kept when the tables are already
+        populated.  (An LRU cap, ``max_cache_entries``, can still evict an
+        entry mid-run on one checker and not on the other.)
+        """
+        self._run_asked = set() if (self._edge_cache or self._post_cache) else None
+
+    def _ask(self, key, hit: bool) -> None:
+        """Ledger step of a run on populated tables: charge a hit on an
+        entry the run has not asked before (a miss is charged where it is
+        decided)."""
+        asked = self._run_asked
+        if key not in asked:
+            asked.add(key)
+            if hit:
+                self.num_carried_hits += 1
+
+    def asked_keys(self) -> set:
+        """The edge/post memo keys the current run has asked so far (empty
+        for a run that started on empty tables: it keeps no ledger)."""
+        return self._run_asked or set()
+
+    def memo_verdicts(self, keys: Iterable[tuple]) -> tuple[dict, dict]:
+        """The edge and post verdicts memoised under ``keys``, as ``(edges,
+        posts)``: edge keys are ``(state, transition)`` pairs, post keys
+        ``(state, transition, predicate)`` triples (see :meth:`asked_keys`)."""
+        edges: dict[tuple, bool] = {}
+        posts: dict[tuple, bool] = {}
+        for key in keys:
+            table, found = (
+                (self._edge_cache, edges) if len(key) == 2 else (self._post_cache, posts)
+            )
+            verdict = table.get(key)
+            if verdict is not None:
+                found[key] = verdict
+        return edges, posts
+
+    def install_verdicts(self, edges: dict, posts: dict) -> None:
+        """Seed the edge and post memo tables with verdicts another checker
+        decided (:meth:`memo_verdicts`); they hold for any checker."""
+        self._edge_cache.update(edges)
+        self._post_cache.update(posts)
 
     # ------------------------------------------------------------------
     # Hoare triples / inductiveness conditions
@@ -350,6 +428,8 @@ class VcChecker:
         self.num_edge_queries += 1
         key = (state, transition)
         cached = self._cache_get(self._edge_cache, key)
+        if self._run_asked is not None:
+            self._ask(key, cached is not None)
         if cached is not None:
             self.edge_cache_hits += 1
             return cached
@@ -391,6 +471,8 @@ class VcChecker:
         self.num_post_queries += 1
         key = (state, transition, predicate)
         cached = self._cache_get(self._post_cache, key)
+        if self._run_asked is not None:
+            self._ask(key, cached is not None)
         if cached is not None:
             self.post_cache_hits += 1
             return cached
@@ -415,7 +497,10 @@ class VcChecker:
         remaining: list[Formula] = []
         for predicate in predicates:
             self.num_post_queries += 1
-            cached = self._cache_get(self._post_cache, (state, transition, predicate))
+            key = (state, transition, predicate)
+            cached = self._cache_get(self._post_cache, key)
+            if self._run_asked is not None:
+                self._ask(key, cached is not None)
             if cached is not None:
                 self.post_cache_hits += 1
                 verdicts[predicate] = cached
@@ -474,18 +559,25 @@ class VcChecker:
         ``num_triple_checks``, exactly what the sequential engine would have
         paid to decide it here, so ``max_solver_calls`` budgets behave the
         same with and without workers.  Verdicts already cached (a memo hit
-        the worker could not see) install nothing and count nothing.
+        the worker could not see) install nothing and count nothing, unless
+        an earlier run left them (a carried hit, see :meth:`begin_run`).
         """
         installed = 0
         if edge_verdict is not None:
             key = (state, transition)
-            if self._cache_get(self._edge_cache, key) is None:
+            cached = self._cache_get(self._edge_cache, key)
+            if self._run_asked is not None:
+                self._ask(key, cached is not None)
+            if cached is None:
                 self.num_triple_checks += 1
                 self._cache_put(self._edge_cache, key, edge_verdict)
                 installed += 1
         for predicate, verdict in (post_verdicts or {}).items():
             key = (state, transition, predicate)
-            if self._cache_get(self._post_cache, key) is None:
+            cached = self._cache_get(self._post_cache, key)
+            if self._run_asked is not None:
+                self._ask(key, cached is not None)
+            if cached is None:
                 self.num_triple_checks += 1
                 self._cache_put(self._post_cache, key, verdict)
                 installed += 1

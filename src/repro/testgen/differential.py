@@ -24,12 +24,15 @@ an earlier PR established, and compares exactly what that PR guarantees:
     (the standalone arm may exhaust the budget the portfolio's shared
     checker saved it — explained divergence).
 ``serve``
-    A live verification daemon vs an in-process engine (PR 9): verdicts,
-    precisions, post decisions and nodes created must be **bit-identical**
-    — the daemon builds a fresh checker per request and the fuzz options
-    pin ``warm_start=False``, so the wire is the only difference.  The
-    daemon is started once (in-process, on a background thread) and shared
-    by every program in the run.
+    A live verification daemon vs an in-process engine on a fresh checker:
+    verdicts, precisions, post decisions and nodes created must be
+    **bit-identical**.  The daemon runs one persistent worker process, so
+    every program after the first runs on a checker warmed by the programs
+    before it — the oracle doubles as warm-vs-cold equivalence coverage.
+    The fuzz options pin ``warm_start=False`` (no store seeding), so the
+    wire and the warm memo tables are the only differences.  The daemon is
+    started once (in-process, on a background thread) and shared by every
+    program in the run.
 
 A program generated with a planted bug additionally checks the engine's
 *soundness* directly: a ``safe`` verdict on a planted-bug program is
@@ -94,10 +97,12 @@ def fuzz_options(
     Wall-clock budgets are rejected — the differential contracts compare
     deterministic counters, and a nondeterministic cutoff would fabricate
     mismatches that no engine bug caused.  ``max_solver_calls`` bounds the
-    checker's Hoare-triple count instead: it is charged identically on both
-    sides of every strict oracle (PR 5/PR 7 accounting guarantees), so a
-    pathological generated program exhausts the budget at the same triple on
-    each side and stays comparable.
+    run's Hoare-triple count instead: it is charged identically on both
+    sides of every strict oracle (the batched and parallel oracles pay one
+    check per decided obligation, and a warm checker charges a carried memo
+    hit like the check it saves), so a pathological generated program
+    exhausts the budget at the same triple on each side and stays
+    comparable.
     """
     options = VerifierOptions(
         max_refinements=max_refinements,
@@ -325,7 +330,9 @@ def _serve_endpoint():
         from ..serve.client import ServiceClient
         from ..serve.server import ServiceConfig, VerificationService
 
-        service = VerificationService(ServiceConfig(port=0, workers=2)).start()
+        service = VerificationService(
+            ServiceConfig(port=0, workers=1, worker_backend="process")
+        ).start()
         client = ServiceClient("127.0.0.1", service.port)
         _SERVE_ENDPOINT = (service, client)
     return _SERVE_ENDPOINT
@@ -345,10 +352,17 @@ def shutdown_serve_oracle() -> None:
 def _oracle_serve(function, options):
     """Daemon vs in-process: a live service must answer like a local engine.
 
-    Valid as a *bit-identical* comparison because the daemon builds a fresh
-    checker per request and :func:`fuzz_options` pins ``warm_start=False``
-    (no store seeding) and rejects wall-clock budgets — both sides run the
-    same deterministic engine, one of them behind the wire.
+    Valid as a *bit-identical* comparison although the daemon's one worker
+    keeps its checker warm across programs: the checker's memo tables only
+    cache verdicts that depend on the query alone (hash-consed inputs, no
+    precision), so a memo hit returns what a fresh solver would decide; and
+    each run's solver budget counts from the run's own start, charging a
+    hit on an earlier program's entry like the check a fresh checker would
+    make (``VcChecker.begin_run``), so the budget trips at the same point on
+    both sides.  :func:`fuzz_options` pins ``warm_start=False`` (no store
+    seeding), sets no LRU cap and rejects wall-clock budgets — both sides
+    run the same deterministic engine, one of them behind the wire on a
+    warm checker.
     """
     reference = _engine_record(function, options)
     _, client = _serve_endpoint()

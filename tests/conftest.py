@@ -30,6 +30,16 @@ def pytest_configure(config):
     )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _stop_serve_oracle():
+    """Stop the ``serve`` fuzz oracle's shared daemon (and close its client
+    socket) once the session ends; it otherwise lives until process exit."""
+    yield
+    from repro.testgen import shutdown_serve_oracle
+
+    shutdown_serve_oracle()
+
+
 def _timeout_for(item) -> int:
     marker = item.get_closest_marker("timeout")
     if marker and marker.args:

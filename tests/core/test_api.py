@@ -568,3 +568,39 @@ class TestSessionScheduling:
         assert stats["programs_known"] == 1
         assert stats["checker"]["triple_checks"] > 0
         assert stats["checker_caches"]["triple_cache"] > 0
+
+
+class TestPerRunAccounting:
+    """A checker shared by several runs (a session, a warm daemon worker)
+    must not charge one run's solver budget or statistics to another."""
+
+    def test_solver_budget_counts_from_the_run_start(self):
+        options = VerifierOptions(max_solver_calls=400, warm_start=False)
+        assert Session(options).run("lock_step").verdict == Verdict.SAFE
+        session = Session(options)
+        session.run("forward")
+        later = session.run("lock_step")
+        assert later.verdict == Verdict.SAFE, later.reason
+
+    def test_portfolio_budget_counts_from_the_portfolio_start(self):
+        options = VerifierOptions(
+            refiner="portfolio", portfolio_mode="round-robin",
+            max_solver_calls=400, warm_start=False,
+        )
+        assert Session(options).run("lock_step").verdict == Verdict.SAFE
+        session = Session(options)
+        session.run("forward")
+        later = session.run("lock_step")
+        assert later.verdict == Verdict.SAFE, later.reason
+
+    def test_solver_block_reports_the_run_alone(self):
+        session = Session(VerifierOptions(warm_start=False))
+        first = session.run("forward").to_json()["solver"]
+        # A fresh checker's run reports exactly the checker's statistics.
+        assert first == session.checker.statistics()
+        second = session.run("forward").to_json()["solver"]
+        lifetime = session.checker.statistics()
+        for key in ("sat_queries", "triple_checks", "post_queries", "edge_queries"):
+            assert first[key] + second[key] == lifetime[key], key
+        # The rerun is answered from the shared memo tables.
+        assert second["sat_queries"] < first["sat_queries"]

@@ -12,13 +12,15 @@ degradation to in-process execution) are exercised in milliseconds, not
 engine-run seconds.
 """
 
+import os
+import signal
 import time
 
 import pytest
 
 from repro import Session, VerifierOptions
 from repro.core.faults import FaultPlan, FaultSpec, installed
-from repro.core.supervision import RetryPolicy, Supervisor
+from repro.core.supervision import RetryPolicy, Supervisor, WorkerSlot
 
 #: The 12-program benchmark suite with its per-program refinement budgets
 #: (mirrors benchmarks/run_all.py — initcheck_buggy diverges past 5).
@@ -44,6 +46,16 @@ def _echo_worker(payload):
     """A fast stand-in task: succeeds instantly, echoes its name."""
     return {"schema_version": 2, "name": payload["name"], "verdict": "safe",
             "reason": ""}
+
+
+def _pid_worker(payload):
+    """An echo task that also reports which process ran it."""
+    return {**_echo_worker(payload), "pid": os.getpid()}
+
+
+def _raising_worker(payload):
+    """A task whose worker function raises every time."""
+    raise ValueError(f"no answer for {payload['name']}")
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +187,99 @@ class TestSupervisorScheduling:
         assert twice["budget"]["max_nodes"] == 1000
         # The original payload was not mutated.
         assert payload["budget"]["max_nodes"] == 4000
+
+
+# ----------------------------------------------------------------------
+# Borrowed worker slots (the daemon's process backend)
+# ----------------------------------------------------------------------
+class TestWorkerSlot:
+    RETRY = RetryPolicy(max_retries=2, backoff_base=0.01, backoff_max=0.05)
+
+    def _run(self, slot, name, **kwargs):
+        supervisor = Supervisor(
+            worker=_pid_worker, retry=self.RETRY, slot=slot, **kwargs
+        )
+        return supervisor.run_batch([{"name": name}])[0], supervisor
+
+    def test_worker_outlives_the_batches_that_borrow_it(self):
+        slot = WorkerSlot()
+        try:
+            assert slot.pid is None  # started lazily
+            first, _ = self._run(slot, "t0")
+            second, supervisor = self._run(slot, "t1")
+            assert first["pid"] == second["pid"] == slot.pid
+            assert second["attempts"] == 1
+            assert slot.starts == 1
+            assert supervisor.statistics()["pool_rebuilds"] == 0
+        finally:
+            slot.discard()
+        assert slot.pid is None
+
+    def test_crash_rebuilds_the_slot_worker(self):
+        slot = WorkerSlot()
+        try:
+            before, _ = self._run(slot, "t0")
+            plan = FaultPlan([FaultSpec(kind="crash", key="t1", attempts=(0,))])
+            doc, supervisor = self._run(slot, "t1", fault_plan=plan)
+            assert doc["verdict"] == "safe" and doc["attempts"] == 2
+            assert doc["failures"][0]["kind"] == "crash"
+            assert doc["pid"] != before["pid"]
+            assert supervisor.statistics()["pool_rebuilds"] == 1
+            assert slot.starts == 2
+        finally:
+            slot.discard()
+
+    def test_idle_worker_death_is_replaced_free_of_charge(self):
+        slot = WorkerSlot()
+        try:
+            before, _ = self._run(slot, "t0")
+            os.kill(before["pid"], signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while slot._process.is_alive() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            after, supervisor = self._run(slot, "t1")
+            assert after["attempts"] == 1 and "failures" not in after
+            assert after["pid"] != before["pid"]
+            assert slot.idle_deaths == 1
+            assert supervisor.statistics()["crashes"] == 0
+        finally:
+            slot.discard()
+
+    def test_a_raising_task_keeps_the_worker(self):
+        slot = WorkerSlot()
+        try:
+            before, _ = self._run(slot, "t0")
+            supervisor = Supervisor(worker=_raising_worker, retry=self.RETRY, slot=slot)
+            doc = supervisor.run_batch([{"name": "t1"}])[0]
+            assert doc["verdict"] == "unknown" and doc["attempts"] == 3
+            assert {f["kind"] for f in doc["failures"]} == {"worker-error"}
+            assert "no answer for t1" in doc["failures"][0]["message"]
+            after, _ = self._run(slot, "t2")
+            assert after["pid"] == before["pid"] and slot.starts == 1
+        finally:
+            slot.discard()
+
+    @pytest.mark.timeout(60)
+    def test_hang_kills_and_replaces_the_worker(self):
+        slot = WorkerSlot()
+        try:
+            before, _ = self._run(slot, "t0")
+            plan = FaultPlan([FaultSpec(kind="hang", key="t1", attempts=(0,),
+                                        seconds=30.0)])
+            start = time.monotonic()
+            doc, supervisor = self._run(slot, "t1", fault_plan=plan, task_timeout=1.0)
+            assert time.monotonic() - start < 20  # did not wait out the hang
+            assert doc["verdict"] == "safe" and doc["attempts"] == 2
+            assert doc["failures"][0]["kind"] == "timeout"
+            assert doc["pid"] != before["pid"] and slot.starts == 2
+            assert supervisor.statistics()["timeouts"] == 1
+        finally:
+            slot.discard()
+        assert slot.pid is None
+
+    def test_a_slot_runs_one_task_at_a_time(self):
+        with pytest.raises(ValueError, match="one task at a time"):
+            Supervisor(worker=_echo_worker, jobs=2, slot=WorkerSlot())
 
 
 # ----------------------------------------------------------------------
