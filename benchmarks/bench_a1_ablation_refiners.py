@@ -9,7 +9,7 @@ loop-coupling programs provable.
 import pytest
 
 from common import record, run_once
-from repro.core import Verdict, verify
+from repro.core import Verdict, VerifierOptions, verify
 from repro.lang import get_program
 
 PROGRAMS_UNDER_TEST = ["forward", "double_counter", "lock_step"]
@@ -27,7 +27,8 @@ BASELINE_PROVES = {"forward": False, "double_counter": False, "lock_step": True}
 @pytest.mark.parametrize("name", PROGRAMS_UNDER_TEST)
 @pytest.mark.parametrize("refiner", ["path-invariant", "path-formula"])
 def test_refiner_ablation(benchmark, name, refiner):
-    result = run_once(benchmark, verify, get_program(name), refiner=refiner, max_refinements=3)
+    options = VerifierOptions(refiner=refiner, max_refinements=3)
+    result = run_once(benchmark, verify, get_program(name), options=options)
     record(
         benchmark,
         verdict=result.verdict,

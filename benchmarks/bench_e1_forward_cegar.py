@@ -9,13 +9,14 @@ and ``a+b <= 3n`` at the loop head.
 import pytest
 
 from common import record, run_once
-from repro.core import Verdict, verify
+from repro.core import Verdict, VerifierOptions, verify
 from repro.lang import get_program
 
 
 def test_forward_with_path_invariants(benchmark):
     program = get_program("forward")
-    result = run_once(benchmark, verify, program, refiner="path-invariant", max_refinements=4)
+    options = VerifierOptions(refiner="path-invariant", max_refinements=4)
+    result = run_once(benchmark, verify, program, options=options)
     record(
         benchmark,
         verdict=result.verdict,
@@ -27,7 +28,8 @@ def test_forward_with_path_invariants(benchmark):
 
 def test_forward_with_path_formula_baseline(benchmark):
     program = get_program("forward")
-    result = run_once(benchmark, verify, program, refiner="path-formula", max_refinements=4)
+    options = VerifierOptions(refiner="path-formula", max_refinements=4)
+    result = run_once(benchmark, verify, program, options=options)
     lengths = [r.counterexample_length for r in result.iterations if r.counterexample_length]
     record(
         benchmark,

@@ -8,14 +8,15 @@ fact per unwinding and keeps producing longer counterexamples.
 import pytest
 
 from common import record, run_once
-from repro.core import Verdict, verify
+from repro.core import Verdict, VerifierOptions, verify
 from repro.lang import get_program
 
 
 def test_initcheck_with_path_invariants(benchmark):
     program = get_program("initcheck")
     result = run_once(
-        benchmark, verify, program, refiner="path-invariant", max_refinements=3, max_art_nodes=80
+        benchmark, verify, program,
+        options=VerifierOptions(refiner="path-invariant", max_refinements=3, max_nodes=80),
     )
     quantified = sum(
         1
@@ -39,7 +40,8 @@ def test_initcheck_with_path_invariants(benchmark):
 def test_initcheck_with_path_formula_baseline(benchmark):
     program = get_program("initcheck")
     result = run_once(
-        benchmark, verify, program, refiner="path-formula", max_refinements=3, max_art_nodes=80
+        benchmark, verify, program,
+        options=VerifierOptions(refiner="path-formula", max_refinements=3, max_nodes=80),
     )
     lengths = [r.counterexample_length for r in result.iterations if r.counterexample_length]
     record(benchmark, verdict=result.verdict, counterexample_lengths=lengths)

@@ -10,14 +10,15 @@ rather than by a single global invariant-synthesis query.
 import pytest
 
 from common import record, run_once
-from repro.core import Verdict, verify
+from repro.core import Verdict, VerifierOptions, verify
 from repro.lang import get_program
 
 
 def test_partition_with_path_invariants(benchmark):
     program = get_program("partition")
     result = run_once(
-        benchmark, verify, program, refiner="path-invariant", max_refinements=4, max_art_nodes=80
+        benchmark, verify, program,
+        options=VerifierOptions(refiner="path-invariant", max_refinements=4, max_nodes=80),
     )
     synthesis_calls = [
         record_.refinement.synthesis

@@ -11,8 +11,10 @@ fast subset of the suite under both refiners and reports who proves what.
 import pytest
 
 from common import record, run_once
-from repro.core import Verdict, verify
+from repro.core import Verdict, VerifierOptions, verify
 from repro.lang import PROGRAMS, get_program
+
+OPTIONS = VerifierOptions(max_refinements=4)
 
 #: A fast, representative subset of the suite (the full list is in
 #: repro.lang.programs; the heavier array programs are exercised by E3-E5).
@@ -22,7 +24,7 @@ BUGGY = ["simple_unsafe", "array_init_buggy"]
 
 @pytest.mark.parametrize("name", SUITE)
 def test_suite_safe_programs(benchmark, name):
-    result = run_once(benchmark, verify, get_program(name), max_refinements=4)
+    result = run_once(benchmark, verify, get_program(name), options=OPTIONS)
     record(benchmark, verdict=result.verdict, refinements=result.num_refinements)
     assert result.verdict == Verdict.SAFE
     assert PROGRAMS[name].expected_safe
@@ -30,7 +32,7 @@ def test_suite_safe_programs(benchmark, name):
 
 @pytest.mark.parametrize("name", BUGGY)
 def test_suite_buggy_programs(benchmark, name):
-    result = run_once(benchmark, verify, get_program(name), max_refinements=4)
+    result = run_once(benchmark, verify, get_program(name), options=OPTIONS)
     record(benchmark, verdict=result.verdict)
     assert result.verdict == Verdict.UNSAFE
     assert not PROGRAMS[name].expected_safe
@@ -53,7 +55,8 @@ def test_baseline_on_suite(benchmark):
         verdicts = {}
         for name in expected_divergent:
             verdicts[name] = verify(
-                get_program(name), refiner="path-formula", max_refinements=3
+                get_program(name),
+                options=VerifierOptions(refiner="path-formula", max_refinements=3),
             ).verdict
         return verdicts
 

@@ -5,7 +5,7 @@ delta-rechecks pivot nodes and repairs only what the new predicates actually
 change, while the restart baseline re-expands the whole tree from the
 initial location.  The metric is *abstract-post decisions* — edge
 feasibility checks plus per-predicate Cartesian post checks requested by
-reachability (``CegarResult.post_decisions()``), the same work the seed
+reachability (``Result.post_decisions()``), the same work the seed
 counted as reachability triple checks.
 
 How much is saved is a property of the refinement geometry, not of the
@@ -28,17 +28,14 @@ speedup is never bought with a changed answer.
 import pytest
 
 from common import record, run_once
-from repro.core import Verdict, verify
+from repro.core import Verdict, VerifierOptions, verify
 from repro.lang import PROGRAMS, get_program
 
 
 def run_both(name, max_refinements):
-    incremental = verify(
-        get_program(name), max_refinements=max_refinements, incremental=True
-    )
-    restart = verify(
-        get_program(name), max_refinements=max_refinements, incremental=False
-    )
+    options = VerifierOptions(max_refinements=max_refinements)
+    incremental = verify(get_program(name), options=options)
+    restart = verify(get_program(name), options=options.replace(incremental=False))
     return incremental, restart
 
 

@@ -34,7 +34,7 @@ import time
 import pytest
 
 from common import record, run_once
-from repro.core import Budget, PortfolioEngine, Verdict, verify
+from repro.core import Budget, PortfolioEngine, Verdict, VerifierOptions, verify
 from repro.lang import get_program, get_source
 
 #: The divergent corpus: path-formula alone diverges on these (one loop
@@ -49,7 +49,10 @@ WALL_SLACK = 0.75
 
 def run_single(name, refiner, max_refinements=25):
     started = time.perf_counter()
-    result = verify(get_program(name), refiner=refiner, max_refinements=max_refinements)
+    result = verify(
+        get_program(name),
+        options=VerifierOptions(refiner=refiner, max_refinements=max_refinements),
+    )
     return result, time.perf_counter() - started
 
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the ``bench_e*`` experiment suite and emit ``BENCH_pr10.json``.
 
-Ten data sections feed the perf trajectory (``benchmarks/trend_diff.py``
-diffs the engine, parallel, fuzz, service and chaos sections of
-consecutive snapshots in CI):
+Nine data sections feed the perf trajectory (``benchmarks/trend_diff.py``
+diffs the engine, fuzz, service and chaos sections of consecutive
+snapshots in CI):
 
 * ``pytest``      — every ``bench_e*.py`` benchmark run through
   pytest-benchmark (wall time per benchmark plus the experiment facts each
@@ -28,11 +28,6 @@ consecutive snapshots in CI):
   attempt counts plus the supervisor's recovery counters.  Its rows carry
   ``"fault_injected": true`` and are exempt from the trend check — the
   injected retries are deliberate wall-clock noise, not a regression.
-* ``parallel``    — sequential vs ``jobs=4`` intra-run parallel exploration
-  over the wide-ART programs: per program and mode the verdict, wall time,
-  abstract-post decisions and solver calls (bit-identical counters are the
-  design invariant — see bench_e11), plus the speculative pool's
-  offer/install counters for the parallel mode.
 * ``fuzz``        — a fixed-seed differential-fuzz batch through every
   paired-configuration oracle (``repro.testgen``): per oracle the program
   count, mismatch count and both sides' total abstract-post decisions,
@@ -418,70 +413,6 @@ def run_supervision_section() -> dict:
     return section
 
 
-#: The parallel section's corpus: the wide-ART programs of bench_e11, with
-#: per-program engine options.  PARTITION stops before its third refinement
-#: (pure refiner compute, see bench_e11's docstring).
-PARALLEL_PROGRAMS = [
-    ("forward", dict(max_refinements=8)),
-    ("initcheck", dict(max_refinements=8)),
-    ("partition", dict(max_refinements=2, max_nodes=40)),
-]
-
-#: Worker count of the parallel section's parallel mode.
-PARALLEL_JOBS = 4
-
-
-def run_parallel_section() -> list[dict]:
-    """Sequential vs ``jobs=4`` parallel exploration over the wide-ART suite.
-
-    The load-bearing numbers are the deterministic counters: the parallel
-    engine must post exactly the same abstract-post decisions and solver
-    calls as the sequential one (speculation is charged like inline work).
-    Raw wall time rides along; the latency-hiding speedup story lives in
-    bench_e11, which injects per-query solver latency to make it visible
-    on a single GIL-bound core.
-    """
-    records = []
-    for name, engine_kw in PARALLEL_PROGRAMS:
-        row: dict = {"program": name, "jobs": PARALLEL_JOBS, **engine_kw}
-        for jobs, label in ((1, "sequential"), (PARALLEL_JOBS, "parallel")):
-            options = VerifierOptions(jobs=jobs, warm_start=False, **engine_kw)
-            started = time.perf_counter()
-            result = Session(options).run(name)
-            solver = result.iterations[-1].solver_stats or {}
-            row[label] = {
-                "verdict": result.verdict,
-                "seconds": round(time.perf_counter() - started, 4),
-                "refinements": result.num_refinements,
-                "post_decisions": result.post_decisions(),
-                "solver_calls": (
-                    solver.get("sat_queries", 0) + solver.get("context_checks", 0)
-                ),
-                "triple_checks": solver.get("triple_checks", 0),
-            }
-            pool = result.engine_stats.get("parallel")
-            if pool is not None:
-                row[label]["pool"] = {
-                    key: pool[key]
-                    for key in ("offered", "chunks", "installed", "missed", "wasted")
-                }
-        row["verdicts_agree"] = (
-            row["sequential"]["verdict"] == row["parallel"]["verdict"]
-        )
-        row["posts_identical"] = (
-            row["sequential"]["post_decisions"] == row["parallel"]["post_decisions"]
-        )
-        records.append(row)
-        print(
-            f"  {name:18s} seq={row['sequential']['verdict']}/"
-            f"{row['sequential']['post_decisions']:5d} "
-            f"par(j{PARALLEL_JOBS})={row['parallel']['verdict']}/"
-            f"{row['parallel']['post_decisions']:5d} "
-            f"identical={row['posts_identical']}"
-        )
-    return records
-
-
 #: The fuzz section's fixed recipe: same seed every snapshot, so the
 #: per-oracle post-decision totals are comparable across PRs.
 FUZZ_SEED = 1
@@ -761,8 +692,6 @@ def main(argv=None) -> int:
     report["sections"]["session"] = run_session_section()
     print("supervision section (fault-injected supervised batch):")
     report["sections"]["supervision"] = run_supervision_section()
-    print(f"parallel section (sequential vs jobs={PARALLEL_JOBS} exploration):")
-    report["sections"]["parallel"] = run_parallel_section()
     print(f"fuzz section (seed={FUZZ_SEED}, {FUZZ_COUNT} programs, all oracles):")
     report["sections"]["fuzz"] = run_fuzz_section()
     print("service section (the daemon over a real socket, cold vs warm):")
@@ -781,11 +710,6 @@ def main(argv=None) -> int:
         row["program"]
         for row in report["sections"]["engine"]
         if not row["verdicts_agree"]
-    ]
-    disagreements += [
-        f"{row['program']} (parallel)"
-        for row in report["sections"]["parallel"]
-        if not (row["verdicts_agree"] and row["posts_identical"])
     ]
     disagreements += [
         f"{row['program']} ({row['mismatches']} fuzz mismatches)"

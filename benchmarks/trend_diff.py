@@ -3,8 +3,8 @@
 
 Each PR's benchmark run (``benchmarks/run_all.py``) leaves a ``BENCH_prN.json``
 snapshot in the repository root.  This script compares the *engine* section
-(incremental/restart modes), the *parallel* section (sequential/parallel
-modes), the *fuzz* section (per-oracle fixed-seed differential batches),
+(incremental/restart modes), the *fuzz* section (per-oracle fixed-seed
+differential batches),
 the *service* section (cold/warm daemon submissions over a socket) and the
 *chaos* section (clean/faulted process-backend suite runs)
 of the two newest snapshots program by program and exits non-zero
@@ -44,7 +44,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Trend-checked sections and the per-row modes each one carries.
 SECTIONS = {
     "engine": ("incremental", "restart"),
-    "parallel": ("sequential", "parallel"),
     # Differential-fuzz rows (one per oracle, fixed seed, so the counters
     # are comparable across snapshots); older snapshots without the
     # section just print a "share no programs" note.

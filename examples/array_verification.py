@@ -10,7 +10,7 @@ Run with:  python examples/array_verification.py  [program ...]
 
 import sys
 
-from repro import verify
+from repro import VerifierOptions, verify
 from repro.lang import get_program, list_programs
 
 DEFAULT_PROGRAMS = ["initcheck", "array_init_const", "array_init_buggy"]
@@ -23,7 +23,7 @@ def main() -> None:
             print(f"unknown program {name!r}; available: {', '.join(list_programs())}")
             continue
         print(f"=== {name} ===")
-        result = verify(get_program(name), max_refinements=4)
+        result = verify(get_program(name), options=VerifierOptions(max_refinements=4))
         print(result.summary())
         if result.is_unsafe and result.counterexample is not None:
             inputs = result.counterexample.witness_inputs(result.program.variables)

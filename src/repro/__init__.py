@@ -6,7 +6,7 @@ The top-level package re-exports the public API:
   :class:`repro.VerificationTask` — the typed task/session API: validated
   options, reusable verification sessions with shared solver caches, and
   warm-start precision transfer across tasks and process pools;
-* :func:`repro.verify` — the one-call entry point (a thin wrapper over a
+* :func:`repro.verify` — the one-call entry point (an ephemeral
   session): verify the assertions of a mini-C program with CEGAR, using
   path programs and path invariants for abstraction refinement;
 * :mod:`repro.lang` — the mini-C front end and the built-in benchmark suite;
@@ -20,7 +20,6 @@ The top-level package re-exports the public API:
 """
 
 from .core.verifier import verify
-from .core.cegar import CegarResult, PortfolioResult, Result, Verdict
 from .core.api import (
     PrecisionStore,
     Session,
@@ -28,7 +27,7 @@ from .core.api import (
     VerifierOptions,
     program_fingerprint,
 )
-from .core.engine import RESULT_SCHEMA_VERSION, Budget
+from .core.engine import RESULT_SCHEMA_VERSION, Budget, PortfolioResult, Result, Verdict
 from .core.supervision import RetryPolicy, Supervisor
 from .core.faults import FaultPlan, FaultSpec
 from .lang.programs import PROGRAMS, get_program, get_source, list_programs
@@ -47,7 +46,6 @@ __all__ = [
     "program_fingerprint",
     "Budget",
     "Result",
-    "CegarResult",
     "PortfolioResult",
     "RESULT_SCHEMA_VERSION",
     "Verdict",

@@ -21,11 +21,8 @@ Three first-class objects replace the historical kwarg funnel:
 Results come back as the unified :class:`~repro.core.engine.Result`
 hierarchy, whose :meth:`~repro.core.engine.Result.to_json` document
 (versioned by :data:`~repro.core.engine.RESULT_SCHEMA_VERSION`) is shared by
-the CLI, :func:`~repro.core.engine.verify_many` and the benchmark harness.
-
-The historical entry points (:func:`repro.verify`,
-:class:`~repro.core.cegar.CegarLoop`, ``verify_many``) are thin
-compatibility wrappers over this module.
+the CLI, :meth:`Session.run_many`, the daemon and the benchmark harness.
+:func:`repro.verify` is a one-call convenience over an ephemeral session.
 
 Quickstart::
 
@@ -49,7 +46,7 @@ import pickle
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 try:  # advisory file locking for the disk-backed store (POSIX only)
     import fcntl
@@ -67,12 +64,12 @@ from .engine import (
     PORTFOLIO_REFINERS,
     RESULT_SCHEMA_VERSION,
     Budget,
-    PortfolioEngine,
     Result,
     Verdict,
-    VerificationEngine,
     _run_batch_task,
     error_doc,
+    run_engine,
+    task_payload,
 )
 from .predabs import FRONTIER_NAMES, Precision
 from .refiners import Refiner
@@ -172,13 +169,6 @@ class VerifierOptions:
     #: Halve a task's resource budgets on each supervised retry.  Off by
     #: default: a degraded retry may legitimately return a weaker verdict.
     degrade_on_retry: bool = False
-    #: Worker count for intra-run parallel ART exploration (``1`` = strictly
-    #: sequential, no pool).  Verdicts, precisions and post-decision counts
-    #: are bit-identical for every value — workers only pre-compute solver
-    #: verdicts the sequential commit path then consumes as cache hits
-    #: (:mod:`repro.core.parallel`).  Distinct from the *batch* ``jobs=`` of
-    #: :meth:`Session.run_many`, which parallelises across tasks.
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         from .verifier import ENGINE_REFINER_NAMES, REFINER_NAMES
@@ -246,8 +236,6 @@ class VerifierOptions:
             )
         if self.task_retries < 0:
             raise ValueError(f"task_retries must be >= 0, got {self.task_retries}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     # ------------------------------------------------------------------
     def budget(self) -> Budget:
@@ -304,35 +292,6 @@ class VerifierOptions:
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a table/object of options")
         return cls.from_dict(data)
-
-
-def resolve_legacy_options(
-    entry: str,
-    options: Optional[VerifierOptions],
-    legacy: Mapping[str, Any],
-    build: Callable[[], VerifierOptions],
-) -> VerifierOptions:
-    """The shared deprecation shim behind ``verify``/``verify_many``.
-
-    ``options=`` and the superseded tuning kwargs are mutually exclusive;
-    passing any of the latter emits one ``DeprecationWarning`` naming the
-    entry point, then ``build()`` translates them into options.
-    """
-    if options is not None:
-        if legacy:
-            raise ValueError(
-                "pass either options= or the legacy keyword arguments, not both "
-                f"(got options and {sorted(legacy)})"
-            )
-        return options
-    if legacy:
-        warnings.warn(
-            f"{entry}({', '.join(sorted(legacy))}=...) keyword tuning is "
-            "deprecated; pass options=VerifierOptions(...) or use repro.Session",
-            DeprecationWarning,
-            stacklevel=3,  # resolve_legacy_options -> shim -> caller
-        )
-    return build()
 
 
 # ----------------------------------------------------------------------
@@ -808,7 +767,9 @@ class Session:
                 fingerprint, program, opts.max_predicates_per_location
             )
             warm = seed is not None
-        result = self._execute(task, program, opts, seed)
+        result = run_engine(
+            program, opts, self.checker, seed, refiner=task.refiner, source=task.source
+        )
         self.tasks_run += 1
         if warm:
             self.warm_starts += 1
@@ -851,55 +812,6 @@ class Session:
             "warm_started": warm,
             "seeded_predicates": seeded,
         }
-
-    def _execute(
-        self,
-        task: VerificationTask,
-        program: Program,
-        opts: VerifierOptions,
-        seed: Optional[Precision],
-    ) -> Result:
-        if task.refiner is None and opts.refiner == "portfolio":
-            portfolio = PortfolioEngine(
-                task.source if task.source is not None else program,
-                refiners=opts.portfolio_refiners,
-                strategy=opts.strategy,
-                budget=opts.budget(),
-                incremental=opts.incremental,
-                checker=self.checker,
-                mode=opts.portfolio_mode,
-                slice_refinements=opts.slice_refinements,
-                slice_seconds=opts.slice_seconds,
-                monitor_window=opts.monitor_window,
-                initial_precision=seed,
-                max_predicates_per_location=opts.max_predicates_per_location,
-            )
-            return portfolio.run()
-        engine = self._make_engine(program, opts, refiner=task.refiner)
-        return engine.run(initial_precision=seed)
-
-    def _make_engine(
-        self,
-        program: Union[str, FunctionDef, Program],
-        opts: VerifierOptions,
-        refiner: Optional[Refiner] = None,
-        strategy: Any = None,
-    ) -> VerificationEngine:
-        """One construction path for engines sharing this session's checker."""
-        from .verifier import make_refiner
-
-        if refiner is None:
-            refiner = make_refiner(opts.refiner, self.checker)
-        return VerificationEngine(
-            program,
-            refiner=refiner,
-            checker=self.checker,
-            strategy=opts.strategy if strategy is None else strategy,
-            budget=opts.budget(),
-            incremental=opts.incremental,
-            max_predicates_per_location=opts.max_predicates_per_location,
-            jobs=opts.jobs,
-        )
 
     # ------------------------------------------------------------------
     def run_many(
@@ -950,23 +862,9 @@ class Session:
                         if opts.warm_start
                         else None
                     )
-                    payload = {
-                        "name": task.name or program.name,
-                        "source": task.source,
-                        "refiner": opts.refiner,
-                        "strategy": opts.strategy,
-                        "budget": vars(opts.budget()),
-                        "incremental": opts.incremental,
-                        "max_predicates_per_location": opts.max_predicates_per_location,
-                        "max_cache_entries": opts.max_cache_entries,
-                        "portfolio_refiners": list(opts.portfolio_refiners),
-                        "slice_refinements": opts.slice_refinements,
-                        "slice_seconds": opts.slice_seconds,
-                        "monitor_window": opts.monitor_window,
-                        "jobs": opts.jobs,
-                        "seed": seed,
-                        "ship_precision": True,
-                    }
+                    payload = task_payload(
+                        task.name or program.name, task.source, opts, seed
+                    )
                     prepared.append((task, payload, None))
                 except Exception as error:
                     prepared.append(

@@ -16,9 +16,11 @@ Per-iteration statistics record how much work was reused versus recomputed
 (`nodes reused`, `post decisions`, repair counters), which is what the
 ``bench_e8`` benchmark tracks over time.
 
-The module also hosts the batch layer: :func:`verify_many` runs a corpus of
-programs concurrently on a process pool with per-task budgets and returns
-machine-readable results (wired to the ``python -m repro`` CLI).
+The module also hosts the worker side of batch runs: :func:`task_payload` is
+the one wire format of a task shipped to a pool or slot worker,
+:func:`_run_batch_task` runs one there and returns its machine-readable
+result document, and :func:`run_engine` is the one place options become an
+engine (in-process sessions use it too).
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from ..lang.ast import FunctionDef
 from ..lang.cfg import Program, build_program, program_from_source
+from ..logic.formulas import Formula
 from ..smt.vcgen import VcChecker
 from .cex import CounterexampleAnalysis, analyze_counterexample
-from .parallel import PARALLEL_BACKENDS, SpeculativePool
 from .predabs import (
     FRONTIER_NAMES,
     Art,
@@ -45,12 +47,14 @@ from .predabs import (
 )
 from .refiners import PathInvariantRefiner, Refiner, RefinementOutcome
 
+if TYPE_CHECKING:
+    from .api import VerifierOptions
+
 __all__ = [
     "Verdict",
     "Budget",
     "IterationRecord",
     "Result",
-    "CegarResult",
     "RESULT_SCHEMA_VERSION",
     "VerificationEngine",
     "PortfolioEngine",
@@ -58,8 +62,6 @@ __all__ = [
     "PORTFOLIO_REFINERS",
     "PORTFOLIO_MODES",
     "STRATEGY_NAMES",
-    "verify_many",
-    "result_to_dict",
 ]
 
 #: The exploration strategies the engine accepts by name.
@@ -137,10 +139,10 @@ class Result:
 
     Every entry point — :func:`repro.verify`, :class:`VerificationEngine`,
     :class:`PortfolioEngine`, :class:`repro.core.api.Session` — produces a
-    ``Result`` (or its :class:`PortfolioResult` subclass); the historical
-    name ``CegarResult`` is an alias.  :meth:`to_json` renders the versioned
-    machine-readable document shared by the CLI, ``verify_many`` and the
-    benchmark harness.
+    ``Result`` (or its :class:`PortfolioResult` subclass).  :meth:`to_json`
+    renders the versioned machine-readable document shared by the CLI,
+    :meth:`~repro.core.api.Session.run_many`, the daemon and the benchmark
+    harness.
     """
 
     verdict: str
@@ -255,7 +257,9 @@ class Result:
                                 through a :class:`~repro.core.api.Session`)
         ``per_iteration``       one record per iteration (nodes, posts,
                                 counterexample length/feasibility, repair)
-        ``witness``             (unsafe only) input valuation as strings
+        ``witness``             (unsafe only) the counterexample's model as
+                                strings; ``{}`` when the failing path needs
+                                no input values
         ``solver``              solver/checker counters of this run
         ``portfolio``           (portfolio only) mode, winner, per-arm reports
         ``attempts``            (supervised, optional) execution count when
@@ -299,7 +303,7 @@ class Result:
             payload["attempts"] = self.attempts
         if self.failure is not None:
             payload["failure"] = self.failure
-        if self.counterexample is not None and self.counterexample.model:
+        if self.counterexample is not None and self.counterexample.model is not None:
             payload["witness"] = {
                 str(var): str(value) for var, value in self.counterexample.model.items()
             }
@@ -319,10 +323,6 @@ class Result:
         return payload
 
 
-#: Historical name of :class:`Result`, kept for compatibility.
-CegarResult = Result
-
-
 class VerificationEngine:
     """Counterexample-guided abstraction refinement over a persistent ART."""
 
@@ -335,8 +335,6 @@ class VerificationEngine:
         budget: Optional[Budget] = None,
         incremental: bool = True,
         max_predicates_per_location: Optional[int] = None,
-        jobs: int = 1,
-        parallel_backend: str = "thread",
     ) -> None:
         if isinstance(program, str):
             program = program_from_source(program)
@@ -351,19 +349,6 @@ class VerificationEngine:
         #: (``None`` = unbounded); bounds the path-formula refiner's array
         #: predicate flood at the cost of refinement completeness.
         self.max_predicates_per_location = max_predicates_per_location
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {parallel_backend!r}; expected one of "
-                f"{PARALLEL_BACKENDS}"
-            )
-        #: Worker count for intra-run parallel exploration; ``1`` keeps the
-        #: engine strictly sequential (no pool, no threads).  Results are
-        #: bit-identical either way — see :mod:`repro.core.parallel`.
-        self.jobs = jobs
-        self.parallel_backend = parallel_backend
-        self._pool: Optional[SpeculativePool] = None
         #: Checker statistics the solver budget and each record's
         #: ``solver_stats`` count from.  ``None`` starts a run on the checker
         #: and snapshots it at every fresh run; the portfolio starts the run
@@ -385,7 +370,7 @@ class VerificationEngine:
         self._precision: Optional[Precision] = None
         self._iterations: list[IterationRecord] = []
         self._elapsed = 0.0
-        self._last_result: Optional[CegarResult] = None
+        self._last_result: Optional[Result] = None
 
     # ------------------------------------------------------------------
     @property
@@ -400,7 +385,7 @@ class VerificationEngine:
 
     def run(
         self, initial_precision: Optional[Precision] = None, resume: bool = False
-    ) -> CegarResult:
+    ) -> Result:
         """Drive the CEGAR loop to a verdict (or a tripped budget).
 
         With ``resume=True`` the engine continues from its previous state —
@@ -452,38 +437,6 @@ class VerificationEngine:
             + self._origin.get("carried_hits", 0),
         )
 
-        pool: Optional[SpeculativePool] = None
-        if self.jobs > 1:
-            # Intra-run parallel exploration: workers pre-decide frontier
-            # obligations on private checker shards while this thread runs
-            # the unchanged sequential commit loop below.  set_precision
-            # stores the live Precision object, so offers made after a
-            # refinement automatically see the grown predicate sets.
-            pool = self._pool = SpeculativePool(
-                self.jobs, self.checker, backend=self.parallel_backend
-            )
-            pool.set_precision(precision)
-            self.art.speculator = pool
-            pool.prime(self.art)
-        try:
-            return self._run_loop(
-                pool, precision, iterations, limits, start
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-                if self.art is not None:
-                    self.art.speculator = None
-                self._pool = None
-
-    def _run_loop(
-        self,
-        pool: Optional[SpeculativePool],
-        precision: Precision,
-        iterations: list[IterationRecord],
-        limits: ExploreLimits,
-        start: float,
-    ) -> CegarResult:
         while True:
             iteration_start = time.perf_counter()
             posts_before = self.art.post_decisions
@@ -518,11 +471,6 @@ class VerificationEngine:
 
             path = outcome.counterexample
             record.counterexample_length = len(path)
-            if pool is not None:
-                # Counterexample barrier: wait out in-flight workers before
-                # the sequential analysis/refinement phase (their results
-                # are discarded — see SpeculativePool.drain).
-                pool.drain()
             analysis = analyze_counterexample(path, self.checker)
             record.counterexample_feasible = analysis.feasible
             if analysis.feasible:
@@ -561,12 +509,6 @@ class VerificationEngine:
                 )
             else:
                 self.art = self._fresh_art()
-                if pool is not None:
-                    self.art.speculator = pool
-            if pool is not None:
-                # Resume parallel expansion: re-offer the repaired frontier
-                # under the grown precision.
-                pool.prime(self.art)
             seal()
 
     # ------------------------------------------------------------------
@@ -589,17 +531,11 @@ class VerificationEngine:
         iterations: list[IterationRecord],
         start: float,
         reason: str = "",
-    ) -> CegarResult:
+    ) -> Result:
         engine_stats: dict[str, Any] = {
             "strategy": self.strategy_name,
             "incremental": self.incremental,
-            "jobs": self.jobs,
         }
-        if self._pool is not None:
-            # Settle in-flight speculation before reading its counters (the
-            # pool itself is shut down by run()'s finally clause).
-            self._pool.drain()
-            engine_stats["parallel"] = self._pool.statistics()
         if precision.max_per_location is not None:
             engine_stats["max_predicates_per_location"] = precision.max_per_location
             engine_stats["predicates_dropped"] = precision.predicates_dropped
@@ -617,7 +553,7 @@ class VerificationEngine:
                 engine_stats["nodes_created"] = sum(r.nodes_created for r in iterations)
                 engine_stats["post_decisions"] = sum(r.post_decisions for r in iterations)
         self._elapsed += time.perf_counter() - start
-        result = CegarResult(
+        result = Result(
             verdict=verdict,
             program=self.program,
             iterations=iterations,
@@ -696,7 +632,7 @@ class _PortfolioArm:
         self.engine = engine
         self.monitor = monitor
         self.status = "active"
-        self.result: Optional[CegarResult] = None
+        self.result: Optional[Result] = None
         self._observed = 0
 
     def feed_monitor(self) -> None:
@@ -719,7 +655,7 @@ class PortfolioEngine:
     Two execution modes:
 
     * ``process`` — every refiner races at full speed in its own worker
-      process (the :func:`verify_many` machinery); the first *decided*
+      process; the first *decided*
       verdict (safe/unsafe) wins and the stragglers are cancelled after a
       short grace period.  Requires the program's source text (workers
       rebuild everything from primitives) and a working process pool.
@@ -1018,31 +954,30 @@ class PortfolioEngine:
         # race is decided.
         import multiprocessing
 
+        from .api import VerifierOptions
+
         start = time.perf_counter()
         budget = vars(self.budget).copy()
         if budget["max_seconds"] is None:
             budget["max_seconds"] = self.default_race_seconds
+        options = VerifierOptions(
+            **budget,
+            strategy=self.strategy_name,
+            incremental=self.incremental,
+            monitor_window=self.monitor_window,
+            max_predicates_per_location=self.max_predicates_per_location,
+        )
         seed = (
             self.initial_precision.by_location_name()
             if self.initial_precision is not None
             else None
         )
-        payloads = [
-            {
-                "name": self.program.name,
-                "source": self.source,
-                "refiner": name,
-                "strategy": self.strategy_name,
-                "budget": budget,
-                "incremental": self.incremental,
-                "window": self.monitor_window,
-                # Formulas pickle (re-interning on load), so the seed crosses
-                # the pool as real predicates keyed by location name.
-                "seed": seed,
-                "max_predicates_per_location": self.max_predicates_per_location,
-            }
+        payloads = {
+            name: task_payload(
+                self.program.name, self.source, options.replace(refiner=name), seed
+            )
             for name in self.refiner_names
-        ]
+        }
         arm_docs: dict[str, dict[str, Any]] = {}
         winner_doc: Optional[dict[str, Any]] = None
         # Workers self-terminate on their wall budget; the extra slack only
@@ -1051,8 +986,8 @@ class PortfolioEngine:
         pool = multiprocessing.get_context().Pool(processes=len(payloads))
         try:
             pending = {
-                payload["refiner"]: pool.apply_async(_run_portfolio_arm, (payload,))
-                for payload in payloads
+                name: pool.apply_async(_run_portfolio_arm, (payload,))
+                for name, payload in payloads.items()
             }
 
             def drain() -> None:
@@ -1175,48 +1110,24 @@ class PortfolioEngine:
 def _run_portfolio_arm(payload: dict[str, Any]) -> dict[str, Any]:
     """Race worker: run one refiner at full speed and classify its trajectory.
 
-    Module-level so it pickles; returns a JSON-serialisable document (the
-    full :class:`CegarResult` stays in this process).
+    Module-level so it pickles; takes a :func:`task_payload` whose options
+    name the arm's refiner and returns a JSON-serialisable document (the
+    full :class:`Result` stays in this process).
     """
+    from .api import VerifierOptions
     from .refiners import DivergenceMonitor
-    from .verifier import make_refiner
 
+    options = VerifierOptions.from_dict(payload["options"])
     try:
-        engine = VerificationEngine(
-            payload["source"],
-            strategy=payload["strategy"],
-            budget=Budget(**payload["budget"]),
-            incremental=payload["incremental"],
-            max_predicates_per_location=payload.get("max_predicates_per_location"),
-        )
-        engine.refiner = make_refiner(payload["refiner"], engine.checker)
-        seed = None
-        if payload.get("seed"):
-            seed = Precision.from_location_names(
-                engine.program,
-                payload["seed"],
-                payload.get("max_predicates_per_location"),
-            )
-        result = engine.run(initial_precision=seed)
-        doc = result_to_dict(result, name=payload["name"])
-        doc["refiner"] = payload["refiner"]
-        if result.precision is not None and result.verdict in (
-            Verdict.SAFE,
-            Verdict.UNSAFE,
-        ):
-            # Ship the discovered precision home (the ROADMAP's process-race
-            # fidelity item): the parent re-keys it onto its own program and
-            # later runs warm-start from it.  Not JSON — the parent pops it.
-            # Decided runs only: an undecided run's precision is dominated by
-            # whatever made it diverge, and the receiver discards it anyway.
-            doc["_precision"] = result.precision.by_location_name()
+        result, doc = _run_payload(payload, options, VcChecker())
+        doc["refiner"] = options.refiner
         if result.counterexample is not None:
-            inputs = result.counterexample.witness_inputs(engine.program.variables)
+            inputs = result.counterexample.witness_inputs(result.program.variables)
             if inputs:
                 doc["witness_inputs"] = {
                     str(var): str(value) for var, value in sorted(inputs.items())
                 }
-        divergence = DivergenceMonitor.analyze(result.iterations, payload["window"])
+        divergence = DivergenceMonitor.analyze(result.iterations, options.monitor_window)
         doc["divergence"] = divergence.to_dict()
         if result.verdict in (Verdict.SAFE, Verdict.UNSAFE):
             doc["budget_class"] = "decided"
@@ -1225,7 +1136,7 @@ def _run_portfolio_arm(payload: dict[str, Any]) -> dict[str, Any]:
         return doc
     except Exception as error:  # pragma: no cover - defensive per-arm isolation
         return {
-            "refiner": payload["refiner"],
+            "refiner": options.refiner,
             "name": payload["name"],
             "verdict": "error",
             "reason": repr(error),
@@ -1236,11 +1147,6 @@ def _run_portfolio_arm(payload: dict[str, Any]) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Batch verification
 # ----------------------------------------------------------------------
-def result_to_dict(result: Result, name: Optional[str] = None) -> dict[str, Any]:
-    """A JSON-serialisable view of a :class:`Result` (see :meth:`Result.to_json`)."""
-    return result.to_json(name=name)
-
-
 def error_doc(name: str, error: Exception) -> dict[str, Any]:
     """A schema-conformant error document for a task that never produced a
     :class:`Result` (parse failure, worker crash); keeps ``schema_version``
@@ -1329,164 +1235,115 @@ def install_warm_checker() -> None:
     _WARM_CHECKER = WarmChecker()
 
 
+def run_engine(
+    program: Program,
+    options: "VerifierOptions",
+    checker: VcChecker,
+    seed: Optional[Precision] = None,
+    refiner: Optional[Refiner] = None,
+    source: Optional[str] = None,
+) -> Result:
+    """Run ``program`` under ``options`` on ``checker`` — the one place a
+    :class:`~repro.core.api.VerifierOptions` becomes an engine.
+
+    ``seed`` is a warm-start precision bound to ``program``'s locations.
+    ``refiner`` pins a concrete refiner instance (which bypasses the
+    portfolio); ``source``, the program's text, lets a portfolio race its
+    arms in worker processes.
+    """
+    if refiner is None and options.refiner == "portfolio":
+        return PortfolioEngine(
+            source if source is not None else program,
+            refiners=options.portfolio_refiners,
+            strategy=options.strategy,
+            budget=options.budget(),
+            incremental=options.incremental,
+            checker=checker,
+            mode=options.portfolio_mode,
+            slice_refinements=options.slice_refinements,
+            slice_seconds=options.slice_seconds,
+            monitor_window=options.monitor_window,
+            initial_precision=seed,
+            max_predicates_per_location=options.max_predicates_per_location,
+        ).run()
+    if refiner is None:
+        from .verifier import make_refiner
+
+        refiner = make_refiner(options.refiner, checker)
+    engine = VerificationEngine(
+        program,
+        refiner=refiner,
+        checker=checker,
+        strategy=options.strategy,
+        budget=options.budget(),
+        incremental=options.incremental,
+        max_predicates_per_location=options.max_predicates_per_location,
+    )
+    return engine.run(initial_precision=seed)
+
+
+def task_payload(
+    name: str,
+    source: str,
+    options: "VerifierOptions",
+    seed: Optional[dict[str, Sequence[Formula]]] = None,
+) -> dict[str, Any]:
+    """The one wire format of a task shipped to a worker.
+
+    ``seed`` is a warm-start precision keyed by location name (formulas
+    pickle and re-intern on load).  :func:`_run_payload` reads it back.
+    """
+    return {"name": name, "source": source, "options": options.to_dict(), "seed": seed}
+
+
+def _run_payload(
+    payload: dict[str, Any], options: "VerifierOptions", checker: VcChecker
+) -> tuple[Result, dict[str, Any]]:
+    """Parse a :func:`task_payload`'s source, rebind its seed, run it.
+
+    Returns the result and its document, which carries the discovered
+    precision home under ``_precision``.
+    """
+    program = program_from_source(payload["source"])
+    seed = None
+    if payload["seed"]:
+        # Apply the cap while rebinding, like PrecisionStore.seed_for does
+        # in-process — a banked precision may exceed it.
+        seed = Precision.from_location_names(
+            program, payload["seed"], options.max_predicates_per_location
+        )
+    result = run_engine(program, options, checker, seed)
+    doc = result.to_json(name=payload["name"])
+    if result.precision is not None and result.verdict in (Verdict.SAFE, Verdict.UNSAFE):
+        # Pickled formulas, not JSON: the receiver pops this key, rebinds or
+        # banks the predicates, and never lets it reach json.dumps.
+        # Undecided precisions stay in the worker — the receiver would only
+        # drop them, so serialising the flood would be pure waste.
+        doc["_precision"] = result.precision.by_location_name()
+    return result, doc
+
+
 def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
-    """Process-pool worker: verify one source text and return a result dict.
+    """Pool/slot worker: verify one :func:`task_payload` and return its doc.
 
     Module-level so it pickles; builds everything from primitives because
     Program/VcChecker instances do not cross process boundaries.  Runs on
     the worker's warm checker when it has one, else on a fresh checker.
     """
+    from .api import VerifierOptions
+
     warm = _WARM_CHECKER
     checker = warm.checker if warm is not None else VcChecker()
-    checker.max_cache_entries = payload.get("max_cache_entries")
     try:
-        cap = payload.get("max_predicates_per_location")
-        if payload["refiner"] == "portfolio":
+        options = VerifierOptions.from_dict(payload["options"])
+        checker.max_cache_entries = options.max_cache_entries
+        if options.refiner == "portfolio":
             # Already inside a worker: run the in-process round-robin rather
             # than nesting a second process pool.
-            portfolio = PortfolioEngine(
-                payload["source"],
-                refiners=tuple(payload.get("portfolio_refiners") or PORTFOLIO_REFINERS),
-                strategy=payload["strategy"],
-                budget=Budget(**payload["budget"]),
-                incremental=payload["incremental"],
-                mode="round-robin",
-                slice_refinements=payload.get("slice_refinements", 2),
-                slice_seconds=payload.get("slice_seconds"),
-                monitor_window=payload.get("monitor_window", 3),
-                max_predicates_per_location=cap,
-                checker=checker,
-            )
-            if payload.get("seed"):
-                portfolio.initial_precision = Precision.from_location_names(
-                    portfolio.program, payload["seed"], cap
-                )
-            result = portfolio.run()
-        else:
-            # The refiner needs the engine's checker; build it here rather
-            # than shipping one over.
-            from .verifier import make_refiner
-
-            engine = VerificationEngine(
-                payload["source"],
-                refiner=make_refiner(payload["refiner"], checker),
-                checker=checker,
-                strategy=payload["strategy"],
-                budget=Budget(**payload["budget"]),
-                incremental=payload["incremental"],
-                max_predicates_per_location=cap,
-                jobs=payload.get("jobs", 1),
-            )
-            seed = None
-            if payload.get("seed"):
-                # Apply the cap while rebinding, like PrecisionStore.seed_for
-                # does in-process — a banked precision may exceed it.
-                seed = Precision.from_location_names(
-                    engine.program, payload["seed"], cap
-                )
-            result = engine.run(initial_precision=seed)
-        doc = result_to_dict(result, name=payload["name"])
-        if (
-            payload.get("ship_precision")
-            and result.precision is not None
-            and result.verdict in (Verdict.SAFE, Verdict.UNSAFE)
-        ):
-            # Pickled formulas, not JSON: the session pops this key, merges
-            # it into its PrecisionStore, and never lets it reach json.dumps.
-            # Undecided precisions stay in the worker — the session would
-            # only drop them, so serialising the flood would be pure waste.
-            doc["_precision"] = result.precision.by_location_name()
-        return doc
+            options = options.replace(portfolio_mode="round-robin")
+        return _run_payload(payload, options, checker)[1]
     except Exception as error:  # pragma: no cover - defensive per-task isolation
         return error_doc(payload["name"], error)
     finally:
         if warm is not None:
             warm.release()
-
-
-def _normalise_tasks(
-    tasks: Sequence[Union[str, tuple[str, str], dict[str, str]]]
-) -> list[dict[str, str]]:
-    """Accept builtin names, raw sources, (name, source) pairs or dicts."""
-    from ..lang.programs import PROGRAMS
-
-    normalised = []
-    for index, task in enumerate(tasks):
-        if isinstance(task, dict):
-            normalised.append({"name": task["name"], "source": task["source"]})
-        elif isinstance(task, tuple):
-            name, source = task
-            normalised.append({"name": name, "source": source})
-        elif task in PROGRAMS:
-            normalised.append({"name": task, "source": PROGRAMS[task].source})
-        else:
-            normalised.append({"name": f"task{index}", "source": task})
-    return normalised
-
-
-_UNSET: Any = object()
-
-
-def verify_many(
-    tasks: Sequence[Union[str, tuple[str, str], dict[str, str]]],
-    refiner: str = _UNSET,
-    strategy: str = _UNSET,
-    budget: Optional[Budget] = None,
-    incremental: bool = _UNSET,
-    jobs: Optional[int] = None,
-    options: Optional[Any] = None,
-) -> list[dict[str, Any]]:
-    """Verify a corpus of programs, optionally on a process pool.
-
-    A compatibility wrapper over :meth:`repro.core.api.Session.run_many`
-    (cold — every task starts from the empty precision, matching the
-    historical behaviour; use a :class:`~repro.core.api.Session` directly
-    for warm-started batches).  The superseded tuning kwargs (``refiner``,
-    ``strategy``, ``budget``, ``incremental``) still work but emit a
-    ``DeprecationWarning``; prefer ``options=``.
-
-    Parameters
-    ----------
-    tasks:
-        Built-in program names, raw mini-C sources, ``(name, source)`` pairs,
-        or ``{"name", "source"}`` dicts, freely mixed.
-    jobs:
-        Pool width.  ``None`` picks ``min(len(tasks), cpu_count)``; ``1``
-        (or a single task) runs sequentially in-process.  If the platform
-        refuses to spawn a pool (sandboxes without semaphores), the batch
-        silently degrades to sequential execution.
-
-    Returns one JSON-serialisable result dict per task, in input order
-    (see :meth:`Result.to_json` for the versioned schema).
-    """
-    from .api import Session, VerifierOptions, resolve_legacy_options
-
-    legacy = {
-        name: value
-        for name, value in (
-            ("refiner", refiner),
-            ("strategy", strategy),
-            ("incremental", incremental),
-        )
-        if value is not _UNSET
-    }
-    if budget is not None:
-        legacy["budget"] = budget
-
-    def build() -> VerifierOptions:
-        effective_budget = budget or Budget()
-        return VerifierOptions(
-            refiner=refiner if refiner is not _UNSET else "path-invariant",
-            strategy=strategy if strategy is not _UNSET else "bfs",
-            incremental=incremental if incremental is not _UNSET else True,
-            max_refinements=effective_budget.max_refinements,
-            max_nodes=effective_budget.max_nodes,
-            max_seconds=effective_budget.max_seconds,
-            max_solver_calls=effective_budget.max_solver_calls,
-        )
-
-    options = resolve_legacy_options("verify_many", options, legacy, build)
-    # This wrapper guarantees cold runs regardless of how the options were
-    # built; warm-started batches go through Session.run_many.
-    session = Session(options.replace(warm_start=False))
-    return session.run_many(_normalise_tasks(tasks), jobs=jobs)

@@ -52,14 +52,6 @@ kind                site                   effect when fired
                                            transient unpickling error (the
                                            load path retries, then
                                            quarantines)
-``slow-post``       ``post``               sleeps ``seconds`` per undecided
-                                           predicate of a batched
-                                           abstract-post then proceeds
-                                           normally (one straggling solver
-                                           query each; under
-                                           parallel exploration this models
-                                           a slow worker that the merge
-                                           barrier must wait out)
 ``drop-connection`` ``serve-response``     the daemon closes the client's
                                            TCP connection instead of writing
                                            the response (a network drop
@@ -120,7 +112,7 @@ __all__ = [
 
 #: Every fault kind a spec may name.
 FAULT_KINDS = (
-    "crash", "hang", "slow", "error", "corrupt-store", "flaky-pickle", "slow-post",
+    "crash", "hang", "slow", "error", "corrupt-store", "flaky-pickle",
     "drop-connection", "slow-client", "kill-worker", "journal-torn-write",
 )
 
@@ -128,7 +120,6 @@ FAULT_KINDS = (
 FAULT_SITES = {
     "task": ("crash", "hang", "slow", "error", "kill-worker"),
     "store-load": ("corrupt-store", "flaky-pickle"),
-    "post": ("slow-post",),
     "serve-response": ("drop-connection",),
     "client-send": ("slow-client",),
     "journal-append": ("journal-torn-write",),
@@ -342,11 +333,6 @@ def fire(
     past any reasonable timeout (or raises :class:`InjectedHang` in-process),
     ``slow`` sleeps and returns, ``error`` raises :class:`InjectedError`.
 
-    ``post``-site ``slow-post`` sleeps once per undecided predicate of an
-    abstract-post batch and returns — a straggling solver query (fires in
-    whichever thread runs the decision, so a parallel worker shard can be
-    made the straggler by key).
-
     ``store-load``-site faults are *returned* instead — the store owns the
     file being corrupted, so it applies the effect itself.  The server-path
     faults (``drop-connection``, ``slow-client``) are likewise returned: the
@@ -388,7 +374,7 @@ def fire(
             time.sleep(spec.seconds)
             os._exit(CRASH_EXIT_CODE)  # a "hang" never returns a result
         raise InjectedHang(f"injected hang (key={spec.key!r}, attempt {attempt})")
-    if spec.kind in ("slow", "slow-post"):
+    if spec.kind == "slow":
         time.sleep(spec.seconds)
         return spec
     if spec.kind == "error":

@@ -330,11 +330,12 @@ class ErrorDistanceFrontier(Frontier):
     The distance map is a reverse BFS over the CFG; obligations whose target
     is closer to the error location are expanded first.  Equal-rank
     obligations are ordered by the *stable node id* of their source — not by
-    insertion order — so a parallel run (whose workers may re-offer
-    obligations in a different order) and a sequential run pop the same
-    obligation and ultimately refine the same pivot.  The insertion counter
-    remains only as the final tie-break among multiple outgoing transitions
-    of one node, where push order is deterministic (CFG declaration order).
+    insertion order — so which obligation pops first, and with it the
+    refined pivot, does not depend on when it was queued (ART repair and
+    budget stops re-queue obligations out of creation order).  The
+    insertion counter remains only as the final tie-break among multiple
+    outgoing transitions of one node, where push order is deterministic
+    (CFG declaration order).
     """
 
     name = "error-distance"
@@ -394,7 +395,7 @@ def make_frontier(name: str, program: Program) -> Frontier:
 
 
 # ----------------------------------------------------------------------
-# The Cartesian-post frame rule, shared by the ART and parallel workers
+# The Cartesian-post frame rule
 # ----------------------------------------------------------------------
 def split_frame_predicates(
     state: frozenset[Formula],
@@ -406,10 +407,10 @@ def split_frame_predicates(
     ``carried`` are the predicates the frame rule settles for free: they
     already hold in ``state`` and none of their variables or arrays is
     written by the transition, so they keep holding.  ``undecided`` is
-    everything else — the part that needs the abstract-post oracle.  Pure
-    and deterministic, which is why both :meth:`Art._cartesian_post` and the
-    speculative workers of :mod:`repro.core.parallel` can apply it
-    independently and agree on exactly which predicates reach the solver.
+    everything else — the part that needs the abstract-post oracle (what
+    :meth:`Art._cartesian_post` sends to the solver).  Pure and
+    deterministic: the same inputs always yield the same split, in
+    predicate order.
     """
     written: Optional[set[str]] = None
     carried: list[Formula] = []
@@ -470,14 +471,6 @@ class Art:
         self.checker = checker or VcChecker()
         # Not `frontier or ...`: an empty frontier is falsy via __len__.
         self.frontier = frontier if frontier is not None else BfsFrontier()
-        #: Optional speculative-execution hook (duck-typed; in practice a
-        #: :class:`repro.core.parallel.SpeculativePool`).  When set, every
-        #: obligation entering the frontier is also *offered* to it
-        #: (``offer(node, transition)``), and :meth:`_expand_edge` asks it to
-        #: ``install(state, transition)`` speculated verdicts into the shared
-        #: checker just before deciding the edge — the commit then runs the
-        #: unchanged sequential algorithm against a pre-warmed memo.
-        self.speculator = None
         self._outgoing: dict[Location, list[Transition]] = {}
         for transition in program.transitions:
             self._outgoing.setdefault(transition.source, []).append(transition)
@@ -569,13 +562,6 @@ class Art:
         """Compute the Cartesian post along one edge; attach and index the child."""
         self.edges_expanded += 1
         self.post_decisions += 1
-        if self.speculator is not None:
-            # Merge point of parallel exploration: claim this obligation's
-            # speculated verdicts (blocking on an in-flight worker if need
-            # be) so the checker calls below become cache hits.  Verdict
-            # order and counters stay exactly sequential — see
-            # repro.core.parallel for the protocol.
-            self.speculator.install(node.state, transition)
         if not self.checker.edge_feasible(node.state, transition):
             return None
         successor_state = self._cartesian_post(node.state, transition, precision)
@@ -668,8 +654,6 @@ class Art:
     def _enqueue_all(self, node: ArtNode) -> None:
         for transition in self._outgoing.get(node.location, []):
             self.frontier.push(node, transition)
-            if self.speculator is not None:
-                self.speculator.offer(node, transition)
 
     # ------------------------------------------------------------------
     # Refinement repair (pivot invalidation + delta recheck)

@@ -674,20 +674,18 @@ class Supervisor:
 
     @staticmethod
     def _degraded_payload(payload: dict[str, Any], retries: int) -> dict[str, Any]:
-        """Halve resource budgets once per charged retry (floor 1)."""
-        payload = dict(payload)
+        """Halve the resource budgets in the task's ``options`` once per
+        charged retry (floor 1)."""
         factor = 2 ** retries
-        budget = dict(payload.get("budget") or {})
-        for knob in ("max_nodes", "max_seconds", "max_solver_calls"):
-            if budget.get(knob) is not None:
-                budget[knob] = max(budget[knob] / factor, 1)
-                if knob != "max_seconds":
-                    budget[knob] = max(int(budget[knob]), 1)
-        payload["budget"] = budget
-        cap = payload.get("max_predicates_per_location")
-        if cap is not None:
-            payload["max_predicates_per_location"] = max(cap // factor, 1)
-        return payload
+        options = dict(payload.get("options") or {})
+        for knob in (
+            "max_nodes", "max_seconds", "max_solver_calls", "max_predicates_per_location"
+        ):
+            value = options.get(knob)
+            if value is not None:
+                halved = value / factor if knob == "max_seconds" else value // factor
+                options[knob] = max(halved, 1)
+        return {**payload, "options": options}
 
     def _record_failure(
         self,

@@ -5,24 +5,19 @@ mini-C source text, a parsed function, or an already-built transition system,
 runs CEGAR with the requested refinement strategy, and returns the
 :class:`~repro.core.engine.Result`.
 
-It is a thin compatibility wrapper over the typed task/session API
-(:mod:`repro.core.api`): the historical keyword knobs are translated into a
-:class:`~repro.core.api.VerifierOptions` and executed through an ephemeral
-:class:`~repro.core.api.Session`.  New code should construct the options (or
-a session, to get cross-task memoisation and warm-starting) directly::
+It runs through an ephemeral :class:`~repro.core.api.Session`; every tuning
+knob travels in a :class:`~repro.core.api.VerifierOptions`.  Use a session
+directly to get cross-task memoisation and warm-starting::
 
     from repro import Session, VerifierOptions
 
     options = VerifierOptions(refiner="portfolio", max_refinements=12)
     result = Session(options).run(source)
-
-Passing the superseded tuning kwargs still works but emits a
-``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..lang.ast import FunctionDef
 from ..lang.cfg import Program
@@ -30,6 +25,9 @@ from ..smt.vcgen import VcChecker
 from .engine import Result
 from .predabs import Precision
 from .refiners import PathFormulaRefiner, PathInvariantRefiner, Refiner
+
+if TYPE_CHECKING:
+    from .api import VerifierOptions
 
 __all__ = ["verify", "make_refiner", "REFINER_NAMES", "ENGINE_REFINER_NAMES"]
 
@@ -54,33 +52,12 @@ def make_refiner(name: str, checker: Optional[VcChecker] = None) -> Refiner:
     raise ValueError(f"unknown refiner {name!r}; expected one of {REFINER_NAMES}")
 
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit default value.
-_UNSET: Any = object()
-
-#: verify() kwarg -> VerifierOptions field for the superseded tuning knobs.
-_LEGACY_FIELDS = {
-    "max_refinements": "max_refinements",
-    "max_art_nodes": "max_nodes",
-    "strategy": "strategy",
-    "max_seconds": "max_seconds",
-    "incremental": "incremental",
-    "portfolio_mode": "portfolio_mode",
-    "max_predicates_per_location": "max_predicates_per_location",
-}
-
-
 def verify(
     program: Union[str, FunctionDef, Program],
-    refiner: Union[str, Refiner] = _UNSET,
-    max_refinements: int = _UNSET,
-    max_art_nodes: int = _UNSET,
-    checker: Optional[VcChecker] = None,
-    strategy: str = _UNSET,
-    max_seconds: Optional[float] = _UNSET,
-    incremental: bool = _UNSET,
-    portfolio_mode: str = _UNSET,
-    max_predicates_per_location: Optional[int] = _UNSET,
+    refiner: Optional[Union[str, Refiner]] = None,
+    *,
     options: Optional["VerifierOptions"] = None,
+    checker: Optional[VcChecker] = None,
     initial_precision: Optional[Precision] = None,
 ) -> Result:
     """Verify the assertions of a program.
@@ -90,76 +67,35 @@ def verify(
     program:
         Mini-C source text, a parsed :class:`FunctionDef`, or a
         :class:`Program` transition system.
-    options:
-        A :class:`~repro.core.api.VerifierOptions` carrying every tuning
-        knob — the preferred interface.  Mutually exclusive with the
-        deprecated individual kwargs below.
     refiner:
         ``"path-invariant"`` (the paper's refinement through path programs,
         the default), ``"path-formula"`` (the classic CEGAR baseline),
         ``"portfolio"`` (race both with divergence detection; returns a
         :class:`~repro.core.engine.PortfolioResult`), or a custom
-        :class:`Refiner` instance.
+        :class:`Refiner` instance.  A name conflicts with ``options=``,
+        which carries its own ``refiner`` field.
+    options:
+        A :class:`~repro.core.api.VerifierOptions` carrying every other
+        tuning knob (budgets, strategy, incremental mode, ...).
+    checker:
+        A shared :class:`VcChecker` (its memo caches carry across calls).
     initial_precision:
         Optional seed precision (warm start); a seed never changes a
         decided verdict, it only removes refinement work.
-    checker:
-        A shared :class:`VcChecker` (its memo caches carry across calls).
-
-    The remaining keyword arguments (``max_refinements``, ``max_art_nodes``,
-    ``strategy``, ``max_seconds``, ``incremental``, ``portfolio_mode``,
-    ``max_predicates_per_location``) mirror the corresponding
-    ``VerifierOptions`` fields and are **deprecated** in favour of
-    ``options=``; ``refiner`` itself remains supported (it is the documented
-    second positional) but is mutually exclusive with ``options=``.
     """
-    from .api import (
-        Session,
-        VerificationTask,
-        VerifierOptions,
-        resolve_legacy_options,
-    )
+    from .api import Session, VerificationTask, VerifierOptions
 
-    legacy = {
-        name: value
-        for name, value in (
-            ("max_refinements", max_refinements),
-            ("max_art_nodes", max_art_nodes),
-            ("strategy", strategy),
-            ("max_seconds", max_seconds),
-            ("incremental", incremental),
-            ("portfolio_mode", portfolio_mode),
-            ("max_predicates_per_location", max_predicates_per_location),
-        )
-        if value is not _UNSET
-    }
-    refiner_instance: Optional[Refiner] = None
-    refiner_name: Optional[str] = None
-    if isinstance(refiner, Refiner):
-        refiner_instance = refiner
-    elif refiner is not _UNSET:
-        refiner_name = refiner
-    # ``refiner`` stays a first-class convenience (the documented second
-    # positional), so it does not trigger the deprecation warning — but it
-    # still conflicts with options=, which carries its own refiner field.
-    if options is not None and refiner_name is not None:
-        raise ValueError(
-            "pass either options= (which has a refiner field) or refiner=, "
-            "not both"
-        )
-
-    def build() -> VerifierOptions:
-        translated = {
-            _LEGACY_FIELDS.get(name, name): value for name, value in legacy.items()
-        }
-        if refiner_name is not None:
-            translated["refiner"] = refiner_name
-        return VerifierOptions(**translated)
-
-    options = resolve_legacy_options("verify", options, legacy, build)
+    refiner_instance = refiner if isinstance(refiner, Refiner) else None
+    if refiner is not None and refiner_instance is None:
+        if options is not None:
+            raise ValueError(
+                "pass either options= (which has a refiner field) or refiner=, "
+                "not both"
+            )
+        options = VerifierOptions(refiner=refiner)
     session = Session(options, checker=checker)
-    # A direct VerificationTask (not session.task): verify() historically
-    # treats a string as source text, never as a built-in program name.
+    # A direct VerificationTask (not session.task): verify() treats a string
+    # as source text, never as a built-in program name.
     return session.run(
         VerificationTask(
             program, refiner=refiner_instance, initial_precision=initial_precision

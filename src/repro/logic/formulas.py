@@ -178,7 +178,10 @@ class BoolConst(Formula):
                 return cached
             self = object.__new__(cls)
             self.value = value
-            self._init_caches(hash((BoolConst, value)))
+            # Tagged by name, not by the class object (which hashes by its
+            # address): hashes, and so set orders, must repeat across
+            # processes under a fixed PYTHONHASHSEED.
+            self._init_caches(hash(("BoolConst", value)))
             cls._intern[value] = self
             return self
 
@@ -251,7 +254,7 @@ class Atom(Formula):
             self = object.__new__(cls)
             self.expr = expr
             self.rel = rel
-            self._init_caches(hash((Atom, expr, rel)))
+            self._init_caches(hash(("Atom", expr, rel)))
             cls._intern[key] = self
             return self
 
@@ -332,7 +335,7 @@ class And(Formula):
                 return cached
             self = object.__new__(cls)
             self.args = args
-            self._init_caches(hash((And, args)))
+            self._init_caches(hash(("And", args)))
             cls._intern[args] = self
             return self
 
@@ -405,7 +408,7 @@ class Or(Formula):
                 return cached
             self = object.__new__(cls)
             self.args = args
-            self._init_caches(hash((Or, args)))
+            self._init_caches(hash(("Or", args)))
             cls._intern[args] = self
             return self
 
@@ -478,7 +481,7 @@ class Not(Formula):
                 return cached
             self = object.__new__(cls)
             self.arg = arg
-            self._init_caches(hash((Not, arg)))
+            self._init_caches(hash(("Not", arg)))
             cls._intern[arg] = self
             return self
 
@@ -550,7 +553,7 @@ class Forall(Formula):
             self = object.__new__(cls)
             self.index = index
             self.body = body
-            self._init_caches(hash((Forall, index, body)))
+            self._init_caches(hash(("Forall", index, body)))
             cls._intern[key] = self
             return self
 

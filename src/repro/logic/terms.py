@@ -88,7 +88,10 @@ class Var:
                 return cached
             self = object.__new__(cls)
             self.name = name
-            self._hash = hash((Var, name))
+            # Tagged by name, not by the class object: a class hashes by its
+            # address, which differs between processes, and set iteration
+            # order (hence solver counters) would follow it.
+            self._hash = hash(("Var", name))
             cls._intern[name] = self
             return self
 
@@ -172,7 +175,7 @@ class ArrayRead:
             self = object.__new__(cls)
             self.array = array
             self.index = index
-            self._hash = hash((ArrayRead, array, index))
+            self._hash = hash(("ArrayRead", array, index))
             cls._intern[key] = self
             return self
 

@@ -95,7 +95,12 @@ from typing import Any, Callable, Optional, Union
 
 from ..core import faults
 from ..core.api import Session, VerifierOptions
-from ..core.engine import _run_batch_task, error_doc, install_warm_checker
+from ..core.engine import (
+    _run_batch_task,
+    error_doc,
+    install_warm_checker,
+    task_payload,
+)
 from ..core.supervision import RetryPolicy, Supervisor, WorkerSlot
 from . import protocol
 from .coalesce import AdmissionControl, Coalescer, options_key
@@ -860,34 +865,15 @@ class VerificationService:
         by the outer ``except`` below.
         """
         try:
-            budget = dict(vars(opts.budget()))
             timeout = self.config.request_timeout
-            if timeout is not None:
-                budget["max_seconds"] = (
-                    timeout
-                    if budget.get("max_seconds") is None
-                    else min(budget["max_seconds"], timeout)
-                )
+            if timeout is not None and (
+                opts.max_seconds is None or opts.max_seconds > timeout
+            ):
+                opts = opts.replace(max_seconds=timeout)
             seed = (
                 self.session.store.payload(fingerprint) if opts.warm_start else None
             )
-            payload = {
-                "name": name,
-                "source": source,
-                "refiner": opts.refiner,
-                "strategy": opts.strategy,
-                "budget": budget,
-                "incremental": opts.incremental,
-                "max_predicates_per_location": opts.max_predicates_per_location,
-                "max_cache_entries": opts.max_cache_entries,
-                "portfolio_refiners": list(opts.portfolio_refiners),
-                "slice_refinements": opts.slice_refinements,
-                "slice_seconds": opts.slice_seconds,
-                "monitor_window": opts.monitor_window,
-                "jobs": opts.jobs,
-                "seed": seed,
-                "ship_precision": True,
-            }
+            payload = task_payload(name, source, opts, seed)
             # thread backend: sequential, this executor thread is the worker.
             # process backend: the request borrows an idle slot's worker
             # *process* — a hard death takes only that worker (the slot

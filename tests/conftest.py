@@ -1,8 +1,9 @@
 """Shared pytest configuration.
 
-Besides registering markers, this conftest wires a CI-friendly per-test
-timeout: a solver regression that would previously hang the whole tier-1 run
-indefinitely (the eager-DNF era symptom) now fails fast with a clear message.
+Besides registering markers and turning every ``DeprecationWarning`` into
+an error, this conftest wires a CI-friendly per-test timeout: a solver
+regression that would previously hang the whole tier-1 run indefinitely
+(the eager-DNF era symptom) now fails fast with a clear message.
 ``pytest-timeout`` is not available in the environment, so the guard is a
 conftest-level ``SIGALRM`` alarm; it is skipped on platforms without the
 signal (Windows) and on non-main threads, where alarms cannot be delivered.
@@ -22,6 +23,8 @@ DEFAULT_TEST_TIMEOUT = 120
 
 
 def pytest_configure(config):
+    # Tier-1 stays deprecation-free: any DeprecationWarning fails its test.
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
     config.addinivalue_line(
         "markers", "slow: end-to-end CEGAR runs that take tens of seconds"
     )

@@ -5,10 +5,10 @@ Four load-bearing properties:
 * **Options fidelity** — ``VerifierOptions`` validates at construction and
   round-trips losslessly through dicts and TOML/JSON files.
 * **Schema stability** — ``Result.to_json`` is versioned and its key set is
-  pinned by a golden test (the CLI, ``verify_many`` and the benchmark
-  harness all consume it).
-* **Shim equivalence** — the legacy ``verify(**old_kwargs)`` surface
-  produces the same verdicts and precisions as the explicit
+  pinned by a golden test (the CLI, ``Session.run_many``, the daemon and the
+  benchmark harness all consume it).
+* **Entry-point equivalence** — ``verify(program, options=...)`` produces
+  the same verdicts and precisions as the explicit
   ``Session``/``VerifierOptions`` path over the equivalence corpus.
 * **Warm-start soundness** — seeding a run from previously discovered
   predicates never changes a decided verdict, and a warm rerun does
@@ -30,14 +30,11 @@ from repro import (
 )
 from repro.core import (
     Budget,
-    CegarLoop,
-    CegarResult,
     Precision,
     RESULT_SCHEMA_VERSION,
-    Result,
     Verdict,
-    verify_many,
 )
+from repro.core.engine import _run_batch_task, task_payload
 from repro.lang import get_program, get_source
 from repro.logic.formulas import eq, le
 from repro.logic.terms import LinExpr
@@ -214,20 +211,28 @@ class TestResultSchema:
         assert doc["name"] == "renamed"
         assert doc["witness"]
 
+    @pytest.mark.parametrize(
+        "source",
+        ["void f() { assert(1 < 0); }", "void g(int x) { assert(x < x); }"],
+    )
+    def test_unsafe_needing_no_inputs_carries_an_empty_witness(self, source):
+        """A failing path whose model is empty still reports ``witness``."""
+        doc = Session().run(source).to_json()
+        self._check(doc, "unsafe")
+        assert doc["per_iteration"][-1]["counterexample_feasible"] is True
+        assert doc["witness"] == {}
+
     def test_portfolio_result_document(self):
         options = VerifierOptions(refiner="portfolio", portfolio_mode="round-robin")
         doc = Session(options).run("lock_step").to_json()
         self._check(doc, "safe")
         assert doc["portfolio"]["winner"] in ("path-invariant", "path-formula")
 
-    def test_result_alias_is_the_same_class(self):
-        assert CegarResult is Result
-
 
 # ----------------------------------------------------------------------
-# Compatibility shims
+# The one-call entry point
 # ----------------------------------------------------------------------
-#: Same corpus as tests/core/test_engine.py — the shim must agree with the
+#: Same corpus as tests/core/test_engine.py — verify() must agree with the
 #: explicit Session path pair for pair.
 SHIM_CORPUS = [
     ("forward", "path-invariant"),
@@ -249,32 +254,25 @@ SHIM_CORPUS = [
 ]
 
 
-class TestShimEquivalence:
+class TestVerifyEntryPoint:
     @pytest.mark.parametrize("name,refiner", SHIM_CORPUS)
     def test_verify_matches_session(self, name, refiner):
-        with pytest.warns(DeprecationWarning):
-            legacy = verify(get_program(name), refiner=refiner, max_refinements=4)
         options = VerifierOptions(refiner=refiner, max_refinements=4)
+        direct = verify(get_program(name), options=options)
         modern = Session(options).run(get_program(name))
-        assert legacy.verdict == modern.verdict
-        assert legacy.precision.snapshot() == modern.precision.snapshot()
+        assert direct.verdict == modern.verdict
+        assert direct.precision.snapshot() == modern.precision.snapshot()
 
-    def test_verify_rejects_options_plus_legacy_kwargs(self):
-        with pytest.raises(ValueError, match="not both"):
-            verify(
-                get_program("lock_step"),
-                max_refinements=3,
-                options=VerifierOptions(),
-            )
+    def test_verify_has_no_tuning_kwargs(self):
+        """Every tuning knob travels in options=; there is no second path."""
+        with pytest.raises(TypeError):
+            verify(get_program("lock_step"), max_refinements=3)
 
-    def test_verify_refiner_kwarg_stays_first_class(self, recwarn):
-        """refiner= is the documented second positional: no deprecation."""
+    def test_verify_refiner_name_stays_first_class(self):
+        """refiner is the documented second positional."""
         result = verify(get_program("lock_step"), "path-formula")
         assert result.verdict == Verdict.SAFE
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-        # ...but it still conflicts with options=, which carries its own.
+        # ...but it conflicts with options=, which carries its own.
         with pytest.raises(ValueError, match="not both"):
             verify(
                 get_program("lock_step"),
@@ -282,30 +280,18 @@ class TestShimEquivalence:
                 options=VerifierOptions(),
             )
 
-    def test_verify_options_path_does_not_warn(self, recwarn):
+    def test_verify_options_path(self):
         result = verify(
             get_program("lock_step"), options=VerifierOptions(max_refinements=6)
         )
         assert result.verdict == Verdict.SAFE
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
 
-    def test_verify_many_legacy_and_options(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = verify_many(
-                ["lock_step"], budget=Budget(max_refinements=4), jobs=1
-            )
-        modern = verify_many(
-            ["lock_step"], options=VerifierOptions(max_refinements=4), jobs=1
+    def test_run_many_batch_document(self):
+        docs = Session(VerifierOptions(max_refinements=4)).run_many(
+            ["lock_step"], jobs=1
         )
-        assert legacy[0]["verdict"] == modern[0]["verdict"] == "safe"
-        assert legacy[0]["schema_version"] == RESULT_SCHEMA_VERSION
-
-    def test_cegarloop_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="CegarLoop"):
-            loop = CegarLoop(get_program("lock_step"), max_refinements=6)
-        assert loop.run().verdict == Verdict.SAFE
+        assert docs[0]["verdict"] == "safe"
+        assert docs[0]["schema_version"] == RESULT_SCHEMA_VERSION
 
 
 # ----------------------------------------------------------------------
@@ -532,14 +518,10 @@ class TestSessionScheduling:
         assert session.tasks_run == 3
         json.dumps(docs)
 
-    def test_verify_many_options_path_is_cold(self):
-        """The compatibility wrapper guarantees cold runs either way."""
+    def test_run_many_without_warm_start_is_cold(self):
         source = get_source("lock_step")
-        docs = verify_many(
-            [("a", source), ("b", source)],
-            options=VerifierOptions(max_refinements=8),
-            jobs=1,
-        )
+        session = Session(VerifierOptions(max_refinements=8, warm_start=False))
+        docs = session.run_many([("a", source), ("b", source)], jobs=1)
         assert [doc["verdict"] for doc in docs] == ["safe", "safe"]
         assert docs[0]["post_decisions"] == docs[1]["post_decisions"]
         assert docs[1]["engine"]["session"]["warm_started"] is False
@@ -568,6 +550,65 @@ class TestSessionScheduling:
         assert stats["programs_known"] == 1
         assert stats["checker"]["triple_checks"] > 0
         assert stats["checker_caches"]["triple_cache"] > 0
+
+
+class TestWorkerPayload:
+    """A worker rebuilds its run from the one task payload: every option that
+    reaches the engine must act there exactly as it does in-process."""
+
+    _BASE = {"max_refinements": 8}
+    _ROUND_ROBIN = {**_BASE, "refiner": "portfolio", "portfolio_mode": "round-robin"}
+    _KEYS = (
+        "verdict", "reason", "iterations", "refinements", "predicates",
+        "post_decisions", "nodes_reused",
+    )
+
+    @classmethod
+    def _outcome(cls, doc):
+        outcome = {key: doc[key] for key in cls._KEYS}
+        if "portfolio" in doc:
+            outcome["portfolio"] = {
+                **doc["portfolio"],
+                "arms": [
+                    {k: v for k, v in arm.items() if k != "seconds"}
+                    for arm in doc["portfolio"]["arms"]
+                ],
+            }
+        return outcome
+
+    @classmethod
+    def _in_worker(cls, options):
+        payload = task_payload("lock_step", get_source("lock_step"), options)
+        return cls._outcome(_run_batch_task(payload))
+
+    @pytest.mark.parametrize(
+        "base,changes",
+        [
+            pytest.param(base, changes, id=",".join(f"{k}={v}" for k, v in changes.items()))
+            for base, changes in [
+                (_BASE, {"refiner": "path-formula"}),
+                (_BASE, {"strategy": "dfs"}),
+                (_BASE, {"strategy": "error-distance"}),
+                (_BASE, {"max_refinements": 1}),
+                (_BASE, {"max_nodes": 5}),
+                (_BASE, {"max_seconds": 0}),
+                (_BASE, {"max_solver_calls": 20}),
+                (_BASE, {"incremental": False}),
+                (_BASE, {"max_predicates_per_location": 1}),
+                (_BASE, {"refiner": "portfolio", "portfolio_mode": "round-robin"}),
+                (_ROUND_ROBIN, {"slice_refinements": 1}),
+                (_ROUND_ROBIN, {"monitor_window": 2}),
+                (_ROUND_ROBIN, {"portfolio_refiners": ("path-formula",)}),
+            ]
+        ],
+    )
+    def test_worker_run_matches_in_process_run(self, base, changes):
+        options = VerifierOptions(**{**base, **changes})
+        in_worker = self._in_worker(options)
+        in_process = self._outcome(Session(options).run("lock_step").to_json())
+        assert in_worker == in_process
+        # The option changes the run, so a worker that dropped it would differ.
+        assert in_worker != self._in_worker(VerifierOptions(**base))
 
 
 class TestPerRunAccounting:

@@ -71,6 +71,18 @@ class TestVerifyCommand:
         typed.write_text('max_refinements = "five"\n')
         assert run_cli(["verify", "forward", "--options", str(typed)]) == 3
 
+    def test_verify_has_no_jobs_flag(self, capsys):
+        # One verification runs sequentially; only ``batch --jobs`` sizes a pool.
+        with pytest.raises(SystemExit):
+            run_cli(["verify", "forward", "--jobs", "2"])
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_options_file_jobs_key_is_a_usage_error(self, tmp_path, capsys):
+        opts = tmp_path / "opts.toml"
+        opts.write_text("jobs = 2\n")
+        assert run_cli(["verify", "forward", "--options", str(opts)]) == 3
+        assert "unknown option keys ['jobs']" in capsys.readouterr().err
+
     def test_max_predicates_per_location_flag(self, capsys):
         assert run_cli([
             "verify", "forward", "--refiner", "path-formula",
@@ -244,6 +256,16 @@ class TestBatchCommand:
 
     def test_batch_requires_targets(self, capsys):
         assert run_cli(["batch"]) == 3
+
+    def test_batch_jobs_is_pool_width_not_an_option(self):
+        from repro.__main__ import _resolve_options, build_parser
+        from repro.core.api import VerifierOptions
+
+        args = build_parser().parse_args(["batch", "forward", "--jobs", "2"])
+        # batch --jobs sizes the task pool (Session.run_many's jobs=); it
+        # never reaches the per-task options.
+        assert args.jobs == 2
+        assert _resolve_options(args) == VerifierOptions()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_batch_isolates_malformed_sources(self, tmp_path, capsys, jobs):

@@ -4,15 +4,19 @@ import pytest
 
 from repro.core import (
     AbstractReachability,
+    ArtNode,
+    ErrorDistanceFrontier,
     PathFormulaRefiner,
     PathInvariantRefiner,
     Precision,
     Verdict,
+    VerifierOptions,
     analyze_counterexample,
     build_path_program,
     nested_blocks,
     verify,
 )
+from repro.core.predabs import split_frame_predicates
 from repro.lang import Location, Program, Transition, get_program, program_from_source
 from repro.lang.commands import Assign, Assume, Skip
 from repro.logic.formulas import eq, ge, le, lt
@@ -185,21 +189,82 @@ class TestVerify:
 
     @pytest.mark.slow
     def test_forward_is_proved_with_path_invariants(self):
-        result = verify(get_program("forward"), max_refinements=4)
+        result = verify(get_program("forward"), options=VerifierOptions(max_refinements=4))
         assert result.verdict == Verdict.SAFE
 
     @pytest.mark.slow
     def test_forward_baseline_keeps_unrolling(self):
-        result = verify(get_program("forward"), refiner="path-formula", max_refinements=4)
+        result = verify(
+            get_program("forward"),
+            options=VerifierOptions(refiner="path-formula", max_refinements=4),
+        )
         assert result.verdict == Verdict.UNKNOWN
         lengths = [r.counterexample_length for r in result.iterations if r.counterexample_length]
         assert lengths[-1] > lengths[0]
 
     @pytest.mark.slow
     def test_lock_step(self):
-        assert verify(get_program("lock_step"), max_refinements=4).verdict == Verdict.SAFE
+        options = VerifierOptions(max_refinements=4)
+        assert verify(get_program("lock_step"), options=options).verdict == Verdict.SAFE
 
     @pytest.mark.slow
     def test_array_init_buggy_is_unsafe(self):
-        result = verify(get_program("array_init_buggy"), max_refinements=4)
+        result = verify(get_program("array_init_buggy"), options=VerifierOptions(max_refinements=4))
         assert result.verdict == Verdict.UNSAFE
+
+
+# ----------------------------------------------------------------------
+# Exploration order and the frame rule
+# ----------------------------------------------------------------------
+class TestDeterministicTieBreak:
+    def test_equal_rank_pops_by_node_id(self):
+        program = get_program("forward")
+        frontier = ErrorDistanceFrontier(program)
+        location = program.initial
+        transition = next(
+            t for t in program.transitions if t.source == location
+        )
+        # Push equal-rank obligations in scrambled node-id order; pops must
+        # come back in stable node-id order, not insertion order.
+        nodes = {
+            node_id: ArtNode(location, frozenset(), node_id=node_id)
+            for node_id in (7, 2, 9, 4)
+        }
+        for node_id in (7, 2, 9, 4):
+            frontier.push(nodes[node_id], transition)
+        popped = []
+        while True:
+            entry = frontier.pop()
+            if entry is None:
+                break
+            popped.append(entry[0].node_id)
+        assert popped == [2, 4, 7, 9]
+
+    def test_same_node_keeps_push_order(self):
+        # The counter stays as the final tie-break: one node's multiple
+        # outgoing transitions pop in CFG declaration order.
+        program = get_program("diamond_safe")
+        frontier = ErrorDistanceFrontier(program)
+        node = ArtNode(program.initial, frozenset(), node_id=5)
+        outgoing = [t for t in program.transitions if t.source == program.initial]
+        same_rank = [
+            t for t in outgoing
+            if frontier._distance.get(t.target)
+            == frontier._distance.get(outgoing[0].target)
+        ]
+        for transition in same_rank:
+            frontier.push(node, transition)
+        popped = []
+        while len(frontier):
+            popped.append(frontier.pop()[1])
+        assert popped == same_rank
+
+
+class TestFramePredicateSplit:
+    def test_matches_inline_filter(self):
+        program = get_program("forward")
+        transition = program.transitions[0]
+        carried, undecided = split_frame_predicates(
+            frozenset(), transition, []
+        )
+        assert carried == [] and undecided == []

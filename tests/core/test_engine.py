@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Budget,
-    CegarLoop,
     Precision,
+    Session,
     Verdict,
     VerificationEngine,
+    VerifierOptions,
     make_frontier,
-    result_to_dict,
     verify,
-    verify_many,
 )
 from repro.core.verifier import make_refiner
 from repro.lang import get_program
@@ -55,14 +54,11 @@ EQUIVALENCE_CORPUS = [
 
 
 def run_both(name, refiner="path-invariant", max_refinements=4, strategy="bfs"):
-    incremental = verify(
-        get_program(name), refiner=refiner, max_refinements=max_refinements,
-        strategy=strategy, incremental=True,
+    options = VerifierOptions(
+        refiner=refiner, max_refinements=max_refinements, strategy=strategy
     )
-    restart = verify(
-        get_program(name), refiner=refiner, max_refinements=max_refinements,
-        strategy=strategy, incremental=False,
-    )
+    incremental = verify(get_program(name), options=options)
+    restart = verify(get_program(name), options=options.replace(incremental=False))
     return incremental, restart
 
 
@@ -96,7 +92,7 @@ class TestIncrementalRestartEquivalence:
         assert engine.art.validate(result.precision) == []
 
     def test_restart_mode_never_repairs(self):
-        result = verify(get_program("forward"), incremental=False)
+        result = verify(get_program("forward"), options=VerifierOptions(incremental=False))
         assert all(record.repair is None for record in result.iterations)
         assert result.engine_stats["incremental"] is False
 
@@ -105,7 +101,7 @@ class TestIncrementalReuse:
     @pytest.mark.parametrize("name", ["forward", "initcheck"])
     def test_refinement_reuses_nodes(self, name):
         """Post-refinement repair must retain ART nodes instead of rebuilding."""
-        result = verify(get_program(name), incremental=True)
+        result = verify(get_program(name))
         assert result.verdict == Verdict.SAFE
         assert result.num_refinements > 0
         assert result.nodes_reused() > 0
@@ -135,23 +131,27 @@ class TestIncrementalReuse:
 
 class TestBudgets:
     def test_node_budget_yields_unknown(self):
-        result = verify(get_program("forward"), max_art_nodes=3)
+        result = verify(get_program("forward"), options=VerifierOptions(max_nodes=3))
         assert result.verdict == Verdict.UNKNOWN
         assert "node budget" in result.reason
 
     def test_wallclock_budget_yields_unknown(self):
-        result = verify(get_program("initcheck"), max_seconds=0.0)
+        result = verify(get_program("initcheck"), options=VerifierOptions(max_seconds=0.0))
         assert result.verdict == Verdict.UNKNOWN
         assert "wall-clock" in result.reason
 
     def test_solver_budget_yields_unknown(self):
-        loop = CegarLoop(get_program("forward"), max_solver_calls=5)
-        result = loop.run()
+        result = verify(
+            get_program("forward"), options=VerifierOptions(max_solver_calls=5)
+        )
         assert result.verdict == Verdict.UNKNOWN
         assert "solver budget" in result.reason
 
     def test_refinement_budget_yields_unknown(self):
-        result = verify(get_program("forward"), refiner="path-formula", max_refinements=2)
+        result = verify(
+            get_program("forward"),
+            options=VerifierOptions(refiner="path-formula", max_refinements=2),
+        )
         assert result.verdict == Verdict.UNKNOWN
         assert "budget" in result.reason
 
@@ -173,14 +173,14 @@ class TestStrategies:
     @pytest.mark.parametrize("strategy", ["bfs", "dfs", "error-distance"])
     @pytest.mark.parametrize("name", ["forward", "lock_step", "simple_unsafe"])
     def test_strategies_agree_on_verdicts(self, strategy, name):
-        result = verify(get_program(name), strategy=strategy)
+        result = verify(get_program(name), options=VerifierOptions(strategy=strategy))
         expected = Verdict.UNSAFE if name.endswith("unsafe") else Verdict.SAFE
         assert result.verdict == expected
         assert result.engine_stats["strategy"] == strategy
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown exploration strategy"):
-            verify(get_program("forward"), strategy="a-star")
+            verify(get_program("forward"), options=VerifierOptions(strategy="a-star"))
 
     def test_frontier_instance_accepted(self):
         frontier = make_frontier("dfs", get_program("lock_step"))
@@ -188,21 +188,21 @@ class TestStrategies:
         assert engine.run().verdict == Verdict.SAFE
 
 
-class TestVerifyCompatibility:
-    """``verify()`` keeps its original signature and behaviour."""
+class TestVerifySignature:
+    """``verify(program, refiner, *, options, checker, initial_precision)``."""
 
-    def test_positional_signature(self):
+    def test_refiner_instance_and_checker(self):
         checker = VcChecker()
         refiner = make_refiner("path-invariant", checker)
-        result = verify(get_program("lock_step"), refiner, 10, 2000, checker)
+        result = verify(get_program("lock_step"), refiner, checker=checker)
         assert result.verdict == Verdict.SAFE
 
     def test_source_text_and_initial_precision(self):
         source = "void f(int x) { assume(x >= 1); assert(x >= 0); }"
         result = verify(source)
         assert result.verdict == Verdict.SAFE
-        loop = CegarLoop(get_program("lock_step"))
-        assert loop.run(Precision()).verdict == Verdict.SAFE
+        seeded = verify(get_program("lock_step"), initial_precision=Precision())
+        assert seeded.verdict == Verdict.SAFE
 
 
 class TestBatch:
@@ -214,18 +214,19 @@ class TestBatch:
         json.dumps(results)  # the whole payload must be JSON-serialisable
 
     def test_sequential(self):
-        self._check(verify_many(self.TASKS, jobs=1))
+        self._check(Session().run_many(self.TASKS, jobs=1))
 
     def test_process_pool(self):
-        self._check(verify_many(self.TASKS, jobs=2))
+        self._check(Session().run_many(self.TASKS, jobs=2))
 
     def test_per_task_budgets(self):
-        results = verify_many(["forward"], budget=Budget(max_refinements=0), jobs=1)
+        session = Session(VerifierOptions(max_refinements=0))
+        results = session.run_many(["forward"], jobs=1)
         assert results[0]["verdict"] == "unknown"
 
-    def test_result_to_dict_shape(self):
+    def test_result_to_json_shape(self):
         result = verify(get_program("simple_unsafe"))
-        payload = result_to_dict(result)
+        payload = result.to_json()
         assert payload["verdict"] == "unsafe"
         assert payload["witness"]
         assert payload["per_iteration"][0]["counterexample_feasible"] is True

@@ -39,7 +39,7 @@ class TestFaultSpec:
     def test_every_kind_has_a_site(self):
         for kind in FAULT_KINDS:
             assert FaultSpec(kind=kind).site in (
-                "task", "store-load", "post", "serve-response",
+                "task", "store-load", "serve-response",
                 "client-send", "journal-append",
             )
 

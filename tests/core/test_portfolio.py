@@ -23,19 +23,17 @@ import pytest
 
 from repro.core import (
     Budget,
-    CegarLoop,
     DivergenceMonitor,
     PathFormulaRefiner,
     PathInvariantRefiner,
     PortfolioEngine,
     PortfolioResult,
-    Precision,
+    Session,
     Verdict,
     VerificationEngine,
+    VerifierOptions,
     make_refiner,
-    result_to_dict,
     verify,
-    verify_many,
 )
 from repro.core.refiners import RefinementOutcome
 from repro.lang import PROGRAMS, get_program, get_source
@@ -43,6 +41,9 @@ from repro.logic.formulas import eq
 from repro.logic.terms import LinExpr
 
 from test_engine import EQUIVALENCE_CORPUS
+
+#: The deterministic in-process portfolio.
+ROUND_ROBIN = VerifierOptions(refiner="portfolio", portfolio_mode="round-robin")
 
 
 def _record(cex_length, pivots, predicates_total, frontier_size, progress=True):
@@ -116,7 +117,8 @@ class TestDivergenceMonitor:
     def test_analyze_real_divergent_run(self):
         """The real path-formula divergence on DOUBLE_COUNTER is flagged."""
         result = verify(
-            get_program("double_counter"), refiner="path-formula", max_refinements=6
+            get_program("double_counter"),
+            options=VerifierOptions(refiner="path-formula", max_refinements=6),
         )
         assert result.verdict == Verdict.UNKNOWN
         verdict = DivergenceMonitor.analyze(result.iterations, window=3)
@@ -187,9 +189,7 @@ class TestDivergenceDemotion:
         """FORWARD/DOUBLE_COUNTER are proved although path-formula diverges,
         within the same shared refinement budget a single refiner would get."""
         for name in ("forward", "double_counter"):
-            result = verify(
-                get_source(name), refiner="portfolio", portfolio_mode="round-robin"
-            )
+            result = verify(get_source(name), options=ROUND_ROBIN)
             assert result.verdict == Verdict.SAFE, name
             assert result.winner == "path-invariant"
 
@@ -229,12 +229,10 @@ class TestPortfolioEquivalence:
         assert (result.verdict == Verdict.SAFE) == expected_safe
 
     def test_unsafe_witness_is_preserved(self):
-        result = verify(
-            get_source("simple_unsafe"), refiner="portfolio", portfolio_mode="round-robin"
-        )
+        result = verify(get_source("simple_unsafe"), options=ROUND_ROBIN)
         assert result.verdict == Verdict.UNSAFE
         assert result.counterexample is not None
-        payload = result_to_dict(result)
+        payload = result.to_json()
         assert payload["witness"]
         assert payload["portfolio"]["winner"] == result.winner
         json.dumps(payload)
@@ -252,7 +250,7 @@ class TestPortfolioModes:
         assert result.verdict == Verdict.SAFE
         assert result.mode in ("process", "round-robin")  # sandbox fallback
         assert result.winner == "path-invariant"
-        json.dumps(result_to_dict(result))
+        json.dumps(result.to_json())
 
     def test_refiner_instances_force_round_robin(self):
         portfolio = PortfolioEngine(
@@ -281,21 +279,14 @@ class TestPortfolioModes:
         with pytest.raises(ValueError, match="engine-level"):
             make_refiner("portfolio")
 
-    def test_verify_and_cegarloop_thread_portfolio(self):
-        result = verify(
-            get_program("lock_step"), refiner="portfolio", portfolio_mode="round-robin"
-        )
+    def test_verify_threads_portfolio(self):
+        result = verify(get_program("lock_step"), options=ROUND_ROBIN)
         assert isinstance(result, PortfolioResult)
         assert result.verdict == Verdict.SAFE
-        loop = CegarLoop(get_program("lock_step"), refiner="portfolio")
-        assert loop.run().verdict == Verdict.SAFE
-        with pytest.raises(ValueError, match="initial precision"):
-            loop.run(initial_precision=Precision())
 
     def test_batch_supports_portfolio(self):
-        results = verify_many(
-            ["lock_step", "simple_unsafe"], refiner="portfolio", jobs=1
-        )
+        session = Session(VerifierOptions(refiner="portfolio", warm_start=False))
+        results = session.run_many(["lock_step", "simple_unsafe"], jobs=1)
         assert [r["verdict"] for r in results] == ["safe", "unsafe"]
         assert all(r["portfolio"]["winner"] for r in results)
         json.dumps(results)

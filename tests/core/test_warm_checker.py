@@ -10,21 +10,15 @@ checker per task.
 import pytest
 
 from repro.core import engine
-from repro.core.engine import WarmChecker, _run_batch_task
+from repro.core.api import VerifierOptions
+from repro.core.engine import WarmChecker, _run_batch_task, task_payload
 from repro.lang import get_source
 
 
-def _payload(name, source, **budget):
-    return {
-        "name": name,
-        "source": source,
-        "refiner": "path-invariant",
-        "strategy": "bfs",
-        "budget": {"max_refinements": 8, **budget},
-        "incremental": True,
-        "max_predicates_per_location": None,
-        "max_cache_entries": None,
-    }
+def _payload(name, source, **options):
+    return task_payload(
+        name, source, VerifierOptions(**{"max_refinements": 8, **options})
+    )
 
 
 def _tiny(k):
@@ -64,7 +58,7 @@ def test_binding_budget_trips_where_the_cold_run_trips(monkeypatch):
     they save, so a warm run stops exactly where a fresh checker stops."""
     payload = _payload("forward", get_source("forward"))
     full = _run_batch_task(payload)  # fresh checker, no solver budget
-    payload["budget"]["max_solver_calls"] = full["solver"]["triple_checks"] // 2
+    payload["options"]["max_solver_calls"] = full["solver"]["triple_checks"] // 2
     cold = _run_batch_task(payload)
     assert cold["verdict"] == "unknown" and "solver budget" in cold["reason"]
     monkeypatch.setattr(engine, "_WARM_CHECKER", WarmChecker())

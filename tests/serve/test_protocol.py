@@ -11,7 +11,7 @@ from repro.serve.coalesce import AdmissionControl, Coalescer, options_key
 
 class TestFraming:
     def test_encode_decode_round_trip(self):
-        doc = {"op": "verify", "id": 3, "source": "x", "options": {"jobs": 2}}
+        doc = {"op": "verify", "id": 3, "source": "x", "options": {"max_refinements": 2}}
         line = protocol.encode(doc)
         assert line.endswith(b"\n")
         assert line.count(b"\n") == 1  # one message, one line
@@ -105,8 +105,8 @@ class TestResponses:
 
 class TestCoalesceKeys:
     def test_options_key_is_canonical(self):
-        a = VerifierOptions(max_refinements=5, jobs=2)
-        b = VerifierOptions(jobs=2, max_refinements=5)
+        a = VerifierOptions(max_refinements=5, max_nodes=200)
+        b = VerifierOptions(max_nodes=200, max_refinements=5)
         assert options_key(a) == options_key(b)
 
     def test_options_key_distinguishes_engine_knobs(self):

@@ -52,7 +52,7 @@ class TestCompareBitIdentical:
 
     def test_decided_vs_unknown_is_still_a_mismatch(self):
         variant = dict(self.RECORD, verdict="unknown")
-        (mismatch,) = _compare_bit_identical("parallel", self.RECORD, variant, ("a", "b"))
+        (mismatch,) = _compare_bit_identical("serve", self.RECORD, variant, ("a", "b"))
         assert mismatch.kind == "verdict"
 
     def test_counter_drift_is_reported_per_counter(self):
@@ -114,13 +114,13 @@ class TestCorpusPlumbing:
     def test_collision_appends_counter(self, tmp_path):
         for _ in range(2):
             mismatch = Mismatch(
-                oracle="parallel", kind="nodes", detail="d", seed=1,
+                oracle="serve", kind="nodes", detail="d", seed=1,
                 source=get_source("forward"),
             )
             write_reproducer(tmp_path, mismatch)
         assert sorted(p.name for p in tmp_path.glob("*.c")) == [
-            "parallel-seed1-1.c",
-            "parallel-seed1.c",
+            "serve-seed1-1.c",
+            "serve-seed1.c",
         ]
 
     def test_missing_oracle_header_rejected(self, tmp_path):
@@ -139,9 +139,9 @@ class TestHashSeedIndependence:
     keeps it gone.
     """
 
-    def _verify_json(self, hashseed: str) -> dict:
+    def _verify_json(self, hashseed: str, program: str = "initcheck") -> dict:
         completed = subprocess.run(
-            [sys.executable, "-m", "repro", "verify", "initcheck", "--json"],
+            [sys.executable, "-m", "repro", "verify", program, "--json"],
             capture_output=True, text=True, check=True,
             env={
                 "PYTHONPATH": SRC_ROOT,
@@ -157,3 +157,20 @@ class TestHashSeedIndependence:
         assert first["post_decisions"] == second["post_decisions"]
         assert first["predicates"] == second["predicates"]
         assert first["iterations"] == second["iterations"]
+
+    def test_checker_counters_repeat_across_processes_under_one_hash_seed(self):
+        """Under a fixed hash seed every solver counter repeats exactly.
+
+        Interned terms and formulas hash a name tag, never a class object
+        (which hashes by its address), so set orders — and with them which
+        simplex checks the solver makes — do not vary between processes.
+        """
+        counters = []
+        for _ in range(3):
+            solver = self._verify_json("1", "forward")["solver"]
+            counters.append(
+                {key: value for key, value in solver.items() if isinstance(value, int)}
+            )
+        assert counters[0]["simplex_checks"] > 0
+        assert counters[1] == counters[0]
+        assert counters[2] == counters[0]
