@@ -1,4 +1,4 @@
-"""E13 — Chaos bar: the process-backend daemon under injected worker crashes.
+"""E13 — Chaos bar: the daemon under injected worker crashes.
 
 The acceptance bar for crash isolation (ISSUE 10): with ~20% of the suite's
 programs drawing a *real* ``SIGKILL`` of their worker process on the first
@@ -59,7 +59,7 @@ def crash_plan():
 
 def run_suite():
     service = VerificationService(
-        ServiceConfig(workers=4, max_queue=32, worker_backend="process")
+        ServiceConfig(workers=4, max_queue=32)
     ).start()
     try:
         started = time.perf_counter()

@@ -39,7 +39,7 @@ snapshots in CI):
   banked for the cold one), plus a summary row with the daemon's
   coalesce/warm-hit counters and the 8-identical-concurrent-requests
   coalesce ratio (must stay ≤ 1.25× one request's posts).
-* ``chaos``       — the process-backend daemon under a seeded schedule that
+* ``chaos``       — the daemon under a seeded schedule that
   SIGKILLs the worker process of ~20% of the suite's programs on their
   first attempt: per program the clean/faulted verdicts and post counters
   (victim rows carry ``"fault_injected": true`` and are exempt from the
@@ -559,7 +559,7 @@ CHAOS_CRASH_RATE = 0.2
 
 
 def run_chaos_section() -> list[dict]:
-    """The process-backend daemon under a seeded worker-crash schedule.
+    """The daemon under a seeded worker-crash schedule.
 
     One row per suite program in the trend layout (``clean``/``faulted``
     modes with ``post_decisions``); victim rows carry
@@ -589,7 +589,6 @@ def run_chaos_section() -> list[dict]:
             ServiceConfig(
                 workers=4,
                 max_queue=32,
-                worker_backend="process",
                 journal_path=journal_path,
             )
         ).start()
@@ -647,7 +646,6 @@ def run_chaos_section() -> list[dict]:
     supervision = stats["supervision"]
     summary = {
         "program": "summary",
-        "worker_backend": "process",
         "fault_plan": plan.to_payload(),
         "clean_seconds": clean_seconds,
         "faulted_seconds": faulted_seconds,
@@ -696,7 +694,7 @@ def main(argv=None) -> int:
     report["sections"]["fuzz"] = run_fuzz_section()
     print("service section (the daemon over a real socket, cold vs warm):")
     report["sections"]["service"] = run_service_section()
-    print("chaos section (process-backend daemon under injected worker kills):")
+    print("chaos section (daemon under injected worker kills):")
     report["sections"]["chaos"] = run_chaos_section()
     if not args.skip_pytest:
         print("pytest section (bench_e*.py):")

@@ -6,7 +6,7 @@ snapshot in the repository root.  This script compares the *engine* section
 (incremental/restart modes), the *fuzz* section (per-oracle fixed-seed
 differential batches),
 the *service* section (cold/warm daemon submissions over a socket) and the
-*chaos* section (clean/faulted process-backend suite runs)
+*chaos* section (clean/faulted daemon suite runs)
 of the two newest snapshots program by program and exits non-zero
 when any shared program regressed beyond a metric's threshold in either
 mode — the automated bench-trend check the ROADMAP asks for.
@@ -52,7 +52,7 @@ SECTIONS = {
     # socket cold then warm — the warm mode's post counters track the
     # cross-request warm-start payoff across snapshots.
     "service": ("cold", "warm"),
-    # Chaos rows: the suite through the process-backend daemon, fault-free
+    # Chaos rows: the suite through the daemon, fault-free
     # vs under the seeded worker-kill schedule.  Victim rows carry
     # ``fault_injected`` and are dropped by ``section_rows``; the survivors'
     # counters must stay flat across snapshots.

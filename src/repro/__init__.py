@@ -5,7 +5,7 @@ The top-level package re-exports the public API:
 * :class:`repro.Session` / :class:`repro.VerifierOptions` /
   :class:`repro.VerificationTask` — the typed task/session API: validated
   options, reusable verification sessions with shared solver caches, and
-  warm-start precision transfer across tasks and process pools;
+  warm-start precision transfer across tasks and worker processes;
 * :func:`repro.verify` — the one-call entry point (an ephemeral
   session): verify the assertions of a mini-C program with CEGAR, using
   path programs and path invariants for abstraction refinement;

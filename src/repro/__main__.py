@@ -340,7 +340,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             request_timeout=args.request_timeout,
             store_path=args.precision_store,
             options=options,
-            worker_backend=args.worker_backend,
             journal_path=args.request_journal,
             recover=args.recover,
             quota_rate=args.quota_rate,
@@ -358,8 +357,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # port); the journal recovery report follows it.
         print(
             f"repro-serve listening on {config.host}:{ready.port} "
-            f"(pid {os.getpid()}, {config.workers} {config.worker_backend} "
-            f"workers, queue {config.max_queue}); SIGTERM drains gracefully",
+            f"(pid {os.getpid()}, {config.workers} workers, "
+            f"queue {config.max_queue}); SIGTERM drains gracefully",
             flush=True,
         )
         journal = ready.journal
@@ -626,11 +625,10 @@ def build_parser() -> argparse.ArgumentParser:
         "budget and arms the supervisor's task timeout (default: none)",
     )
     serve_parser.add_argument(
-        "--worker-backend", choices=("thread", "process"), default="thread",
-        help="where engine runs execute: 'thread' shares the daemon's "
-        "address space; 'process' gives each request an isolated worker "
-        "process, so a segfault/OOM/kill -9 of a worker becomes a "
-        "structured failure doc instead of daemon death (default: thread)",
+        "--worker-backend", choices=("process",), default="process",
+        help="accepted for compatibility; engine runs always execute in "
+        "isolated worker processes, so a segfault/OOM/kill -9 of a worker "
+        "becomes a structured failure doc instead of daemon death",
     )
     serve_parser.add_argument(
         "--request-journal", metavar="PATH", default=None,

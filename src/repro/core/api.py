@@ -158,13 +158,13 @@ class VerifierOptions:
     #: evicted least-recently-used.  ``None`` (the default) keeps the
     #: historical unbounded growth; set it for long-lived service sessions.
     max_cache_entries: Optional[int] = None
-    #: Per-task wall-clock bound for supervised pool batches: a worker that
-    #: exceeds it is declared hung and killed, and the task is retried
+    #: Per-task wall-clock bound for supervised worker batches: a worker
+    #: that exceeds it is declared hung and killed, and the task is retried
     #: (``None`` = no supervision timeout).
     task_timeout: Optional[float] = None
-    #: How many times a supervised pool task is retried after a charged
-    #: failure (worker crash / hang / infrastructure error) before it
-    #: settles as verdict ``unknown`` with a structured ``failure`` record.
+    #: How many times a supervised task is retried after a failure (worker
+    #: crash / hang / worker exception) before it settles as verdict
+    #: ``unknown`` with a structured ``failure`` record.
     task_retries: int = 2
     #: Halve a task's resource budgets on each supervised retry.  Off by
     #: default: a degraded retry may legitimately return a weaker verdict.
@@ -823,22 +823,24 @@ class Session:
 
         ``jobs=None`` picks ``min(len(tasks), cpu_count)``; ``1`` runs
         sequentially in-process (tasks later in the list then warm-start
-        from earlier ones on the same program).  On a pool, seeds reflect
-        the store at submit time and every worker ships its discovered
-        precision back, so the bank still grows.  The pool requires every
-        task to be shippable — if *any* task lacks source text (pre-built
-        program) or pins an in-process refiner instance or seed precision,
-        the **whole batch** runs sequentially.
+        from earlier ones on the same program).  With ``jobs > 1`` the
+        tasks run on ``jobs`` worker processes; seeds reflect the store at
+        submit time and every worker ships its discovered precision back,
+        so the bank still grows.  Worker processes require every task to be
+        shippable — if *any* task lacks source text (pre-built program) or
+        pins an in-process refiner instance or seed precision, the **whole
+        batch** runs sequentially.
 
-        The pool path is **supervised** (see
-        :class:`~repro.core.supervision.Supervisor`): tasks are submitted
-        as individual futures, worker crashes and hangs are detected and
-        retried with backoff (``options.task_retries`` /
-        ``options.task_timeout`` / ``options.degrade_on_retry``), a
-        repeatedly broken pool degrades to in-process execution, and a task
-        that exhausts its retries yields verdict ``unknown`` with a
-        structured ``failure`` record — no exception ever escapes to the
-        caller, and one bad task never discards its siblings' results.
+        The worker path is **supervised** (see
+        :class:`~repro.core.supervision.Supervisor`): each worker runs one
+        task at a time, so a crash or hang is charged to exactly that task
+        and retried with backoff on a fresh worker
+        (``options.task_retries`` / ``options.task_timeout`` /
+        ``options.degrade_on_retry``); when worker processes cannot start
+        at all the batch runs in-process; and a task that exhausts its
+        retries yields verdict ``unknown`` with a structured ``failure``
+        record — no exception ever escapes to the caller, and one bad task
+        never discards its siblings' results.
         """
         normalised = [self._coerce(entry) for entry in tasks]
         if jobs is None:
@@ -876,11 +878,11 @@ class Session:
                 for task, payload, _ in prepared
                 if payload is not None
             ]
-            # The Supervisor owns every pool failure mode: per-task futures
-            # (one worker exception no longer discards the batch), per-task
-            # timeouts, crash retries with backoff, and degradation to
-            # in-process execution when pools are repeatedly broken or
-            # cannot be created at all.  It never raises for a task.
+            # The Supervisor owns every worker failure mode: one task per
+            # worker (a crash or hang is charged to that task alone),
+            # per-task timeouts, crash retries with backoff, and in-process
+            # execution when no worker can start.  It never raises for a
+            # task.
             supervisor = Supervisor(
                 worker=_run_batch_task,
                 jobs=jobs,

@@ -17,7 +17,7 @@ Per-iteration statistics record how much work was reused versus recomputed
 ``bench_e8`` benchmark tracks over time.
 
 The module also hosts the worker side of batch runs: :func:`task_payload` is
-the one wire format of a task shipped to a pool or slot worker,
+the one wire format of a task shipped to a worker slot,
 :func:`_run_batch_task` runs one there and returns its machine-readable
 result document, and :func:`run_engine` is the one place options become an
 engine (in-process sessions use it too).
@@ -658,7 +658,7 @@ class PortfolioEngine:
       process; the first *decided*
       verdict (safe/unsafe) wins and the stragglers are cancelled after a
       short grace period.  Requires the program's source text (workers
-      rebuild everything from primitives) and a working process pool.
+      rebuild everything from primitives) and worker processes.
     * ``round-robin`` — the in-process fallback: each refiner keeps a
       resumable :class:`VerificationEngine` (all sharing one memoised
       checker, so arms reuse each other's abstract-post verdicts) and
@@ -669,10 +669,11 @@ class PortfolioEngine:
 
     ``auto`` (the default) tries ``process`` and silently degrades to
     ``round-robin`` when no source text is available or the platform refuses
-    to spawn a pool.  In round-robin mode the budget is a *total* across
-    arms (``max_refinements``, ``max_seconds`` and ``max_solver_calls`` are
-    shared pools; ``max_nodes`` bounds each arm's own tree); in process mode
-    each racer gets the full budget and wall-clock decides.
+    to start worker processes.  In round-robin mode the budget is a *total*
+    across arms (``max_refinements``, ``max_seconds`` and
+    ``max_solver_calls`` are shared pools; ``max_nodes`` bounds each arm's
+    own tree); in process mode each racer gets the full budget and
+    wall-clock decides.
     """
 
     #: Wall cap applied to each race arm when the budget has none, so that
@@ -752,8 +753,8 @@ class PortfolioEngine:
         if raceable:
             try:
                 return self._run_race()
-            except (OSError, PermissionError, ImportError, RuntimeError) as error:
-                # Sandboxes without semaphores / broken pools: racing is an
+            except (OSError, ImportError, RuntimeError) as error:
+                # Platforms that refuse worker processes: racing is an
                 # optimisation, the in-process fallback is always safe —
                 # but record why it was taken rather than hiding it.
                 race_fallback = repr(error)
@@ -945,16 +946,11 @@ class PortfolioEngine:
         return report
 
     # ------------------------------------------------------------------
-    # Process-pool racing
+    # Process racing
     # ------------------------------------------------------------------
     def _run_race(self) -> PortfolioResult:
-        # multiprocessing.Pool rather than ProcessPoolExecutor: its public
-        # terminate() actually kills running workers, so a diverging loser
-        # cannot keep the parent (or interpreter exit) hostage after the
-        # race is decided.
-        import multiprocessing
-
         from .api import VerifierOptions
+        from .supervision import WorkerSlot, finished_slots
 
         start = time.perf_counter()
         budget = vars(self.budget).copy()
@@ -981,23 +977,25 @@ class PortfolioEngine:
         arm_docs: dict[str, dict[str, Any]] = {}
         winner_doc: Optional[dict[str, Any]] = None
         # Workers self-terminate on their wall budget; the extra slack only
-        # guards against a wedged worker before the terminate() below.
+        # guards against a wedged worker before the kill below.
         hard_deadline = start + budget["max_seconds"] + 10.0
-        pool = multiprocessing.get_context().Pool(processes=len(payloads))
+        # One worker process per arm; killing it is the hard limit, so a
+        # diverging loser cannot keep the parent (or interpreter exit)
+        # hostage after the race is decided.
+        slots = {WorkerSlot(): name for name in payloads}
+        racing = dict(slots)
         try:
-            pending = {
-                name: pool.apply_async(_run_portfolio_arm, (payload,))
-                for name, payload in payloads.items()
-            }
+            for slot, name in slots.items():
+                slot.acquire().submit(_run_portfolio_arm, payloads[name])
 
-            def drain() -> None:
+            def collect(until: float) -> None:
+                """Wait until ``until`` for arms to finish; record them."""
                 nonlocal winner_doc
-                for name, handle in list(pending.items()):
-                    if not handle.ready():
-                        continue
-                    del pending[name]
+                timeout = max(until - time.perf_counter(), 0.0)
+                for slot in finished_slots(racing, timeout):
+                    name = racing.pop(slot)
                     try:
-                        doc = handle.get()
+                        doc = slot.result()
                     except Exception as error:
                         # The arm's worker raised (or died mid-transfer): one
                         # broken arm must not abort the race — the surviving
@@ -1016,17 +1014,13 @@ class PortfolioEngine:
                         doc["status"] = "won"
                         winner_doc = doc
 
-            while pending and winner_doc is None and time.perf_counter() < hard_deadline:
-                drain()
-                if pending and winner_doc is None:
-                    time.sleep(0.02)
+            while racing and winner_doc is None and time.perf_counter() < hard_deadline:
+                collect(hard_deadline)
             # Give the losers a moment to report their divergence stats.
             grace_end = time.perf_counter() + self.race_grace_seconds
-            while pending and time.perf_counter() < grace_end:
-                drain()
-                if pending:
-                    time.sleep(0.02)
-            for name in pending:
+            while racing and time.perf_counter() < grace_end:
+                collect(grace_end)
+            for name in racing.values():
                 arm_docs[name] = {
                     "refiner": name,
                     "verdict": Verdict.UNKNOWN,
@@ -1034,8 +1028,8 @@ class PortfolioEngine:
                     "status": "cancelled",
                 }
         finally:
-            pool.terminate()
-            pool.join()
+            for slot in slots:
+                slot.discard(kill=True)
 
         total_seconds = time.perf_counter() - start
         reports = []
@@ -1047,7 +1041,7 @@ class PortfolioEngine:
                  "reason": "never scheduled", "status": "cancelled"},
             )
             doc.setdefault("status", "lost")
-            # The discovered precision crosses the pool as pickled formulas;
+            # The discovered precision crosses the pipe as pickled formulas;
             # pop it before the doc joins the JSON-serialisable reports and
             # rebind the winner's onto this process's program.
             precision_payload = doc.pop("_precision", None)
@@ -1227,10 +1221,10 @@ _WARM_CHECKER: Optional[WarmChecker] = None
 
 
 def install_warm_checker() -> None:
-    """Initializer of persistent slot workers: keep one bounded checker
-    warm for every task this process runs.  In-process callers never run
-    it, so the thread backend and ``jobs=1`` batches keep a fresh checker
-    per task."""
+    """Initializer of the daemon's slot workers: keep one bounded checker
+    warm for every task this process runs.  Nothing else runs it, so batch
+    workers, race arms and in-process ``jobs=1`` batches keep a fresh
+    checker per task."""
     global _WARM_CHECKER
     _WARM_CHECKER = WarmChecker()
 
@@ -1324,7 +1318,7 @@ def _run_payload(
 
 
 def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
-    """Pool/slot worker: verify one :func:`task_payload` and return its doc.
+    """Slot worker: verify one :func:`task_payload` and return its doc.
 
     Module-level so it pickles; builds everything from primitives because
     Program/VcChecker instances do not cross process boundaries.  Runs on
@@ -1339,7 +1333,7 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
         checker.max_cache_entries = options.max_cache_entries
         if options.refiner == "portfolio":
             # Already inside a worker: run the in-process round-robin rather
-            # than nesting a second process pool.
+            # than racing arms in worker processes of its own.
             options = options.replace(portfolio_mode="round-robin")
         return _run_payload(payload, options, checker)[1]
     except Exception as error:  # pragma: no cover - defensive per-task isolation

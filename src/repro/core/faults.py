@@ -69,8 +69,8 @@ kind                site                   effect when fired
                                            process itself — a genuine
                                            ``kill -9`` mid-request, not a
                                            tidy exit (exercises the
-                                           process-backend daemon's crash
-                                           isolation); in-process: raises
+                                           daemon's crash isolation);
+                                           in-process: raises
                                            :class:`InjectedCrash`
 ``journal-torn-write``  ``journal-append``  the request journal writes only a
                                            partial record (a torn write from

@@ -1,32 +1,27 @@
-"""The supervised execution layer: pools that survive crashes, hangs and worse.
+"""The supervised execution layer: batches that survive crashes and hangs.
 
-Historically a batch ran through ``pool.map``: one worker segfault (or
-OOM-kill, or injected ``os._exit``) raised ``BrokenProcessPool`` in the
-parent and lost *every* task's result, and one hung worker blocked the batch
-forever.  The :class:`Supervisor` replaces that with per-task futures and an
-explicit failure policy:
+Every task that runs out of process runs on a :class:`WorkerSlot`: one
+long-lived worker process fed one task at a time over a pipe.  The
+:class:`Supervisor` owns ``jobs`` slots for the length of a batch, or
+borrows one long-lived slot (the daemon keeps one per executor thread), and
+applies an explicit failure policy:
 
-* **individual submission** — each task is its own future; completed results
-  are collected as they finish and are never discarded because an unrelated
-  task failed;
-* **per-task wall-clock timeouts** — a worker that exceeds ``task_timeout``
-  is declared hung, its process is killed, and the pool is rebuilt;
-* **crash detection** — a dead worker breaks the pool; the supervisor
-  records a structured failure for every in-flight task, rebuilds the pool,
-  and resubmits;
-* **capped exponential backoff retries** — failures attributable to a task
-  (unambiguous crash / timeout / worker exception) consume its retry budget
-  (:class:`RetryPolicy`); collateral losses (the pool died underneath an
-  innocent task, or broke with several tasks in flight — the guilty one is
-  indistinguishable) are retried without charge.  Retries run on a fresh
-  worker, optionally with degraded options (halved budgets);
-* **graceful degradation** — when the pool breaks more than
-  ``max_pool_rebuilds`` times (or cannot be created at all), the remaining
-  tasks run in-process sequentially.  Slower, but the batch completes;
-* **borrowed workers** — a supervisor either owns a pool for the length of
-  its batch, or borrows a long-lived :class:`WorkerSlot` (the daemon's
-  process backend): every policy above still applies per batch, and the
-  slot's worker is only replaced when a timeout kill or a crash took it;
+* **one task per worker** — a worker death or a timeout kill is charged to
+  exactly the task that worker was running; completed results are never
+  discarded because a sibling failed;
+* **per-task wall-clock timeouts** — a task that exceeds ``task_timeout``
+  is declared hung and its worker is killed and replaced;
+* **crash detection** — a dead worker settles its one task with a
+  structured ``crash`` failure, and the slot starts a fresh worker;
+* **capped exponential backoff retries** — every crash, timeout and worker
+  exception consumes the task's retry budget (:class:`RetryPolicy`), which
+  therefore also bounds how often a task's workers are replaced.  Retries
+  run on a fresh worker after a death, optionally with degraded options
+  (halved budgets);
+* **graceful degradation** — when an owned worker cannot be started at all
+  (the platform refuses processes), the remaining tasks run in-process
+  sequentially.  A borrowed slot never falls back in-process: a task it
+  cannot run settles as a failure document;
 * **no escaping exceptions** — every task always yields a result document.
   A task that exhausts its retries yields verdict ``unknown`` with a
   structured ``failure`` record and its ``attempts`` count (result schema
@@ -43,7 +38,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import faults
 from .faults import FaultPlan
@@ -51,28 +46,30 @@ from .faults import FaultPlan
 __all__ = [
     "RetryPolicy",
     "Supervisor",
+    "WorkerLost",
     "WorkerSlot",
     "failure_record",
     "failure_doc",
+    "finished_slots",
     "supervised_call",
 ]
 
 #: Failure kinds a supervised task can accumulate.
-FAILURE_KINDS = ("crash", "timeout", "worker-error", "pool-broken", "pool-lost")
+FAILURE_KINDS = ("crash", "timeout", "worker-error", "pool-lost")
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """How failed tasks are retried.
 
-    ``max_retries`` bounds *charged* failures per task (crash / timeout /
-    worker exception); collateral pool losses are free.  The backoff before
-    retry ``n`` is ``backoff_base * backoff_factor**n`` capped at
-    ``backoff_max`` seconds.  With ``degrade`` set, each retry halves the
-    task's resource budgets (``max_nodes`` / ``max_seconds`` /
-    ``max_solver_calls`` and ``max_predicates_per_location`` where set) —
-    off by default because a degraded retry may legitimately return a
-    different (weaker) verdict than the original budget would have.
+    ``max_retries`` bounds the failures per task (crash / timeout / worker
+    exception).  The backoff before retry ``n`` is
+    ``backoff_base * backoff_factor**n`` capped at ``backoff_max`` seconds.
+    With ``degrade`` set, each retry halves the task's resource budgets
+    (``max_nodes`` / ``max_seconds`` / ``max_solver_calls`` and
+    ``max_predicates_per_location`` where set) — off by default because a
+    degraded retry may legitimately return a different (weaker) verdict
+    than the original budget would have.
     """
 
     max_retries: int = 2
@@ -89,12 +86,12 @@ class RetryPolicy:
         if self.backoff_factor < 1.0:
             raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
 
-    def delay(self, charged_failures: int) -> float:
-        """Backoff before the retry following the ``n``-th charged failure."""
-        if charged_failures <= 0:
+    def delay(self, failures: int) -> float:
+        """Backoff before the retry following the ``n``-th failure."""
+        if failures <= 0:
             return 0.0
         return min(
-            self.backoff_base * self.backoff_factor ** (charged_failures - 1),
+            self.backoff_base * self.backoff_factor ** (failures - 1),
             self.backoff_max,
         )
 
@@ -137,7 +134,7 @@ def failure_doc(
 
 
 # ----------------------------------------------------------------------
-# The worker entry point (module-level: must pickle into pool workers)
+# The worker entry point (module-level: must pickle into slot workers)
 # ----------------------------------------------------------------------
 def supervised_call(worker: Callable[[dict], dict], payload: dict[str, Any]) -> dict:
     """Run one task under the (optional) shipped fault plan.
@@ -176,32 +173,19 @@ class _Supervised:
     keys: tuple[str, ...]
     name: str
     attempts: int = 0
-    charged: int = 0
     failures: list[dict[str, Any]] = field(default_factory=list)
     doc: Optional[dict[str, Any]] = None
     not_before: float = 0.0
     started: float = 0.0
 
 
-def _shutdown(executor: Any, kill: bool) -> None:
-    """Retire a pool, killing its workers first when they may be wedged.
-
-    ``ProcessPoolExecutor`` has no public kill; its ``_processes`` map has
-    been stable since 3.7 and killing via it is the only way to reclaim a
-    truly wedged worker.  Defensive: missing attributes mean we fall back to
-    abandoning the processes.
-    """
-    if kill:
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.kill()
-            except Exception:  # pragma: no cover - already dead
-                pass
-    try:
-        executor.shutdown(wait=not kill, cancel_futures=True)
-    except Exception:  # pragma: no cover - defensive
-        pass
+def _pop_ready(queue: deque, now: float) -> Optional[_Supervised]:
+    """Take the first queued task whose backoff has run out, if any."""
+    for index, task in enumerate(queue):
+        if task.not_before <= now:
+            del queue[index]
+            return task
+    return None
 
 
 def _slot_main(conn: Any, initializer: Optional[Callable[[], None]]) -> None:
@@ -220,7 +204,7 @@ def _slot_main(conn: Any, initializer: Optional[Callable[[], None]]) -> None:
         fn, args = task
         try:
             reply = (True, fn(*args))
-        except BaseException as error:  # the borrower's to judge, as in a pool
+        except BaseException as error:  # the caller's to judge
             reply = (False, error)
         try:
             conn.send(reply)
@@ -228,19 +212,27 @@ def _slot_main(conn: Any, initializer: Optional[Callable[[], None]]) -> None:
             conn.send((False, RuntimeError(f"unpicklable task outcome: {error!r}")))
 
 
-class WorkerSlot:
-    """One long-lived worker process that supervisors borrow.
+class WorkerLost(Exception):
+    """A :class:`WorkerSlot`'s worker process died without answering."""
 
-    The daemon's process backend keeps one slot per executor thread.  The
-    slot's worker process starts lazily on its first task, runs
-    ``initializer`` once (the daemon's keeps a bounded checker warm there,
-    :func:`repro.core.engine.install_warm_checker`) and then serves task
-    after task over a pipe that the borrowing thread writes and reads
-    itself: a task costs one round trip, with no pool manager or queue
-    feeder thread in between.  The worker is replaced only when a borrowing
-    :class:`Supervisor` discards it after a timeout kill or a crash, or when
+
+class WorkerSlot:
+    """One long-lived worker process, fed one task at a time over a pipe.
+
+    The only way this package runs a task out of process: a
+    :class:`Supervisor` owns ``jobs`` slots for the length of a batch or
+    borrows one long-lived slot (the daemon keeps one per executor thread),
+    and the portfolio race owns one slot per arm.  The worker process
+    starts on the first :meth:`acquire`, runs ``initializer`` once (the
+    daemon's keeps a bounded checker warm there,
+    :func:`repro.core.engine.install_warm_checker`) and then answers task
+    after task over a pipe that the caller writes and reads itself: a task
+    costs one round trip, with no pool manager or queue feeder thread in
+    between.  A slot runs one task at a time, so its worker's death is that
+    one task's.  The worker is replaced only when its caller
+    :meth:`discard`\\ s it after a timeout kill or a crash, or when
     :meth:`acquire` finds it dead between tasks (an idle ``kill -9`` is
-    nobody's request, so it is replaced free of charge).  ``mp_context`` is
+    nobody's task, so it is replaced free of charge).  ``mp_context`` is
     the multiprocessing context of the worker (``None``: the platform
     default); a multi-threaded parent must not ``fork`` mid-lock — give it a
     forkserver or spawn context.
@@ -262,16 +254,14 @@ class WorkerSlot:
         #: The worker's process id (``None`` while it has none); kept apart
         #: from the process object so ``stats`` can read it mid-discard.
         self.pid: Optional[int] = None
-        #: The future of the task in flight.
-        self._future: Optional[Any] = None
         #: Workers started (the first, plus one per replacement).
         self.starts = 0
         #: Workers found dead between tasks and replaced.
         self.idle_deaths = 0
 
     def acquire(self) -> "WorkerSlot":
-        """The slot, as a one-worker executor with a live worker: started
-        when it has none, replaced when it died idle."""
+        """The slot, with a live worker: started when it has none, replaced
+        when it died idle.  Raises ``OSError`` when no process can start."""
         if self._process is not None and not self._process.is_alive():
             self.idle_deaths += 1
             self.discard(kill=True)
@@ -293,44 +283,26 @@ class WorkerSlot:
             self.starts += 1
         return self
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Hand one task to the worker; :meth:`wait` settles its future."""
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        if self._future is not None:
-            raise RuntimeError("a worker slot runs one task at a time")
+    def submit(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Hand one task to the worker; :func:`finished_slots` tells when
+        its :meth:`result` is in."""
         try:
             self._conn.send((fn, args))
-        except OSError as error:
-            raise BrokenProcessPool(f"worker slot is gone: {error!r}") from error
-        future = Future()
-        future.set_running_or_notify_cancel()
-        self._future = future
-        return future
+        except OSError:
+            pass  # the worker is gone: result() reports it
 
-    def wait(self, timeout: float) -> bool:
-        """Wait up to ``timeout`` seconds for the task in flight and settle
-        its future; returns whether it finished.  A worker that dies first
-        settles it with ``BrokenProcessPool``, as a pool would."""
-        from concurrent.futures.process import BrokenProcessPool
-        from multiprocessing.connection import wait
-
-        if not wait([self._conn, self._process.sentinel], timeout):
-            return False
-        future, self._future = self._future, None
+    def result(self) -> Any:
+        """The finished task's value, or its exception re-raised;
+        :class:`WorkerLost` when the worker died without answering."""
         try:
             if not self._conn.poll():
                 raise EOFError("the worker died without answering")
             ok, value = self._conn.recv()
         except (EOFError, OSError):
-            future.set_exception(BrokenProcessPool("worker process died"))
-        else:
-            if ok:
-                future.set_result(value)
-            else:
-                future.set_exception(value)
-        return True
+            raise WorkerLost("worker process died") from None
+        if not ok:
+            raise value
+        return value
 
     def discard(self, kill: bool = False) -> None:
         """Retire the worker (gracefully unless ``kill``); the next
@@ -338,7 +310,6 @@ class WorkerSlot:
         process, self._process, self.pid = self._process, None, None
         if process is None:
             return
-        self._future = None
         if not kill:
             try:
                 self._conn.send(None)
@@ -355,32 +326,40 @@ class WorkerSlot:
         return {"pid": self.pid, "starts": self.starts, "idle_deaths": self.idle_deaths}
 
 
+def finished_slots(slots: Iterable[WorkerSlot], timeout: float) -> list[WorkerSlot]:
+    """Those of the busy ``slots`` whose task finished (answered, or its
+    worker died), waiting up to ``timeout`` seconds for the first."""
+    from multiprocessing.connection import wait
+
+    owners: dict[Any, WorkerSlot] = {}
+    for slot in slots:
+        owners[slot._conn] = owners[slot._process.sentinel] = slot
+    return list(dict.fromkeys(owners[handle] for handle in wait(list(owners), timeout)))
+
+
 class Supervisor:
     """Run a batch of task payloads to completion, whatever the workers do.
 
     ``worker`` is the module-level task function (defaults to the engine's
     batch worker); it must be picklable and must return a result document.
-    ``jobs`` is the pool width (``<= 1`` runs everything in-process).  With
-    ``slot`` the supervisor borrows that :class:`WorkerSlot`'s long-lived
-    single worker instead of building a pool of its own: tasks run one at a
-    time in the slot's process, and the supervisor leaves the worker running
-    for the next borrower unless a timeout kill or a crash took it (then the
-    slot rebuilds it lazily).  Timeouts, retries, crash attribution and the
-    rebuild cap stay per batch either way.  ``task_timeout`` is the per-task
-    wall-clock bound, enforced by killing the worker's process — it is
-    therefore only enforceable in pool mode; the in-process fallback notes a
-    hang but cannot preempt it (injected hangs raise there instead, see
-    :mod:`repro.core.faults`).
+    ``jobs`` is how many :class:`WorkerSlot`\\ s the supervisor owns for the
+    batch (``<= 1`` runs everything in-process).  With ``slot`` it borrows
+    that slot instead: tasks run one at a time in the slot's process, and
+    the supervisor leaves the worker running for the next borrower unless a
+    timeout kill or a crash took it (then the slot starts a fresh one
+    lazily).  Timeouts, retries and crash attribution stay per batch either
+    way.  ``task_timeout`` is the per-task wall-clock bound, enforced by
+    killing the worker's process — it is therefore only enforceable on
+    slots; the in-process path notes a hang but cannot preempt it (injected
+    hangs raise there instead, see :mod:`repro.core.faults`).
 
     :meth:`run_batch` returns one document per payload, in input order, and
     never raises for a task-level failure.
     """
 
-    #: Scheduler poll interval while futures are in flight.
+    #: How long one wait on the busy workers lasts before the scheduler
+    #: checks timeouts and backoffs again.
     poll_seconds = 0.02
-    #: How many times a broken pool is rebuilt before degrading to
-    #: in-process sequential execution.
-    max_pool_rebuilds = 3
 
     def __init__(
         self,
@@ -389,7 +368,6 @@ class Supervisor:
         task_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        max_pool_rebuilds: Optional[int] = None,
         sleep: Callable[[float], None] = time.sleep,
         slot: Optional[WorkerSlot] = None,
     ) -> None:
@@ -406,10 +384,8 @@ class Supervisor:
         self.task_timeout = task_timeout
         self.retry = retry or RetryPolicy()
         #: The plan shipped into every worker (defaults to the plan installed
-        #: in this process, so ``with installed(plan):`` covers pools too).
+        #: in this process, so ``with installed(plan):`` covers workers too).
         self.fault_plan = fault_plan if fault_plan is not None else faults.active_plan()
-        if max_pool_rebuilds is not None:
-            self.max_pool_rebuilds = max_pool_rebuilds
         self.slot = slot
         self._sleep = sleep
         # Counters (see statistics()).
@@ -418,8 +394,8 @@ class Supervisor:
         self.crashes = 0
         self.timeouts = 0
         self.worker_errors = 0
+        #: Workers replaced after a crash or a timeout kill.
         self.pool_rebuilds = 0
-        self.collateral_requeues = 0
         self.tasks_recovered = 0
         self.tasks_failed = 0
         self.degraded_to_sequential = False
@@ -436,7 +412,6 @@ class Supervisor:
             "timeouts": self.timeouts,
             "worker_errors": self.worker_errors,
             "pool_rebuilds": self.pool_rebuilds,
-            "collateral_requeues": self.collateral_requeues,
             "tasks_recovered": self.tasks_recovered,
             "tasks_failed": self.tasks_failed,
             "degraded_to_sequential": self.degraded_to_sequential,
@@ -463,12 +438,12 @@ class Supervisor:
         if len(tasks) == 0:
             return []
         if self.jobs > 1 or self.slot is not None:
-            self._run_pool(tasks)
+            self._run_slots(tasks)
         else:
             self._run_sequential(tasks)
         docs = []
         for task in tasks:
-            if task.doc is None:  # exhausted retries (or pool lost it for good)
+            if task.doc is None:  # exhausted its retries
                 self.tasks_failed += 1
                 task.doc = failure_doc(task.name, task.failures, task.attempts)
             elif task.failures:
@@ -479,185 +454,94 @@ class Supervisor:
         return docs
 
     # ------------------------------------------------------------------
-    # Pool scheduling
+    # Worker-slot scheduling
     # ------------------------------------------------------------------
-    def _run_pool(self, tasks: list[_Supervised]) -> None:
-        try:
-            from concurrent.futures import FIRST_COMPLETED, wait
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-        except ImportError:  # pragma: no cover - no concurrent.futures
-            self._degrade(tasks)
-            return
-
+    def _run_slots(self, tasks: list[_Supervised]) -> None:
+        """Run ``tasks`` on the borrowed slot, or on ``jobs`` owned ones."""
+        owned = self.slot is None
+        slots = (
+            [WorkerSlot() for _ in range(min(self.jobs, len(tasks)))]
+            if owned
+            else [self.slot]
+        )
         queue = deque(tasks)
-        inflight: dict[Any, _Supervised] = {}
-        executor: Optional[ProcessPoolExecutor] = None
-
-        def teardown(kill: bool) -> None:
-            nonlocal executor
-            if executor is None:
-                return
-            if self.slot is not None:
-                self.slot.discard(kill)
-            else:
-                _shutdown(executor, kill)
-            executor = None
-
-        def fail_inflight(kind: str, message: str, charged: bool) -> None:
-            """Record a failure for every in-flight task and requeue/settle."""
-            for future, task in list(inflight.items()):
-                future.cancel()
-                self._record_failure(
-                    task,
-                    kind,
-                    message,
-                    charged=charged,
-                    elapsed=time.monotonic() - task.started,
-                )
-                if not charged:
-                    self.collateral_requeues += 1
-                self._requeue_or_fail(task, queue)
-            inflight.clear()
-
+        busy: dict[WorkerSlot, _Supervised] = {}
+        degraded = False
         try:
-            while queue or inflight:
-                if executor is None:
-                    if self.pool_rebuilds > self.max_pool_rebuilds:
-                        break  # degrade below
+            while busy or (queue and not degraded):
+                for slot in slots:
+                    if degraded:
+                        break
+                    if slot in busy:
+                        continue
+                    task = _pop_ready(queue, time.monotonic())
+                    if task is None:
+                        break
                     try:
-                        executor = (
-                            self.slot.acquire()
-                            if self.slot is not None
-                            else ProcessPoolExecutor(max_workers=self.jobs)
-                        )
-                    except (OSError, PermissionError, ImportError):
-                        break  # platform refuses pools: degrade below
-                # Fill free slots with ready tasks (backoff-respecting).
-                now = time.monotonic()
-                deferred = []
-                while queue and len(inflight) < self.jobs:
-                    task = queue.popleft()
-                    if task.not_before > now:
-                        deferred.append(task)
+                        slot.acquire()
+                    except (OSError, ImportError) as error:
+                        if owned:
+                            # The platform refuses worker processes: finish
+                            # in-process once the busy workers are done.
+                            queue.appendleft(task)
+                            degraded = True
+                            break
+                        task.attempts += 1
+                        self.crashes += 1
+                        self._fail(task, "crash", f"worker could not start: {error!r}",
+                                   None, queue)
                         continue
                     task.attempts += 1
-                    task.started = now
+                    task.started = time.monotonic()
                     try:
-                        future = executor.submit(
-                            supervised_call, self.worker, self._decorate(task)
-                        )
-                    except Exception as error:
-                        # Submitting to a broken/shutting-down pool.
-                        queue.appendleft(task)
-                        task.attempts -= 1
-                        fail_inflight("pool-broken", repr(error), charged=False)
-                        teardown(kill=False)
-                        self.pool_rebuilds += 1
-                        break
-                    inflight[future] = task
-                queue.extend(deferred)
-                if executor is None:
-                    continue
-                if not inflight:
-                    if queue:
-                        # Everything is backing off; sleep to the nearest slot.
-                        pause = max(
-                            min(task.not_before for task in queue) - time.monotonic(),
-                            0.0,
-                        )
-                        self._sleep(min(pause, self.retry.backoff_max) or self.poll_seconds)
+                        slot.submit(supervised_call, self.worker, self._decorate(task))
+                    except Exception as error:  # the task does not pickle
+                        self.worker_errors += 1
+                        self._fail(task, "worker-error", repr(error), 0.0, queue)
                         continue
-                    break
-                if self.slot is not None:
-                    finished = self.slot.wait(self.poll_seconds)
-                    done = set(inflight) if finished else ()
-                else:
-                    done, _ = wait(
-                        list(inflight), timeout=self.poll_seconds,
-                        return_when=FIRST_COMPLETED,
-                    )
-                broken_tasks: list[tuple[_Supervised, float]] = []
-                for future in done:
-                    task = inflight.pop(future)
+                    busy[slot] = task
+                if not busy:
+                    if queue and not degraded:
+                        # Everything is backing off: sleep to the nearest retry.
+                        nearest = min(task.not_before for task in queue)
+                        self._sleep(max(nearest - time.monotonic(), 0.0))
+                    continue
+                for slot in finished_slots(busy, self.poll_seconds):
+                    task = busy.pop(slot)
                     elapsed = time.monotonic() - task.started
                     try:
-                        task.doc = future.result()
-                    except BrokenProcessPool:
-                        broken_tasks.append((task, elapsed))
+                        task.doc = slot.result()
+                    except WorkerLost:
+                        self.crashes += 1
+                        self.pool_rebuilds += 1
+                        slot.discard(kill=True)
+                        self._fail(task, "crash", "worker process died", elapsed, queue)
                     except Exception as error:
                         self.worker_errors += 1
-                        self._record_failure(
-                            task, "worker-error", repr(error),
-                            charged=True, elapsed=elapsed,
-                        )
-                        self._requeue_or_fail(task, queue)
-                if broken_tasks:
-                    # A dead worker breaks the whole pool, so *every* task in
-                    # flight surfaces BrokenProcessPool and the guilty one is
-                    # indistinguishable from its innocent siblings.  Charge
-                    # the retry budget only when exactly one task was in
-                    # flight (unambiguous guilt); otherwise retry everyone
-                    # for free — a serial crasher is still bounded by the
-                    # pool-rebuild cap and is convicted in degraded
-                    # sequential mode, where attribution is exact.
-                    charged = len(broken_tasks) == 1 and not inflight
-                    for task, elapsed in broken_tasks:
-                        self.crashes += 1
-                        self._record_failure(
-                            task, "crash",
-                            "worker process died (BrokenProcessPool)",
-                            charged=charged, elapsed=elapsed,
-                        )
-                        if not charged:
-                            self.collateral_requeues += 1
-                        self._requeue_or_fail(task, queue)
-                    # Anything still in flight is collateral too.
-                    fail_inflight(
-                        "pool-broken", "pool broke under a concurrent task",
-                        charged=False,
-                    )
-                    teardown(kill=False)
-                    self.pool_rebuilds += 1
-                    continue
-                # Hang detection: kill the pool when any in-flight task
-                # exceeds its wall-clock budget.
-                if self.task_timeout is not None and inflight:
+                        self._fail(task, "worker-error", repr(error), elapsed, queue)
+                if self.task_timeout is not None:
                     now = time.monotonic()
-                    hung = [
-                        (future, task)
-                        for future, task in inflight.items()
-                        if now - task.started > self.task_timeout
-                        and not future.done()
-                    ]
-                    if hung:
-                        for future, task in hung:
-                            del inflight[future]
+                    for slot, task in list(busy.items()):
+                        if now - task.started > self.task_timeout:
+                            del busy[slot]
                             self.timeouts += 1
-                            self._record_failure(
+                            self.pool_rebuilds += 1
+                            slot.discard(kill=True)
+                            self._fail(
                                 task, "timeout",
                                 f"task exceeded the {self.task_timeout}s timeout; "
                                 "worker killed",
-                                charged=True, elapsed=now - task.started,
+                                now - task.started, queue,
                             )
-                            self._requeue_or_fail(task, queue)
-                        fail_inflight(
-                            "pool-broken",
-                            "pool killed to recover a hung sibling task",
-                            charged=False,
-                        )
-                        teardown(kill=True)
-                        self.pool_rebuilds += 1
         finally:
-            # On a normal exit nothing is in flight: an owned pool shuts down
-            # gracefully for free, a borrowed slot keeps its worker for the
-            # next batch.  On an exceptional exit (KeyboardInterrupt, a test
-            # timeout) tasks may still be running — possibly wedged — and
-            # shutdown(wait=True) would block on them forever: kill instead.
-            if inflight or self.slot is None:
-                teardown(kill=bool(inflight))
+            # Owned workers retire with the batch; a borrowed one stays for
+            # the next borrower.  A task still running here is an exceptional
+            # exit (KeyboardInterrupt, a test timeout) and may be wedged:
+            # kill its worker rather than wait for it.
+            for slot in slots:
+                if owned or slot in busy:
+                    slot.discard(kill=slot in busy)
         if queue:
-            # The pool broke repeatedly (or never existed): finish in-process.
             self._degrade(list(queue))
 
     def _decorate(self, task: _Supervised) -> dict[str, Any]:
@@ -668,14 +552,14 @@ class Supervisor:
         payload["_in_worker"] = True
         if self.fault_plan is not None:
             payload["_faults"] = self.fault_plan.to_payload()
-        if self.retry.degrade and task.charged > 0:
-            payload = self._degraded_payload(payload, task.charged)
+        if self.retry.degrade and task.failures:
+            payload = self._degraded_payload(payload, len(task.failures))
         return payload
 
     @staticmethod
     def _degraded_payload(payload: dict[str, Any], retries: int) -> dict[str, Any]:
         """Halve the resource budgets in the task's ``options`` once per
-        charged retry (floor 1)."""
+        failed attempt (floor 1)."""
         factor = 2 ** retries
         options = dict(payload.get("options") or {})
         for knob in (
@@ -687,30 +571,27 @@ class Supervisor:
                 options[knob] = max(halved, 1)
         return {**payload, "options": options}
 
-    def _record_failure(
+    def _fail(
         self,
         task: _Supervised,
         kind: str,
         message: str,
-        charged: bool,
-        elapsed: Optional[float] = None,
+        elapsed: Optional[float],
+        queue: deque,
     ) -> None:
-        task.failures.append(
-            failure_record(kind, message, task.attempts - 1, elapsed)
-        )
-        if charged:
-            task.charged += 1
-
-    def _requeue_or_fail(self, task: _Supervised, queue: deque) -> None:
-        """Queue a retry with backoff, unless the retry budget is exhausted."""
-        if task.charged > self.retry.max_retries:
-            return  # run_batch turns the missing doc into a failure doc
+        """Record a failure of the task's latest attempt and queue its retry
+        with backoff, unless that spent its retry budget (``run_batch`` then
+        turns the missing doc into a failure doc)."""
+        task.failures.append(failure_record(kind, message, task.attempts - 1, elapsed))
+        if len(task.failures) > self.retry.max_retries:
+            return
         self.retries += 1
-        task.not_before = time.monotonic() + self.retry.delay(task.charged)
+        task.not_before = time.monotonic() + self.retry.delay(len(task.failures))
         queue.append(task)
 
     # ------------------------------------------------------------------
-    # In-process sequential execution (degraded mode and jobs=1)
+    # In-process sequential execution (jobs=1, and owned workers that
+    # cannot start)
     # ------------------------------------------------------------------
     def _run_sequential(self, tasks: list[_Supervised]) -> None:
         queue = deque(tasks)
@@ -728,7 +609,7 @@ class Supervisor:
             except Exception as error:
                 # In-process, an injected crash/hang surfaces as an exception
                 # (there is no worker process to kill); classify it the way
-                # the pool path would have.
+                # a worker slot would have.
                 from .faults import InjectedCrash, InjectedHang
 
                 if isinstance(error, InjectedCrash):
@@ -740,11 +621,8 @@ class Supervisor:
                 else:
                     kind = "worker-error"
                     self.worker_errors += 1
-                self._record_failure(
-                    task, kind, repr(error), charged=True,
-                    elapsed=time.monotonic() - task.started,
-                )
-                self._requeue_or_fail(task, queue)
+                elapsed = time.monotonic() - task.started
+                self._fail(task, kind, repr(error), elapsed, queue)
 
     def _degrade(self, tasks: list[_Supervised]) -> None:
         self.degraded_to_sequential = True

@@ -11,9 +11,11 @@ The pieces (see ``serve/README.md`` for the protocol and lifecycle):
 * :mod:`repro.serve.quota` — per-client token-bucket quotas and the
   ``(fingerprint, options)`` circuit breaker.
 * :mod:`repro.serve.server` — :class:`VerificationService`: asyncio front,
-  supervised worker threads or crash-isolated worker *processes*
-  (``worker_backend="process"``), shared warm-start
-  :class:`~repro.core.api.PrecisionStore`, graceful drain.
+  supervised runs on crash-isolated worker *processes* (one persistent
+  worker slot per executor thread), shared warm-start
+  :class:`~repro.core.api.PrecisionStore`, graceful drain.  A script that
+  starts one needs an ``if __name__ == "__main__":`` guard: forkserver
+  workers re-import the main file.
 * :mod:`repro.serve.client` — :class:`ServiceClient`: a pipelining client
   whose verifies never raise (failures come back as schema-v2 docs) and
   which can reconnect-and-resubmit across daemon restarts.
@@ -26,7 +28,7 @@ from .client import DEFAULT_PORT, ServiceClient, ServiceError, wait_until_ready
 from .journal import RequestJournal
 from .protocol import MAX_LINE_BYTES, OPS, PROTOCOL_VERSION, ProtocolError
 from .quota import CircuitBreaker, ClientQuota, TokenBucket
-from .server import WORKER_BACKENDS, ServiceConfig, VerificationService
+from .server import ServiceConfig, VerificationService
 
 __all__ = [
     "DEFAULT_PORT",
@@ -42,6 +44,5 @@ __all__ = [
     "ServiceError",
     "TokenBucket",
     "VerificationService",
-    "WORKER_BACKENDS",
     "wait_until_ready",
 ]

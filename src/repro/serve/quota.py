@@ -14,11 +14,11 @@ Two throttles stand between the transport and the pool, both answering with
 
 * :class:`CircuitBreaker` — keyed by the coalescer's
   ``(fingerprint, options)`` key.  A submission whose worker *crashes*
-  (hard death / timeout / broken pool — not an engine-level ``error``
-  verdict, which is a perfectly good answer) is a strike; ``threshold``
+  (hard death / timeout — not an engine-level ``error`` verdict, which is
+  a perfectly good answer) is a strike; ``threshold``
   consecutive strikes trip the circuit and further identical submissions
   short-circuit with a 503 ``circuit-open`` rejection instead of burning a
-  pool rebuild each.  After ``cooldown`` seconds the circuit goes
+  worker rebuild each.  After ``cooldown`` seconds the circuit goes
   *half-open*: exactly one probe request is allowed through — success
   closes the circuit, another crash re-trips it for a fresh cooldown.
 

@@ -7,9 +7,9 @@ Architecture
 
     TCP clients ──> asyncio loop (one thread) ──> ThreadPoolExecutor
        │              │  parse / admit / coalesce     │  one supervised engine
-       │              │  (Coalescer, AdmissionControl │  run per request; the
-       │              │   — loop-confined, lock-free) │  process backend lends
-       │              │                               │  each run a worker slot
+       │              │  (Coalescer, AdmissionControl │  run per request, on
+       │              │   — loop-confined, lock-free) │  a borrowed worker
+       │              │                               │  slot's process
        └── responses <─┘ ── futures resolve ──────────┘
                               │
                        shared Session / PrecisionStore
@@ -21,25 +21,23 @@ each request line becomes its own asyncio task, so slow verifies never block
 
 Every verify runs through a **single-task**
 :class:`~repro.core.supervision.Supervisor` inside a worker thread: the
-PR 6 machinery (per-task timeout, retry with backoff, structured failure
-docs) applies per request, and the ``task`` fault site fires inside the
-request — an injected worker crash mid-request becomes a retry or a
+supervision machinery (per-task timeout, retry with backoff, structured
+failure docs) applies per request, and the ``task`` fault site fires inside
+the request — an injected worker crash mid-request becomes a retry or a
 structured ``failure`` doc, never a dropped connection.
 
-With ``worker_backend="thread"`` the run happens on the executor thread
-itself, on a **fresh engine and VcChecker** (prepared solver contexts are
-not safe to share across threads).  With ``worker_backend="process"`` each
-executor thread has one **worker slot**
-(:class:`~repro.core.supervision.WorkerSlot`): a long-lived worker process
-on a ``forkserver``/``spawn`` context — never ``fork``: this parent is
-multi-threaded — that the executor thread feeds over a pipe itself.  A
-request borrows an idle slot for its supervisor instead of building a pool
-of its own; the slot's worker starts on its first request, serves request
-after request, and is rebuilt only after a timeout kill or a crash (or
-when found dead between requests).  A hard worker death — ``kill -9``,
-OOM, a segfault — takes only that worker; the supervisor retries on a
-fresh one or settles a structured ``failure`` doc, and the daemon keeps
-serving every other connection.
+No engine ever runs in the daemon's own process.  There is one **worker
+slot** (:class:`~repro.core.supervision.WorkerSlot`) per executor thread: a
+long-lived worker process on a ``forkserver``/``spawn`` context — never
+``fork``: this parent is multi-threaded — that the executor thread feeds
+over a pipe itself.  A request borrows an idle slot for its supervisor; the
+slot's worker starts on its first request, serves request after request,
+and is rebuilt only after a timeout kill or a crash (or when found dead
+between requests).  A hard worker death — ``kill -9``, OOM, a segfault —
+takes only that worker and is charged to that request alone; the
+supervisor retries on a fresh worker or settles a structured ``failure``
+doc, never falls back to running the engine in the daemon, and the daemon
+keeps serving every other connection.
 
 Each slot worker keeps one bounded :class:`~repro.core.engine.WarmChecker`
 across the requests it serves, so obligations that recur across requests
@@ -66,7 +64,7 @@ options)`` circuit breaker** (:mod:`repro.serve.quota` — repeated worker
 crashes on one submission short-circuit to a structured 503 instead of
 burning a worker rebuild per retry).
 
-What every backend shares — and what makes the daemon more than a loop
+What every worker shares — and what makes the daemon more than a loop
 around the CLI — is the session's :class:`~repro.core.api.PrecisionStore`:
 decided precisions are banked under the program fingerprint and seed later
 requests, so a repeat fingerprint does strictly fewer abstract posts
@@ -107,15 +105,10 @@ from .coalesce import AdmissionControl, Coalescer, options_key
 from .journal import RequestJournal
 from .quota import CircuitBreaker, ClientQuota
 
-__all__ = ["ServiceConfig", "VerificationService", "WORKER_BACKENDS"]
+__all__ = ["ServiceConfig", "VerificationService"]
 
-#: Where engine runs execute: ``thread`` (shared address space, GIL-bound)
-#: or ``process`` (one persistent isolated worker process per executor
-#: thread, crash-proof).
-WORKER_BACKENDS = ("thread", "process")
-
-#: Live process-backend services in this process; the last one to stop
-#: also stops the shared forkserver (see ``_main``).
+#: Live services in this process; the last one to stop also stops the
+#: shared forkserver (see ``_main``).
 _forkserver_users = 0
 _forkserver_lock = threading.Lock()
 
@@ -123,8 +116,8 @@ _forkserver_lock = threading.Lock()
 def _stop_forkserver() -> None:
     """Stop multiprocessing's shared fork server, if it is running.
 
-    ``ForkServer._stop`` is private but stable since 3.8; a later
-    process-backend service simply starts a new fork server.
+    ``ForkServer._stop`` is private but stable since 3.8; a later service
+    simply starts a new fork server.
     """
     from multiprocessing import forkserver
 
@@ -151,8 +144,6 @@ class ServiceConfig:
     request_timeout: Optional[float] = None
     store_path: Optional[Union[str, Path]] = None
     options: VerifierOptions = field(default_factory=VerifierOptions)
-    #: ``thread`` (default) or ``process`` — see :data:`WORKER_BACKENDS`.
-    worker_backend: str = "thread"
     #: Durable request journal (WAL) path; ``None`` disables journaling.
     journal_path: Optional[Union[str, Path]] = None
     #: Re-execute journal-recovered unanswered requests on startup.
@@ -175,11 +166,6 @@ class ServiceConfig:
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ValueError(
                 f"request_timeout must be > 0 or None, got {self.request_timeout}"
-            )
-        if self.worker_backend not in WORKER_BACKENDS:
-            raise ValueError(
-                f"worker_backend must be one of {WORKER_BACKENDS}, "
-                f"got {self.worker_backend!r}"
             )
         if self.quota_rate is not None and self.quota_rate <= 0:
             raise ValueError(
@@ -241,17 +227,17 @@ class VerificationService:
             if self.config.breaker_threshold > 0
             else None
         )
-        #: Process backend: one worker slot per executor thread, borrowed
-        #: by each request's supervisor (LIFO, so a lone client keeps
-        #: hitting the warmest worker).  Workers start on first use.
-        self._slots: list[WorkerSlot] = []
+        #: One worker slot per executor thread, borrowed by each request's
+        #: supervisor (LIFO, so a lone client keeps hitting the warmest
+        #: worker).  Workers start on first use.
+        context = self._pick_mp_context()
+        self._slots = [
+            WorkerSlot(context, initializer=install_warm_checker)
+            for _ in range(self.config.workers)
+        ]
         self._idle_slots: "queue.LifoQueue[WorkerSlot]" = queue.LifoQueue()
-        if self.config.worker_backend == "process":
-            context = self._pick_mp_context()
-            for _ in range(self.config.workers):
-                slot = WorkerSlot(context, initializer=install_warm_checker)
-                self._slots.append(slot)
-                self._idle_slots.put(slot)
+        for slot in self._slots:
+            self._idle_slots.put(slot)
         self._bank_lock = threading.Lock()
         # Counters (loop thread or under _bank_lock; reads are GIL-atomic).
         self.requests_total = 0
@@ -270,7 +256,6 @@ class VerificationService:
             "tasks_failed": 0,
             "tasks_recovered": 0,
             "pool_rebuilds": 0,
-            "degraded_to_sequential": 0,
         }
         # Runtime state.
         self.port: Optional[int] = None
@@ -290,7 +275,7 @@ class VerificationService:
 
     @staticmethod
     def _pick_mp_context() -> Any:
-        """The start method for process-backend workers.
+        """The start method for the worker slots.
 
         The daemon is multi-threaded (loop + executor threads), so ``fork``
         is off the table — a child forked while another thread holds an
@@ -350,21 +335,19 @@ class VerificationService:
             task = asyncio.ensure_future(self._recover_outstanding())
             self._request_tasks.add(task)
             task.add_done_callback(self._request_tasks.discard)
-        if self._slots:
-            with _forkserver_lock:
-                _forkserver_users += 1
+        with _forkserver_lock:
+            _forkserver_users += 1
         try:
             await self._drained.wait()
         finally:
             if self._executor is not None:
                 self._executor.shutdown(wait=True)
-            if self._slots:
-                for slot in self._slots:
-                    slot.discard()
-                with _forkserver_lock:
-                    _forkserver_users -= 1
-                    if _forkserver_users == 0:
-                        _stop_forkserver()
+            for slot in self._slots:
+                slot.discard()
+            with _forkserver_lock:
+                _forkserver_users -= 1
+                if _forkserver_users == 0:
+                    _stop_forkserver()
 
     def _begin_drain(self) -> None:
         """Schedule the drain coroutine (idempotent; loop thread only)."""
@@ -719,9 +702,9 @@ class VerificationService:
 
         Beyond releasing coalescing/admission state, this is where the
         run's outcome feeds the circuit breaker (a *crash-kind* failure —
-        hard death, timeout, broken pool — is a strike; an engine-level
-        ``error`` verdict is a perfectly good answer and closes the
-        circuit) and where the journal marks the request answered.
+        hard death, timeout — is a strike; an engine-level ``error``
+        verdict is a perfectly good answer and closes the circuit) and where
+        the journal marks the request answered.
         """
         self._jobs.discard(future)
         self.coalescer.finish(key)
@@ -733,7 +716,7 @@ class VerificationService:
             verdict = doc.get("verdict")
             failure = doc.get("failure") or {}
             crashed = verdict == "unknown" and failure.get("kind") in (
-                "crash", "timeout", "pool-broken", "pool-lost"
+                "crash", "timeout", "pool-lost"
             )
         except Exception:  # pragma: no cover - bug backstop
             crashed = True
@@ -874,12 +857,11 @@ class VerificationService:
                 self.session.store.payload(fingerprint) if opts.warm_start else None
             )
             payload = task_payload(name, source, opts, seed)
-            # thread backend: sequential, this executor thread is the worker.
-            # process backend: the request borrows an idle slot's worker
-            # *process* — a hard death takes only that worker (the slot
-            # rebuilds it), never the daemon.  There are as many slots as
-            # executor threads, so one is always idle here.
-            slot = self._idle_slots.get() if self._slots else None
+            # The request borrows an idle slot's worker *process* — a hard
+            # death takes only that worker (the slot rebuilds it), never the
+            # daemon.  There are as many slots as executor threads, so one
+            # is always idle here.
+            slot = self._idle_slots.get()
             try:
                 supervisor = Supervisor(
                     worker=_run_batch_task,
@@ -891,8 +873,7 @@ class VerificationService:
                 )
                 doc = supervisor.run_batch([payload], keys=[(fingerprint, name)])[0]
             finally:
-                if slot is not None:
-                    self._idle_slots.put(slot)
+                self._idle_slots.put(slot)
             precision_payload = doc.pop("_precision", None)
             rendered = {
                 location: sorted(str(predicate) for predicate in predicates)
@@ -931,12 +912,14 @@ class VerificationService:
     def statistics(self) -> dict[str, Any]:
         """Service + session counters (the ``stats`` endpoint body)."""
         session_stats = self.session.statistics()
-        session_stats.pop("checker", None)  # large; the cache op covers caches
+        # No request runs on the daemon session's own checker (workers keep
+        # theirs), so its counters would only ever read 0.
+        session_stats.pop("checker", None)
+        session_stats.pop("checker_caches", None)
         return {
             "service": {
                 "draining": self._draining,
                 "workers": self.config.workers,
-                "worker_backend": self.config.worker_backend,
                 "max_queue": self.config.max_queue,
                 "request_timeout": self.config.request_timeout,
                 "requests_total": self.requests_total,
@@ -987,7 +970,6 @@ class VerificationService:
                 **self._store_doc(),
                 "fingerprints": sorted(store.fingerprints()),
             },
-            "checker_caches": self.session.checker.cache_sizes(),
         }
 
     def _health_doc(self) -> dict[str, Any]:
@@ -1005,7 +987,6 @@ class VerificationService:
             "pid": os.getpid(),
             "uptime_seconds": round(uptime, 3),
             "workers": self.config.workers,
-            "worker_backend": self.config.worker_backend,
             "queue_depth": self.admission.queue_depth,
             "pending": self.admission.pending,
             "journal_lag": self.journal.lag if self.journal is not None else None,

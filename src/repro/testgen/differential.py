@@ -315,7 +315,7 @@ def _serve_endpoint():
         from ..serve.server import ServiceConfig, VerificationService
 
         service = VerificationService(
-            ServiceConfig(port=0, workers=1, worker_backend="process")
+            ServiceConfig(port=0, workers=1)
         ).start()
         client = ServiceClient("127.0.0.1", service.port)
         _SERVE_ENDPOINT = (service, client)

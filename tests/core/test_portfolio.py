@@ -17,6 +17,7 @@ drain the frontier into an unchecked SAFE verdict).
 """
 
 import json
+import multiprocessing
 from types import SimpleNamespace
 
 import pytest
@@ -248,9 +249,22 @@ class TestPortfolioModes:
         )
         result = portfolio.run()
         assert result.verdict == Verdict.SAFE
-        assert result.mode in ("process", "round-robin")  # sandbox fallback
+        assert result.mode == "process"
+        assert "race_fallback" not in result.engine_stats
         assert result.winner == "path-invariant"
         json.dumps(result.to_json())
+
+    def test_process_race_leaves_no_worker_behind(self):
+        """The path-formula arm diverges on FORWARD, so it is still running
+        when path-invariant wins: its worker must be killed and reaped."""
+        before = set(multiprocessing.active_children())
+        result = PortfolioEngine(
+            get_source("forward"), mode="process", budget=Budget(max_seconds=60.0)
+        ).run()
+        assert result.mode == "process" and result.winner == "path-invariant"
+        by_name = {arm["refiner"]: arm for arm in result.arms}
+        assert by_name["path-formula"]["verdict"] == Verdict.UNKNOWN
+        assert set(multiprocessing.active_children()) - before == set()
 
     def test_refiner_instances_force_round_robin(self):
         portfolio = PortfolioEngine(

@@ -7,9 +7,9 @@ complete with verdicts identical to a fault-free run, retried tasks must
 converge, and no exception may escape to the caller.
 
 The direct :class:`Supervisor` tests below use a trivial echo worker so the
-scheduling policies (retry budgets, backoff, hang killing, pool rebuild,
-degradation to in-process execution) are exercised in milliseconds, not
-engine-run seconds.
+scheduling policies (retry budgets, backoff, hang killing, worker
+replacement, per-task attribution, degradation to in-process execution) are
+exercised in milliseconds, not engine-run seconds.
 """
 
 import os
@@ -149,14 +149,57 @@ class TestSupervisorScheduling:
         assert by_name["t1"]["verdict"] == "safe"
         assert supervisor.statistics()["tasks_failed"] == 1
 
-    def test_degrades_to_sequential_when_pool_keeps_breaking(self):
-        plan = FaultPlan([FaultSpec(kind="crash", key="t0", attempts=(0,))])
+    def test_a_crash_is_charged_to_its_own_task_only(self):
+        """t1's worker dies while t0 is running on the other worker: t0
+        finishes on its own worker, untouched."""
+        plan = FaultPlan([
+            FaultSpec(kind="slow", key="t0", attempts=(), seconds=1.0),
+            FaultSpec(kind="crash", key="t1", attempts=(0,)),
+        ])
         supervisor = Supervisor(
-            worker=_echo_worker, jobs=2, retry=self.RETRY,
-            fault_plan=plan, max_pool_rebuilds=0,
+            worker=_echo_worker, jobs=2, retry=self.RETRY, fault_plan=plan
         )
         docs = supervisor.run_batch([{"name": "t0"}, {"name": "t1"}])
+        by_name = {d["name"]: d for d in docs}
+        assert by_name["t0"]["verdict"] == "safe"
+        assert by_name["t0"]["attempts"] == 1
+        assert "failures" not in by_name["t0"]
+        assert by_name["t1"]["verdict"] == "safe"
+        assert by_name["t1"]["attempts"] == 2
+        assert [f["kind"] for f in by_name["t1"]["failures"]] == ["crash"]
+
+    @pytest.mark.timeout(60)
+    def test_a_timeout_kill_is_charged_to_the_hung_task_only(self):
+        """t0 hangs; t2 starts on t1's worker at 0.5 s and is still running
+        when t0's worker is killed at 1 s.  t2 must finish on its first
+        attempt."""
+        plan = FaultPlan([
+            FaultSpec(kind="hang", key="t0", attempts=(0,), seconds=30.0),
+            FaultSpec(kind="slow", key="t1", attempts=(), seconds=0.5),
+            FaultSpec(kind="slow", key="t2", attempts=(), seconds=0.8),
+        ])
+        supervisor = Supervisor(
+            worker=_echo_worker, jobs=2, task_timeout=1.0,
+            retry=self.RETRY, fault_plan=plan,
+        )
+        docs = supervisor.run_batch([{"name": f"t{n}"} for n in range(3)])
+        by_name = {d["name"]: d for d in docs}
         assert all(d["verdict"] == "safe" for d in docs)
+        assert [f["kind"] for f in by_name["t0"]["failures"]] == ["timeout"]
+        assert by_name["t1"]["attempts"] == 1
+        assert by_name["t2"]["attempts"] == 1
+        assert "failures" not in by_name["t2"]
+        assert supervisor.statistics()["timeouts"] == 1
+
+    def test_degrades_to_sequential_when_workers_cannot_start(self, monkeypatch):
+        def refuse(slot):
+            raise OSError("no processes here")
+
+        monkeypatch.setattr(WorkerSlot, "acquire", refuse)
+        supervisor = Supervisor(worker=_pid_worker, jobs=2, retry=self.RETRY)
+        docs = supervisor.run_batch([{"name": "t0"}, {"name": "t1"}])
+        assert all(d["verdict"] == "safe" and d["attempts"] == 1 for d in docs)
+        assert {d["pid"] for d in docs} == {os.getpid()}  # ran in-process
         assert supervisor.degraded_to_sequential is True
 
     def test_sequential_mode_classifies_injected_faults(self):
@@ -211,7 +254,7 @@ class TestSupervisorScheduling:
 
 
 # ----------------------------------------------------------------------
-# Borrowed worker slots (the daemon's process backend)
+# Borrowed worker slots (the daemon's)
 # ----------------------------------------------------------------------
 class TestWorkerSlot:
     RETRY = RetryPolicy(max_retries=2, backoff_base=0.01, backoff_max=0.05)
@@ -353,13 +396,10 @@ class TestAcceptance:
         for name in crash_targets:
             assert by_name[name]["attempts"] >= 2
             assert any(f["kind"] == "crash" for f in by_name[name]["failures"])
-        # The hung task was recovered either by the supervisor's own timeout
-        # kill or by a crash-triggered pool teardown (a broken pool takes
-        # the sleeping worker with it and fails its future too) — both are
-        # recoveries; the deterministic timeout-kill path is pinned by
-        # TestSupervisorScheduling.test_hang_is_killed_and_retried.
+        # The hung task ran on its own worker, so only the supervisor's
+        # timeout kill recovered it; no sibling's crash was charged to it.
         assert by_name["diamond_safe"]["attempts"] >= 2
-        assert by_name["diamond_safe"]["failures"]
+        assert by_name["diamond_safe"]["failures"][0]["kind"] == "timeout"
         stats = session.last_supervisor.statistics()
         assert stats["crashes"] >= 3
         assert stats["tasks_failed"] == 0
@@ -370,11 +410,9 @@ class TestAcceptance:
         """A task that crashes on *every* attempt must exhaust its retries
         and yield a structured failure doc — its siblings stay decided.
 
-        With a sibling in flight the crasher is indistinguishable from it,
-        so the pool phase retries both for free until the rebuild cap trips
-        and the batch degrades to in-process execution — where attribution
-        is exact: the crasher is charged each attempt and settles as a
-        failure record while the innocent sibling completes normally."""
+        Each task runs on its own worker, so every death is charged to the
+        crasher alone: it settles after exactly its first attempt plus one
+        retry, in worker processes, while the sibling completes normally."""
         plan = FaultPlan([FaultSpec(kind="crash", key="up_down", attempts=())])
         session = Session(OPTIONS.replace(task_retries=1))
         with installed(plan):
@@ -383,11 +421,12 @@ class TestAcceptance:
         failed = by_name["up_down"]
         assert failed["verdict"] == "unknown"
         assert failed["failure"]["kind"] == "crash"
-        assert failed["attempts"] >= 2
+        assert failed["attempts"] == 2
         assert by_name["simple_safe"]["verdict"] == "safe"
+        assert by_name["simple_safe"]["attempts"] == 1
         stats = session.last_supervisor.statistics()
         assert stats["tasks_failed"] == 1
-        assert stats["degraded_to_sequential"] is True
+        assert stats["degraded_to_sequential"] is False
 
     @pytest.mark.timeout(240)
     def test_one_worker_error_does_not_discard_the_batch(self):

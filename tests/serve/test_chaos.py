@@ -1,6 +1,6 @@
 """Chaos soak (ISSUE 10 satellite): a seeded randomized fault schedule —
 worker crashes, SIGKILLed worker processes, hangs, slowdowns, dropped
-connections — against a live process-backend daemon running the full
+connections — against a live daemon running the full
 12-program suite twice.
 
 The bar is total: **every request is answered** (zero hangs, zero
@@ -116,7 +116,6 @@ def test_chaos_soak_answers_everything_with_faultfree_verdicts(tmp_path):
             ServiceConfig(
                 workers=4,
                 max_queue=32,
-                worker_backend="process",
                 store_path=store_path,
                 journal_path=journal_path,
             )

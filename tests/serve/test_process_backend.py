@@ -1,5 +1,5 @@
-"""The process-backed worker pool: crash isolation, kill-worker recovery,
-and journal-driven restart recovery (ISSUE 10 tentpole parts 1 and 2)."""
+"""The daemon's worker processes: crash isolation, kill-worker recovery,
+and journal-driven restart recovery."""
 
 import threading
 import time
@@ -16,7 +16,7 @@ from repro.serve import (
 
 
 def process_service(**overrides):
-    config = ServiceConfig(workers=2, worker_backend="process", **overrides)
+    config = ServiceConfig(workers=2, **overrides)
     return VerificationService(config).start()
 
 
@@ -26,15 +26,13 @@ def test_kill_worker_fault_registered():
     assert FaultSpec(kind="kill-worker").site == "task"
 
 
-def test_worker_backend_validation():
-    with pytest.raises(ValueError):
-        ServiceConfig(worker_backend="fibers")
+def test_config_validation():
     with pytest.raises(ValueError):
         ServiceConfig(recover=True)  # recover needs a journal
 
 
 class TestProcessBackendParity:
-    def test_verdicts_match_the_thread_backend(self):
+    def test_worker_processes_decide_the_suite(self):
         service = process_service()
         try:
             with ServiceClient(port=service.port, timeout=180.0) as client:
@@ -44,17 +42,19 @@ class TestProcessBackendParity:
                 )
             assert [d["verdict"] for d in docs] == ["safe", "unsafe", "safe"]
             stats = service.statistics()["service"]
-            assert stats["worker_backend"] == "process"
+            assert "worker_backend" not in stats
             assert stats["engine_runs"] == 3
+            assert sum(slot["starts"] for slot in stats["worker_slots"]) >= 1
         finally:
             service.stop()
 
-    def test_health_exposes_backend_and_pool_state(self):
+    def test_health_exposes_worker_and_journal_state(self):
         service = process_service()
         try:
             with ServiceClient(port=service.port) as client:
                 health = client.health()
-            assert health["worker_backend"] == "process"
+            assert health["workers"] == 2
+            assert "worker_backend" not in health
             assert health["journal_lag"] is None  # no journal configured
         finally:
             service.stop()
@@ -73,9 +73,9 @@ class TestProcessBackendParity:
 
 
 class TestKillWorkerMidRequest:
-    """ISSUE 10 acceptance: kill -9 of a process-backend worker mid-request.
+    """Acceptance: kill -9 of a daemon worker mid-request.
 
-    The ``kill-worker`` fault is a *real* ``SIGKILL`` of the pool worker
+    The ``kill-worker`` fault is a *real* ``SIGKILL`` of the slot's worker
     process (``os.kill(os.getpid(), SIGKILL)`` inside the worker) —
     uncatchable, no exit handlers — not a simulated exception.
     """
@@ -97,6 +97,26 @@ class TestKillWorkerMidRequest:
                 assert totals["tasks_recovered"] == 1
             finally:
                 service.stop()
+
+    def test_engine_never_runs_in_the_daemon_process(self):
+        """A worker killed on every attempt is retried in worker processes
+        until the request's own retry budget runs out — never by running
+        the engine inside the daemon, where an injected crash would raise
+        ``InjectedCrash`` and a real one would take the daemon down."""
+        plan = FaultPlan(
+            [FaultSpec(kind="kill-worker", key="simple_safe", attempts=())]
+        )
+        with installed(plan):
+            service = VerificationService(ServiceConfig(workers=1)).start()
+            try:
+                with ServiceClient(port=service.port, timeout=180.0) as client:
+                    doc = client.verify("simple_safe", options={"task_retries": 5})
+            finally:
+                service.stop()
+        assert doc["verdict"] == "unknown"
+        assert doc["attempts"] == 6
+        assert [f["kind"] for f in doc["failures"]] == ["crash"] * 6
+        assert not any("InjectedCrash" in f["message"] for f in doc["failures"])
 
     def test_unrecoverable_kill_is_a_structured_failure_doc(self):
         plan = FaultPlan(

@@ -1,4 +1,4 @@
-"""Persistent warm workers of the process backend.
+"""Persistent warm workers of the daemon.
 
 Each daemon executor thread owns one worker slot: a long-lived worker
 process that keeps a bounded checker warm across the requests it serves.
@@ -26,7 +26,7 @@ COLD = {"max_refinements": 8, "warm_start": False}
 
 
 def process_service(workers, **overrides):
-    config = ServiceConfig(workers=workers, worker_backend="process", **overrides)
+    config = ServiceConfig(workers=workers, **overrides)
     return VerificationService(config).start()
 
 
@@ -145,7 +145,7 @@ def test_hang_timeout_rebuilds_only_its_own_slot():
 
 
 def test_stop_leaves_no_worker_or_forkserver_process():
-    # The fork server is shared by every live process-backend daemon in the
+    # The fork server is shared by every live daemon in the
     # process; stop the fuzz oracle's, should an earlier test have left it.
     shutdown_serve_oracle()
     service = process_service(workers=2)
