@@ -8,9 +8,9 @@ straight to (re)building the proof tree, so a warm-started rerun performs
 the cold run refined at all — that strict reduction is the acceptance bar
 here, per program and for a whole suite batch.
 
-The transfer also works across process boundaries: pool workers and
-portfolio race winners ship their predicates home (formulas pickle and
-re-intern), which is what the process-race test pins down.  Soundness is
+The transfer also works across process boundaries: pool workers ship
+their predicates home (formulas pickle and re-intern), and a portfolio's
+winning arm banks its predicates like a single engine does.  Soundness is
 asserted alongside every comparison: a seed never changes a decided verdict
 (predicates only refine the abstraction).
 """
@@ -86,42 +86,36 @@ def test_warm_rerun_strictly_fewer_posts(benchmark, name):
     assert warm.num_refinements == 0
 
 
-def test_process_race_winner_precision_warm_starts(benchmark):
-    """The portfolio race ships the winner's predicates back for warm starts.
+def test_portfolio_winner_precision_warm_starts(benchmark):
+    """The portfolio's winning arm banks its predicates for warm starts.
 
-    In ``process`` mode the winner's precision crosses the pool as pickled
-    formulas re-keyed by location name (the ROADMAP's process-race fidelity
-    item); in the round-robin fallback (sandboxes without semaphores) it
-    stays in-process.  Either way the session banks it and the follow-up
-    run on the same program is strictly cheaper than the cold single-refiner
-    baseline.
+    The session banks the winner's precision, and the follow-up run on the
+    same program is strictly cheaper than the cold single-refiner baseline.
     """
 
     def run():
         session = Session(OPTIONS)
-        race = session.run(
+        portfolio = session.run(
             session.task(
                 "forward",
-                options=OPTIONS.replace(
-                    refiner="portfolio", portfolio_mode="auto", max_seconds=60.0
-                ),
+                options=OPTIONS.replace(refiner="portfolio", max_seconds=60.0),
             )
         )
         cold = Session(OPTIONS).run("forward")
         warm = session.run("forward")
-        return race, cold, warm
+        return portfolio, cold, warm
 
-    race, cold, warm = run_once(benchmark, run)
+    portfolio, cold, warm = run_once(benchmark, run)
     record(
         benchmark,
-        race_mode=race.mode,
-        race_winner=race.winner,
+        portfolio_winner=portfolio.winner,
         cold_posts=cold.post_decisions(),
         warm_posts=warm.post_decisions(),
     )
-    assert race.verdict == Verdict.SAFE
-    # The race winner's discovered precision made it back to the session.
-    assert race.precision is not None and race.precision.total_predicates() > 0
+    assert portfolio.verdict == Verdict.SAFE
+    # The winner's discovered precision made it back to the session.
+    assert portfolio.precision is not None
+    assert portfolio.precision.total_predicates() > 0
     assert cold.verdict == warm.verdict == Verdict.SAFE
     assert warm.engine_stats["session"]["warm_started"] is True
     assert warm.post_decisions() < cold.post_decisions()

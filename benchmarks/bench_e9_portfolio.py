@@ -5,9 +5,10 @@ refinement succeeds exactly where path-formula refinement diverges (FORWARD,
 DOUBLE_COUNTER — their loop invariants ``a+b = 3i`` / ``a = 2i`` are not
 atoms of any finite path), while the cheap path-formula refiner is perfectly
 adequate on programs whose proofs need no loop invariant.  The portfolio
-layer exploits that automatically: it races both refiners, demotes a
-diverging arm on monitor evidence (stale pivots + growing counterexamples +
-a non-shrinking frontier) and hands its remaining budget to the survivors.
+layer exploits that automatically: it runs both refiners round-robin under
+one budget, demotes a diverging arm on monitor evidence (stale pivots +
+growing counterexamples + a non-shrinking frontier) and hands its remaining
+budget to the survivors.
 
 What this benchmark pins down, per divergent program:
 
@@ -22,11 +23,7 @@ What this benchmark pins down, per divergent program:
   scheduled first, the extra refinements are capped by the slice size (the
   monitor demotes the staller no later than ``window`` observed
   refinements), so the portfolio still proves the program within
-  ``winner + slice`` refinements here;
-* the process race (both refiners at full speed in worker processes) reaches
-  the same verdict with wall time bounded by the winner plus pool-spawn
-  overhead (recorded; the assertion allows a generous constant because CI
-  process spawn is noisy).
+  ``winner + slice`` refinements here.
 """
 
 import time
@@ -63,7 +60,7 @@ def test_portfolio_within_best_single_budget(benchmark, name):
     def run_both():
         single, single_seconds = run_single(name, "path-invariant")
         started = time.perf_counter()
-        portfolio = PortfolioEngine(get_source(name), mode="round-robin").run()
+        portfolio = PortfolioEngine(get_source(name)).run()
         return single, single_seconds, portfolio, time.perf_counter() - started
 
     single, single_seconds, portfolio, portfolio_seconds = run_once(benchmark, run_both)
@@ -115,7 +112,6 @@ def test_adversarial_order_waste_is_bounded(benchmark, name):
         portfolio = PortfolioEngine(
             get_source(name),
             refiners=("path-formula", "path-invariant"),
-            mode="round-robin",
             slice_refinements=slice_refinements,
         ).run()
         return single, portfolio
@@ -135,32 +131,6 @@ def test_adversarial_order_waste_is_bounded(benchmark, name):
     assert total_refinements <= single.num_refinements + slice_refinements
 
 
-def test_process_race_reaches_the_verdict(benchmark):
-    """The full-speed process race decides FORWARD; spawn overhead recorded."""
-
-    def run_race():
-        single, single_seconds = run_single("forward", "path-invariant")
-        started = time.perf_counter()
-        portfolio = PortfolioEngine(
-            get_source("forward"), mode="process", budget=Budget(max_seconds=60.0)
-        ).run()
-        return single_seconds, portfolio, time.perf_counter() - started
-
-    single_seconds, portfolio, race_seconds = run_once(benchmark, run_race)
-    record(
-        benchmark,
-        verdict=portfolio.verdict,
-        mode=portfolio.mode,
-        winner=portfolio.winner,
-        single_seconds=round(single_seconds, 4),
-        race_seconds=round(race_seconds, 4),
-    )
-    assert portfolio.verdict == Verdict.SAFE
-    assert portfolio.winner == "path-invariant"
-    # Wall time = winner + pool spawn; the constant absorbs CI spawn noise.
-    assert race_seconds <= single_seconds * OVERHEAD + 10.0
-
-
 def test_tight_shared_pool_still_proves(benchmark):
     """A tight shared refinement pool (8 for both arms together) suffices:
     slicing caps what the diverging arm can burn before the winner decides,
@@ -176,7 +146,6 @@ def test_tight_shared_pool_still_proves(benchmark):
         return PortfolioEngine(
             get_source("double_counter"),
             refiners=("path-formula", "path-invariant"),
-            mode="round-robin",
             slice_refinements=1,
             budget=Budget(max_refinements=8),
         ).run()

@@ -282,7 +282,6 @@ def run_portfolio_section() -> list[dict]:
         started = time.perf_counter()
         portfolio = PortfolioEngine(
             get_source(name),
-            mode="round-robin",
             budget=Budget(max_refinements=max_refinements),
         ).run()
         row["portfolio"] = {

@@ -85,10 +85,7 @@ def main() -> None:
 
     print()
     print("The portfolio picks the refiner for you (and demotes a diverging one):")
-    portfolio = verify(
-        SOURCE,
-        options=VerifierOptions(refiner="portfolio", portfolio_mode="round-robin"),
-    )
+    portfolio = verify(SOURCE, options=VerifierOptions(refiner="portfolio"))
     print(portfolio.summary())
     print(
         f"  -> winner: {portfolio.winner}; per-arm divergence verdicts: "

@@ -57,12 +57,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .core.api import Session, VerifierOptions
-from .core.engine import (
-    PORTFOLIO_MODES,
-    RESULT_SCHEMA_VERSION,
-    PortfolioResult,
-    Verdict,
-)
+from .core.engine import RESULT_SCHEMA_VERSION, Verdict
 from .core.predabs import FRONTIER_NAMES
 from .core.verifier import ENGINE_REFINER_NAMES
 from .lang.programs import PROGRAMS
@@ -84,12 +79,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--refiner", choices=ENGINE_REFINER_NAMES, default=None,
         help="refinement strategy (default: the paper's path-invariant refiner; "
-        "'portfolio' races all refiners with divergence detection)",
-    )
-    parser.add_argument(
-        "--portfolio-mode", choices=PORTFOLIO_MODES, default=None,
-        help="with --refiner portfolio: race in worker processes, share budget "
-        "slices in-process round-robin, or pick automatically (default: auto)",
+        "'portfolio' runs all refiners round-robin under one budget, with "
+        "divergence detection)",
     )
     parser.add_argument(
         "--strategy", choices=FRONTIER_NAMES, default=None,
@@ -105,7 +96,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-seconds", type=float, default=None, metavar="S",
-        help="wall-clock budget per task (default: none)",
+        help="wall-clock budget per task, enforced in every layer of the "
+        "run (default: none)",
     )
     parser.add_argument(
         "--max-predicates-per-location", type=int, default=None, metavar="N",
@@ -150,7 +142,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 #: CLI flag attribute -> VerifierOptions field, for value-bearing flags.
 _FLAG_FIELDS = {
     "refiner": "refiner",
-    "portfolio_mode": "portfolio_mode",
     "strategy": "strategy",
     "max_refinements": "max_refinements",
     "max_nodes": "max_nodes",
@@ -215,14 +206,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print()
     else:
         print(result.summary())
-        if result.is_unsafe:
-            if result.counterexample is not None:
-                witness = result.counterexample.witness_inputs(result.program.variables)
-            elif isinstance(result, PortfolioResult):
-                # Process mode: the witness crossed the pool as strings.
-                witness = result.winner_witness_inputs()
-            else:
-                witness = {}
+        if result.is_unsafe and result.counterexample is not None:
+            witness = result.counterexample.witness_inputs(result.program.variables)
             if witness:
                 rendered = ", ".join(f"{k} = {v}" for k, v in sorted(witness.items()))
                 print(f"witness:      {rendered}")
@@ -471,17 +456,17 @@ def _cmd_list(args: argparse.Namespace) -> int:
 _EPILOG = """\
 examples:
   repro verify forward                          the paper's FORWARD example
-  repro verify forward --refiner portfolio      race path-invariant against
-                                                path-formula; a diverging
+  repro verify forward --refiner portfolio      path-invariant and
+                                                path-formula round-robin under
+                                                one budget; a diverging
                                                 refiner is demoted and its
                                                 budget handed to the others
   repro verify forward --options opts.toml      load every knob from a TOML
                                                 (or JSON) options file;
                                                 explicit flags still win
-  repro verify forward --refiner portfolio --portfolio-mode round-robin --json
-                                                deterministic in-process
-                                                portfolio with a per-refiner
-                                                JSON breakdown
+  repro verify forward --refiner portfolio --json
+                                                the portfolio with a
+                                                per-refiner JSON breakdown
   repro batch --suite --jobs 4 -o results.json  the whole built-in corpus
                                                 through one warm-starting
                                                 session
@@ -622,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--request-timeout", type=float, default=None, metavar="S",
         help="per-request isolation wall: clamps each request's max_seconds "
-        "budget and arms the supervisor's task timeout (default: none)",
+        "budget to S and kills a worker still running S plus a fixed grace "
+        "later (default: none)",
     )
     serve_parser.add_argument(
         "--worker-backend", choices=("process",), default="process",

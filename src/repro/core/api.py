@@ -15,8 +15,13 @@ Three first-class objects replace the historical kwarg funnel:
   runs tasks sequentially or on a process pool — **warm-starting** each task
   from precisions discovered earlier.  Predicates are picklable (they
   re-intern on load), so warm-start seeds travel *into* pool workers and
-  discovered precisions travel *back*, including the portfolio
-  process-race winner's.
+  discovered precisions travel *back*.
+
+Every budget in :class:`VerifierOptions` holds for every entry point: the
+checker enforces ``max_seconds`` and ``max_solver_calls`` in every layer
+of a run, so a run ends within a fraction of a second of its wall-clock
+budget, is never charged past its solver-call budget, and a tripped budget
+always ends in verdict ``unknown`` with a reason.
 
 Results come back as the unified :class:`~repro.core.engine.Result`
 hierarchy, whose :meth:`~repro.core.engine.Result.to_json` document
@@ -60,7 +65,6 @@ from ..smt.vcgen import VcChecker
 from . import faults as _faults
 from .supervision import RetryPolicy, Supervisor
 from .engine import (
-    PORTFOLIO_MODES,
     PORTFOLIO_REFINERS,
     RESULT_SCHEMA_VERSION,
     Budget,
@@ -120,7 +124,8 @@ class VerifierOptions:
     """
 
     #: Refinement strategy: ``path-invariant`` (the paper), ``path-formula``
-    #: (the BLAST-style baseline) or ``portfolio`` (race both).
+    #: (the BLAST-style baseline) or ``portfolio`` (both, round-robin under
+    #: one shared budget).
     refiner: str = "path-invariant"
     #: ART exploration order: ``bfs``, ``dfs`` or ``error-distance``.
     strategy: str = "bfs"
@@ -128,21 +133,19 @@ class VerifierOptions:
     max_refinements: int = 25
     #: Cumulative ART node budget (``None`` = unbounded).
     max_nodes: Optional[int] = 4000
-    #: Wall-clock budget in seconds (``None`` = unbounded).
+    #: Wall-clock budget in seconds (``None`` = unbounded), enforced in
+    #: every layer of the run: it ends within a fraction of a second of it.
     max_seconds: Optional[float] = None
-    #: Checker triple-check budget (``None`` = unbounded).
+    #: Checker triple-check budget (``None`` = unbounded); a run is never
+    #: charged more.
     max_solver_calls: Optional[int] = None
     #: Keep one persistent ART across refinements (``False`` = the
     #: restart-the-world baseline).
     incremental: bool = True
-    #: With ``refiner="portfolio"``: ``auto``, ``process`` or ``round-robin``.
-    portfolio_mode: str = "auto"
-    #: The refiners a portfolio races.
+    #: The refiners a portfolio runs.
     portfolio_refiners: tuple[str, ...] = PORTFOLIO_REFINERS
     #: Refinements granted per round-robin slice.
     slice_refinements: int = 2
-    #: Optional wall-clock cap per round-robin slice.
-    slice_seconds: Optional[float] = None
     #: Sliding window of the divergence monitor (>= 2).
     monitor_window: int = 3
     #: Cap on predicates tracked per location (``None`` = unbounded); bounds
@@ -186,11 +189,6 @@ class VerifierOptions:
                 f"unknown exploration strategy {self.strategy!r}; "
                 f"expected one of {FRONTIER_NAMES}"
             )
-        if self.portfolio_mode not in PORTFOLIO_MODES:
-            raise ValueError(
-                f"unknown portfolio mode {self.portfolio_mode!r}; "
-                f"expected one of {PORTFOLIO_MODES}"
-            )
         if not self.portfolio_refiners:
             raise ValueError("portfolio_refiners must name at least one refiner")
         for name in self.portfolio_refiners:
@@ -211,10 +209,6 @@ class VerifierOptions:
         if self.slice_refinements < 1:
             raise ValueError(
                 f"slice_refinements must be >= 1, got {self.slice_refinements}"
-            )
-        if self.slice_seconds is not None and self.slice_seconds <= 0:
-            raise ValueError(
-                f"slice_seconds must be > 0 or None, got {self.slice_seconds}"
             )
         if self.monitor_window < 2:
             raise ValueError(f"monitor_window must be >= 2, got {self.monitor_window}")
@@ -682,8 +676,7 @@ class Session:
       :meth:`run_many` a corpus, sequentially or on a process pool.  Pool
       workers receive warm-start seeds and ship their discovered precisions
       back (predicates pickle and re-intern), so the bank grows even when
-      the work happened in another process — including the portfolio
-      process-race winner's predicates.
+      the work happened in another process.
     """
 
     def __init__(
@@ -767,9 +760,7 @@ class Session:
                 fingerprint, program, opts.max_predicates_per_location
             )
             warm = seed is not None
-        result = run_engine(
-            program, opts, self.checker, seed, refiner=task.refiner, source=task.source
-        )
+        result = run_engine(program, opts, self.checker, seed, refiner=task.refiner)
         self.tasks_run += 1
         if warm:
             self.warm_starts += 1

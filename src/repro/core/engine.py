@@ -34,12 +34,12 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 from ..lang.ast import FunctionDef
 from ..lang.cfg import Program, build_program, program_from_source
 from ..logic.formulas import Formula
+from ..smt.budget import BudgetExhausted
 from ..smt.vcgen import VcChecker
 from .cex import CounterexampleAnalysis, analyze_counterexample
 from .predabs import (
     FRONTIER_NAMES,
     Art,
-    ExploreLimits,
     Frontier,
     Precision,
     ReachabilityOutcome,
@@ -60,7 +60,6 @@ __all__ = [
     "PortfolioEngine",
     "PortfolioResult",
     "PORTFOLIO_REFINERS",
-    "PORTFOLIO_MODES",
     "STRATEGY_NAMES",
 ]
 
@@ -94,6 +93,13 @@ class Budget:
     charged as on a fresh checker: a checker shared with earlier runs
     neither charges their work to this one nor lets their memo entries make
     this one cheaper (:meth:`repro.smt.vcgen.VcChecker.begin_run`).
+
+    The last two are enforced by the checker in every layer
+    (:meth:`repro.smt.vcgen.VcChecker.set_budget`): exploration,
+    counterexample analysis and refinement all stop where the budget runs
+    out, so a run ends within a fraction of a second of ``max_seconds`` and
+    never charges more than ``max_solver_calls``.  A trip always ends in
+    UNKNOWN with a reason naming the layer it stopped in.
     """
 
     max_refinements: int = 25
@@ -261,7 +267,8 @@ class Result:
                                 strings; ``{}`` when the failing path needs
                                 no input values
         ``solver``              solver/checker counters of this run
-        ``portfolio``           (portfolio only) mode, winner, per-arm reports
+        ``portfolio``           (portfolio only) mode (always
+                                ``round-robin``), winner, per-arm reports
         ``attempts``            (supervised, optional) execution count when
                                 the task was retried (> 1)
         ``failure``             (supervised, optional) terminal structured
@@ -311,15 +318,10 @@ class Result:
             payload["solver"] = self.iterations[-1].solver_stats
         if isinstance(self, PortfolioResult):
             payload["portfolio"] = {
-                "mode": self.mode,
+                "mode": "round-robin",
                 "winner": self.winner,
                 "arms": self.arms,
             }
-            if "witness" not in payload:
-                # In process mode the winner's witness only exists in its arm doc.
-                for arm in self.arms:
-                    if arm["refiner"] == self.winner and "witness" in arm:
-                        payload["witness"] = arm["witness"]
         return payload
 
 
@@ -429,87 +431,104 @@ class VerificationEngine:
         deadline = None
         if self.budget.max_seconds is not None:
             deadline = start + max(self.budget.max_seconds - self._elapsed, 0.0)
-        limits = ExploreLimits(
-            max_nodes=self.budget.max_nodes,
-            deadline=deadline,
-            max_solver_calls=self.budget.max_solver_calls,
-            solver_calls_base=self._origin.get("triple_checks", 0)
-            + self._origin.get("carried_hits", 0),
-        )
+        max_calls = self.budget.max_solver_calls
+        self.checker.set_budget(deadline, max_calls)
+        try:
+            while True:
+                iteration_start = time.perf_counter()
+                posts_before = self.art.post_decisions
+                created_before = self.art.nodes_created
+                outcome = self.art.explore(precision, self.budget.max_nodes)
+                record = IterationRecord(len(iterations), outcome)
+                iterations.append(record)
 
-        while True:
-            iteration_start = time.perf_counter()
-            posts_before = self.art.post_decisions
-            created_before = self.art.nodes_created
-            outcome = self.art.explore(precision, limits)
-            record = IterationRecord(len(iterations), outcome)
-            iterations.append(record)
+                def seal(
+                    record: IterationRecord = record,
+                    started: float = iteration_start,
+                    art: Art = self.art,
+                    posts_before: int = posts_before,
+                    created_before: int = created_before,
+                ) -> None:
+                    record.seconds = time.perf_counter() - started
+                    record.solver_stats = self.checker.delta_since(self._origin)
+                    record.post_decisions = art.post_decisions - posts_before
+                    record.nodes_created = art.nodes_created - created_before
+                    record.frontier_size = len(art.frontier)
+                    record.predicates_total = precision.total_predicates()
 
-            def seal(
-                record: IterationRecord = record,
-                started: float = iteration_start,
-                art: Art = self.art,
-                posts_before: int = posts_before,
-                created_before: int = created_before,
-            ) -> None:
-                record.seconds = time.perf_counter() - started
-                record.solver_stats = self.checker.delta_since(self._origin)
-                record.post_decisions = art.post_decisions - posts_before
-                record.nodes_created = art.nodes_created - created_before
-                record.frontier_size = len(art.frontier)
-                record.predicates_total = precision.total_predicates()
+                def unknown(reason: str) -> Result:
+                    # An analysed-but-unrefined counterexample goes back on
+                    # the frontier so a resumed run re-derives and refines
+                    # it (leaving the error node would let coverage drain
+                    # the frontier around it, which is unsound).
+                    self.art.drop_error_node()
+                    seal()
+                    return self._finish(
+                        Verdict.UNKNOWN, precision, iterations, start, reason=reason
+                    )
 
-            if outcome.exhausted:
+                if outcome.exhausted:
+                    return unknown(
+                        f"abstract reachability stopped: {outcome.exhausted_reason}"
+                    )
+                if outcome.counterexample is None:
+                    seal()
+                    return self._finish(Verdict.SAFE, precision, iterations, start)
+
+                path = outcome.counterexample
+                record.counterexample_length = len(path)
+                try:
+                    analysis = analyze_counterexample(path, self.checker)
+                except BudgetExhausted as trip:
+                    return unknown(f"counterexample analysis stopped: {trip.reason}")
+                record.counterexample_feasible = analysis.feasible
+                if analysis.feasible:
+                    seal()
+                    result = self._finish(Verdict.UNSAFE, precision, iterations, start)
+                    result.counterexample = analysis
+                    if analysis.approximate:
+                        result.reason = "feasibility decided with an approximate integer check"
+                    return result
+
+                if self.refinements_done >= self.budget.max_refinements:
+                    return unknown(
+                        f"refinement budget of {self.budget.max_refinements} exhausted"
+                    )
+
+                mark = precision.mark()
+                try:
+                    # Refiners add predicates only once synthesis is done, so
+                    # a trip leaves the precision untouched.
+                    refinement = self.refiner.refine(self.program, path, precision)
+                except BudgetExhausted as trip:
+                    return unknown(f"refinement stopped: {trip.reason}")
+                record.refinement = refinement
+                if not refinement.progress:
+                    return unknown(
+                        f"refinement made no progress: {refinement.description}"
+                    )
+                if self.incremental:
+                    # Repair ignores the wall clock, so the tree stays
+                    # consistent: its cost is bounded by max_nodes, and the
+                    # next explore trips.  A solver-call trip cannot be
+                    # waited out, so it replaces the half-repaired tree with
+                    # a fresh one, as restart mode would.
+                    self.checker.set_budget(None, max_calls)
+                    try:
+                        record.repair = self.art.apply_refinement(
+                            precision, precision.added_since(mark)
+                        )
+                    except BudgetExhausted as trip:
+                        result = unknown(f"ART repair stopped: {trip.reason}")
+                        self.art = self._fresh_art()
+                        return result
+                    finally:
+                        self.checker.set_budget(deadline, max_calls)
+                else:
+                    self.art = self._fresh_art()
                 seal()
-                return self._finish(
-                    Verdict.UNKNOWN, precision, iterations, start,
-                    reason=f"abstract reachability stopped: {outcome.exhausted_reason}",
-                )
-            if outcome.counterexample is None:
-                seal()
-                return self._finish(Verdict.SAFE, precision, iterations, start)
-
-            path = outcome.counterexample
-            record.counterexample_length = len(path)
-            analysis = analyze_counterexample(path, self.checker)
-            record.counterexample_feasible = analysis.feasible
-            if analysis.feasible:
-                seal()
-                result = self._finish(Verdict.UNSAFE, precision, iterations, start)
-                result.counterexample = analysis
-                if analysis.approximate:
-                    result.reason = "feasibility decided with an approximate integer check"
-                return result
-
-            if self.refinements_done >= self.budget.max_refinements:
-                # Returning with an analysed-but-unrefined counterexample:
-                # put its obligation back so a resumed run re-derives and
-                # refines it (leaving the error node would let coverage
-                # drain the frontier around it, which is unsound).
-                self.art.drop_error_node()
-                seal()
-                return self._finish(
-                    Verdict.UNKNOWN, precision, iterations, start,
-                    reason=f"refinement budget of {self.budget.max_refinements} exhausted",
-                )
-
-            mark = precision.mark()
-            refinement = self.refiner.refine(self.program, path, precision)
-            record.refinement = refinement
-            if not refinement.progress:
-                self.art.drop_error_node()
-                seal()
-                return self._finish(
-                    Verdict.UNKNOWN, precision, iterations, start,
-                    reason=f"refinement made no progress: {refinement.description}",
-                )
-            if self.incremental:
-                record.repair = self.art.apply_refinement(
-                    precision, precision.added_since(mark)
-                )
-            else:
-                self.art = self._fresh_art()
-            seal()
+        finally:
+            self.checker.set_budget(None, None)
 
     # ------------------------------------------------------------------
     def _fresh_art(self) -> Art:
@@ -567,51 +586,32 @@ class VerificationEngine:
 
 
 # ----------------------------------------------------------------------
-# The portfolio layer: racing refiners with divergence detection
+# The portfolio layer: refiners sharing one budget, with divergence detection
 # ----------------------------------------------------------------------
 #: The refiners the portfolio runs by default: the paper's path-invariant
 #: refinement first, the classic path-formula baseline as the complement.
 PORTFOLIO_REFINERS = ("path-invariant", "path-formula")
-
-#: Execution modes of :class:`PortfolioEngine`.
-PORTFOLIO_MODES = ("auto", "process", "round-robin")
 
 
 @dataclass
 class PortfolioResult(Result):
     """A :class:`Result` plus the portfolio's per-refiner breakdown.
 
-    The base fields describe the *winning* arm (in process mode its summary
-    counters and discovered *precision* survive the process boundary —
-    predicates are picklable and re-keyed by location name — but
-    ``iterations`` stays empty there).  ``arms`` holds one report per
-    refiner: verdict, resource consumption, divergence verdict and the
+    The base fields describe the *winning* arm.  ``arms`` holds one report
+    per refiner: verdict, resource consumption, divergence verdict and the
     scheduling status (``won`` / ``lost`` / ``demoted`` / ``no-progress`` /
-    ``exhausted`` / ``cancelled`` / ``error``).
+    ``exhausted`` / ``idle``).
     """
 
     winner: Optional[str] = None
-    mode: str = "round-robin"
     arms: list[dict[str, Any]] = field(default_factory=list)
 
     def divergence_verdicts(self) -> dict[str, Any]:
         """Per-refiner divergence classification (``refiner -> verdict dict``)."""
         return {arm["refiner"]: arm.get("divergence") for arm in self.arms}
 
-    def winner_witness_inputs(self) -> dict[str, str]:
-        """The winning arm's concrete input witness, if it reported one.
-
-        In process mode the full counterexample stays in the worker, but the
-        winner ships its input valuation back as strings; empty when safe,
-        undecided, or run in-process (use ``counterexample`` there).
-        """
-        for arm in self.arms:
-            if arm["refiner"] == self.winner:
-                return dict(arm.get("witness_inputs", {}))
-        return {}
-
     def summary(self) -> str:
-        lines = [super().summary(), f"portfolio:    mode={self.mode}, winner={self.winner or '-'}"]
+        lines = [super().summary(), f"portfolio:    winner={self.winner or '-'}"]
         for arm in self.arms:
             divergence = arm.get("divergence") or {}
             marker = "diverging" if divergence.get("diverging") else arm.get("budget_class", "")
@@ -644,7 +644,7 @@ class _PortfolioArm:
 
 
 class PortfolioEngine:
-    """Races several refiners over the same program and reports honestly.
+    """Runs several refiners over the same program under one budget.
 
     The portfolio exploits refiner *complementarity*: path-invariant
     refinement succeeds exactly where path-formula refinement diverges (and
@@ -652,36 +652,19 @@ class PortfolioEngine:
     invariant), so running both under one budget removes the need for the
     user to pick a ``--refiner`` flag.
 
-    Two execution modes:
-
-    * ``process`` — every refiner races at full speed in its own worker
-      process; the first *decided*
-      verdict (safe/unsafe) wins and the stragglers are cancelled after a
-      short grace period.  Requires the program's source text (workers
-      rebuild everything from primitives) and worker processes.
-    * ``round-robin`` — the in-process fallback: each refiner keeps a
-      resumable :class:`VerificationEngine` (all sharing one memoised
-      checker, so arms reuse each other's abstract-post verdicts) and
-      receives budget slices in turn.  A per-arm
-      :class:`~repro.core.refiners.DivergenceMonitor` watches refinement
-      trajectories; a stalling arm is *demoted* and its remaining budget
-      flows to the surviving arms.
-
-    ``auto`` (the default) tries ``process`` and silently degrades to
-    ``round-robin`` when no source text is available or the platform refuses
-    to start worker processes.  In round-robin mode the budget is a *total*
-    across arms (``max_refinements``, ``max_seconds`` and
-    ``max_solver_calls`` are shared pools; ``max_nodes`` bounds each arm's
-    own tree); in process mode each racer gets the full budget and
-    wall-clock decides.
+    The arms run in-process, round-robin: each refiner keeps a resumable
+    :class:`VerificationEngine` (all sharing one memoised checker, so arms
+    reuse each other's abstract-post verdicts) and receives budget slices in
+    turn — ``slice_refinements`` refinements each, and with ``max_seconds``
+    an even share of the wall clock left.  A per-arm
+    :class:`~repro.core.refiners.DivergenceMonitor` watches refinement
+    trajectories; a stalling arm is *demoted* and its remaining budget flows
+    to the surviving arms.  The budget is a *total* across arms
+    (``max_refinements``, ``max_seconds`` and ``max_solver_calls`` are shared
+    pools; ``max_nodes`` bounds each arm's own tree), and the checker
+    enforces the wall clock and the solver calls inside every slice, so the
+    portfolio ends within ``max_seconds`` like a single engine.
     """
-
-    #: Wall cap applied to each race arm when the budget has none, so that
-    #: abandoned losers terminate on their own.
-    default_race_seconds = 60.0
-    #: How long the race waits for undecided arms after a winner, to collect
-    #: their divergence classifications.
-    race_grace_seconds = 1.0
 
     def __init__(
         self,
@@ -691,14 +674,11 @@ class PortfolioEngine:
         budget: Optional[Budget] = None,
         incremental: bool = True,
         checker: Optional[VcChecker] = None,
-        mode: str = "auto",
         slice_refinements: int = 2,
-        slice_seconds: Optional[float] = None,
         monitor_window: int = 3,
         initial_precision: Optional[Precision] = None,
         max_predicates_per_location: Optional[int] = None,
     ) -> None:
-        self.source = program if isinstance(program, str) else None
         if isinstance(program, str):
             program = program_from_source(program)
         elif isinstance(program, FunctionDef):
@@ -715,21 +695,12 @@ class PortfolioEngine:
         self.refiner_names = tuple(
             entry if isinstance(entry, str) else entry.name for entry in refiners
         )
-        if mode not in PORTFOLIO_MODES:
-            raise ValueError(
-                f"unknown portfolio mode {mode!r}; expected one of {PORTFOLIO_MODES}"
-            )
-        self.mode = mode
         self.strategy_name = strategy
         make_frontier(strategy, self.program)  # fail fast on unknown names
         self.budget = budget or Budget()
         self.incremental = incremental
         self.checker = checker or VcChecker()
         self.slice_refinements = max(1, slice_refinements)
-        #: Optional wall-clock cap per round-robin slice, so one slow arm
-        #: (e.g. path-formula flooding an array program with predicates)
-        #: cannot starve its rivals even without a total ``max_seconds``.
-        self.slice_seconds = slice_seconds
         self.monitor_window = monitor_window
         #: Optional seed precision every arm warm-starts from (each arm still
         #: grows its own copy).  Seeding never changes a decided verdict —
@@ -740,33 +711,7 @@ class PortfolioEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> PortfolioResult:
-        raceable = (
-            self.mode in ("auto", "process")
-            and self.source is not None
-            and len(self.refiners) > 1
-            # Refiner instances do not cross process boundaries, and racing
-            # identifies arms by name.
-            and all(isinstance(entry, str) for entry in self.refiners)
-            and len(set(self.refiner_names)) == len(self.refiner_names)
-        )
-        race_fallback = None
-        if raceable:
-            try:
-                return self._run_race()
-            except (OSError, ImportError, RuntimeError) as error:
-                # Platforms that refuse worker processes: racing is an
-                # optimisation, the in-process fallback is always safe —
-                # but record why it was taken rather than hiding it.
-                race_fallback = repr(error)
-        result = self._run_round_robin()
-        if race_fallback is not None and result.engine_stats is not None:
-            result.engine_stats["race_fallback"] = race_fallback
-        return result
-
-    # ------------------------------------------------------------------
-    # In-process round-robin with divergence-driven demotion
-    # ------------------------------------------------------------------
-    def _run_round_robin(self) -> PortfolioResult:
+        """Round-robin the arms until one decides or the shared pools drain."""
         from .refiners import DivergenceMonitor
         from .verifier import make_refiner
 
@@ -819,19 +764,11 @@ class PortfolioEngine:
                 arm.engine.budget.max_refinements = (
                     arm.engine.refinements_done + slice_r
                 )
-                slice_wall: Optional[float] = None
                 if deadline is not None:
                     remaining_wall = max(deadline - time.perf_counter(), 0.0)
                     slice_wall = (
                         remaining_wall if not rivals else remaining_wall / len(active)
                     )
-                if self.slice_seconds is not None and rivals:
-                    slice_wall = (
-                        self.slice_seconds
-                        if slice_wall is None
-                        else min(slice_wall, self.slice_seconds)
-                    )
-                if slice_wall is not None:
                     arm.engine.budget.max_seconds = (
                         arm.engine.elapsed_seconds + slice_wall
                     )
@@ -897,7 +834,6 @@ class PortfolioEngine:
                 total_seconds=total_seconds,
                 engine_stats=dict(base.engine_stats or {}),
                 winner=winner.name,
-                mode="round-robin",
                 arms=reports,
             )
         else:
@@ -912,10 +848,8 @@ class PortfolioEngine:
                 ),
                 engine_stats={"strategy": self.strategy_name, "incremental": self.incremental},
                 winner=None,
-                mode="round-robin",
                 arms=reports,
             )
-        result.engine_stats["portfolio_mode"] = "round-robin"
         result.engine_stats["winner"] = result.winner
         return result
 
@@ -944,198 +878,6 @@ class PortfolioEngine:
             "budget_class": "decided" if decided else arm.monitor.classify_budget_trip(),
         }
         return report
-
-    # ------------------------------------------------------------------
-    # Process racing
-    # ------------------------------------------------------------------
-    def _run_race(self) -> PortfolioResult:
-        from .api import VerifierOptions
-        from .supervision import WorkerSlot, finished_slots
-
-        start = time.perf_counter()
-        budget = vars(self.budget).copy()
-        if budget["max_seconds"] is None:
-            budget["max_seconds"] = self.default_race_seconds
-        options = VerifierOptions(
-            **budget,
-            strategy=self.strategy_name,
-            incremental=self.incremental,
-            monitor_window=self.monitor_window,
-            max_predicates_per_location=self.max_predicates_per_location,
-        )
-        seed = (
-            self.initial_precision.by_location_name()
-            if self.initial_precision is not None
-            else None
-        )
-        payloads = {
-            name: task_payload(
-                self.program.name, self.source, options.replace(refiner=name), seed
-            )
-            for name in self.refiner_names
-        }
-        arm_docs: dict[str, dict[str, Any]] = {}
-        winner_doc: Optional[dict[str, Any]] = None
-        # Workers self-terminate on their wall budget; the extra slack only
-        # guards against a wedged worker before the kill below.
-        hard_deadline = start + budget["max_seconds"] + 10.0
-        # One worker process per arm; killing it is the hard limit, so a
-        # diverging loser cannot keep the parent (or interpreter exit)
-        # hostage after the race is decided.
-        slots = {WorkerSlot(): name for name in payloads}
-        racing = dict(slots)
-        try:
-            for slot, name in slots.items():
-                slot.acquire().submit(_run_portfolio_arm, payloads[name])
-
-            def collect(until: float) -> None:
-                """Wait until ``until`` for arms to finish; record them."""
-                nonlocal winner_doc
-                timeout = max(until - time.perf_counter(), 0.0)
-                for slot in finished_slots(racing, timeout):
-                    name = racing.pop(slot)
-                    try:
-                        doc = slot.result()
-                    except Exception as error:
-                        # The arm's worker raised (or died mid-transfer): one
-                        # broken arm must not abort the race — the surviving
-                        # arms can still decide the program.
-                        doc = {
-                            "refiner": name,
-                            "verdict": Verdict.UNKNOWN,
-                            "reason": f"portfolio arm failed: {error!r}",
-                            "status": "crashed",
-                        }
-                    arm_docs[name] = doc
-                    if winner_doc is None and doc["verdict"] in (
-                        Verdict.SAFE,
-                        Verdict.UNSAFE,
-                    ):
-                        doc["status"] = "won"
-                        winner_doc = doc
-
-            while racing and winner_doc is None and time.perf_counter() < hard_deadline:
-                collect(hard_deadline)
-            # Give the losers a moment to report their divergence stats.
-            grace_end = time.perf_counter() + self.race_grace_seconds
-            while racing and time.perf_counter() < grace_end:
-                collect(grace_end)
-            for name in racing.values():
-                arm_docs[name] = {
-                    "refiner": name,
-                    "verdict": Verdict.UNKNOWN,
-                    "reason": "cancelled after the portfolio decided",
-                    "status": "cancelled",
-                }
-        finally:
-            for slot in slots:
-                slot.discard(kill=True)
-
-        total_seconds = time.perf_counter() - start
-        reports = []
-        winner_precision: Optional[Precision] = None
-        for name in self.refiner_names:
-            doc = arm_docs.get(
-                name,
-                {"refiner": name, "verdict": Verdict.UNKNOWN,
-                 "reason": "never scheduled", "status": "cancelled"},
-            )
-            doc.setdefault("status", "lost")
-            # The discovered precision crosses the pipe as pickled formulas;
-            # pop it before the doc joins the JSON-serialisable reports and
-            # rebind the winner's onto this process's program.
-            precision_payload = doc.pop("_precision", None)
-            if winner_doc is not None and doc is winner_doc and precision_payload:
-                winner_precision = Precision.from_location_names(
-                    self.program, precision_payload, self.max_predicates_per_location
-                )
-            reports.append(
-                {
-                    "refiner": name,
-                    "status": doc["status"],
-                    "verdict": doc.get("verdict", Verdict.UNKNOWN),
-                    "reason": doc.get("reason", ""),
-                    "seconds": doc.get("seconds", 0.0),
-                    "iterations": doc.get("iterations", 0),
-                    "refinements": doc.get("refinements", 0),
-                    "predicates": doc.get("predicates", 0),
-                    "post_decisions": doc.get("post_decisions", 0),
-                    "divergence": doc.get("divergence"),
-                    "budget_class": doc.get("budget_class", "cancelled"),
-                    **({"witness": doc["witness"]} if "witness" in doc else {}),
-                    **(
-                        {"witness_inputs": doc["witness_inputs"]}
-                        if "witness_inputs" in doc
-                        else {}
-                    ),
-                }
-            )
-        if winner_doc is not None:
-            verdict = winner_doc["verdict"]
-            reason = winner_doc.get("reason", "")
-        else:
-            verdict = Verdict.UNKNOWN
-            reason = "portfolio exhausted: " + "; ".join(
-                f"{r['refiner']}: {r.get('reason') or r['status']} [{r['budget_class']}]"
-                for r in reports
-            )
-        decided = {r["refiner"]: r["verdict"] for r in reports
-                   if r["verdict"] in (Verdict.SAFE, Verdict.UNSAFE)}
-        if len(set(decided.values())) > 1:  # pragma: no cover - soundness bug guard
-            reason = f"portfolio arms disagree ({decided}); kept the first verdict. {reason}"
-        return PortfolioResult(
-            verdict=verdict,
-            program=self.program,
-            precision=winner_precision,
-            reason=reason,
-            total_seconds=total_seconds,
-            engine_stats={
-                "strategy": self.strategy_name,
-                "incremental": self.incremental,
-                "portfolio_mode": "process",
-                "winner": winner_doc["refiner"] if winner_doc else None,
-            },
-            winner=winner_doc["refiner"] if winner_doc else None,
-            mode="process",
-            arms=reports,
-        )
-
-
-def _run_portfolio_arm(payload: dict[str, Any]) -> dict[str, Any]:
-    """Race worker: run one refiner at full speed and classify its trajectory.
-
-    Module-level so it pickles; takes a :func:`task_payload` whose options
-    name the arm's refiner and returns a JSON-serialisable document (the
-    full :class:`Result` stays in this process).
-    """
-    from .api import VerifierOptions
-    from .refiners import DivergenceMonitor
-
-    options = VerifierOptions.from_dict(payload["options"])
-    try:
-        result, doc = _run_payload(payload, options, VcChecker())
-        doc["refiner"] = options.refiner
-        if result.counterexample is not None:
-            inputs = result.counterexample.witness_inputs(result.program.variables)
-            if inputs:
-                doc["witness_inputs"] = {
-                    str(var): str(value) for var, value in sorted(inputs.items())
-                }
-        divergence = DivergenceMonitor.analyze(result.iterations, options.monitor_window)
-        doc["divergence"] = divergence.to_dict()
-        if result.verdict in (Verdict.SAFE, Verdict.UNSAFE):
-            doc["budget_class"] = "decided"
-        else:
-            doc["budget_class"] = "diverging" if divergence.diverging else "under-resourced"
-        return doc
-    except Exception as error:  # pragma: no cover - defensive per-arm isolation
-        return {
-            "refiner": options.refiner,
-            "name": payload["name"],
-            "verdict": "error",
-            "reason": repr(error),
-            "status": "error",
-        }
 
 
 # ----------------------------------------------------------------------
@@ -1223,8 +965,8 @@ _WARM_CHECKER: Optional[WarmChecker] = None
 def install_warm_checker() -> None:
     """Initializer of the daemon's slot workers: keep one bounded checker
     warm for every task this process runs.  Nothing else runs it, so batch
-    workers, race arms and in-process ``jobs=1`` batches keep a fresh
-    checker per task."""
+    workers and in-process ``jobs=1`` batches keep a fresh checker per
+    task."""
     global _WARM_CHECKER
     _WARM_CHECKER = WarmChecker()
 
@@ -1235,27 +977,23 @@ def run_engine(
     checker: VcChecker,
     seed: Optional[Precision] = None,
     refiner: Optional[Refiner] = None,
-    source: Optional[str] = None,
 ) -> Result:
     """Run ``program`` under ``options`` on ``checker`` — the one place a
     :class:`~repro.core.api.VerifierOptions` becomes an engine.
 
     ``seed`` is a warm-start precision bound to ``program``'s locations.
     ``refiner`` pins a concrete refiner instance (which bypasses the
-    portfolio); ``source``, the program's text, lets a portfolio race its
-    arms in worker processes.
+    portfolio).
     """
     if refiner is None and options.refiner == "portfolio":
         return PortfolioEngine(
-            source if source is not None else program,
+            program,
             refiners=options.portfolio_refiners,
             strategy=options.strategy,
             budget=options.budget(),
             incremental=options.incremental,
             checker=checker,
-            mode=options.portfolio_mode,
             slice_refinements=options.slice_refinements,
-            slice_seconds=options.slice_seconds,
             monitor_window=options.monitor_window,
             initial_precision=seed,
             max_predicates_per_location=options.max_predicates_per_location,
@@ -1285,36 +1023,9 @@ def task_payload(
     """The one wire format of a task shipped to a worker.
 
     ``seed`` is a warm-start precision keyed by location name (formulas
-    pickle and re-intern on load).  :func:`_run_payload` reads it back.
+    pickle and re-intern on load).  :func:`_run_batch_task` reads it back.
     """
     return {"name": name, "source": source, "options": options.to_dict(), "seed": seed}
-
-
-def _run_payload(
-    payload: dict[str, Any], options: "VerifierOptions", checker: VcChecker
-) -> tuple[Result, dict[str, Any]]:
-    """Parse a :func:`task_payload`'s source, rebind its seed, run it.
-
-    Returns the result and its document, which carries the discovered
-    precision home under ``_precision``.
-    """
-    program = program_from_source(payload["source"])
-    seed = None
-    if payload["seed"]:
-        # Apply the cap while rebinding, like PrecisionStore.seed_for does
-        # in-process — a banked precision may exceed it.
-        seed = Precision.from_location_names(
-            program, payload["seed"], options.max_predicates_per_location
-        )
-    result = run_engine(program, options, checker, seed)
-    doc = result.to_json(name=payload["name"])
-    if result.precision is not None and result.verdict in (Verdict.SAFE, Verdict.UNSAFE):
-        # Pickled formulas, not JSON: the receiver pops this key, rebinds or
-        # banks the predicates, and never lets it reach json.dumps.
-        # Undecided precisions stay in the worker — the receiver would only
-        # drop them, so serialising the flood would be pure waste.
-        doc["_precision"] = result.precision.by_location_name()
-    return result, doc
 
 
 def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
@@ -1323,6 +1034,7 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
     Module-level so it pickles; builds everything from primitives because
     Program/VcChecker instances do not cross process boundaries.  Runs on
     the worker's warm checker when it has one, else on a fresh checker.
+    The doc carries the discovered precision home under ``_precision``.
     """
     from .api import VerifierOptions
 
@@ -1331,11 +1043,26 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
     try:
         options = VerifierOptions.from_dict(payload["options"])
         checker.max_cache_entries = options.max_cache_entries
-        if options.refiner == "portfolio":
-            # Already inside a worker: run the in-process round-robin rather
-            # than racing arms in worker processes of its own.
-            options = options.replace(portfolio_mode="round-robin")
-        return _run_payload(payload, options, checker)[1]
+        program = program_from_source(payload["source"])
+        seed = None
+        if payload["seed"]:
+            # Apply the cap while rebinding, like PrecisionStore.seed_for
+            # does in-process — a banked precision may exceed it.
+            seed = Precision.from_location_names(
+                program, payload["seed"], options.max_predicates_per_location
+            )
+        result = run_engine(program, options, checker, seed)
+        doc = result.to_json(name=payload["name"])
+        if result.precision is not None and result.verdict in (
+            Verdict.SAFE,
+            Verdict.UNSAFE,
+        ):
+            # Pickled formulas, not JSON: the receiver pops this key, rebinds
+            # or banks the predicates, and never lets it reach json.dumps.
+            # Undecided precisions stay in the worker — the receiver would
+            # only drop them, so serialising the flood would be pure waste.
+            doc["_precision"] = result.precision.by_location_name()
+        return doc
     except Exception as error:  # pragma: no cover - defensive per-task isolation
         return error_doc(payload["name"], error)
     finally:

@@ -48,7 +48,6 @@ safety proofs of the paper's examples.
 from __future__ import annotations
 
 import heapq
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -56,6 +55,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from ..lang.cfg import Location, Program, Transition
 from ..lang.commands import command_writes
 from ..logic.formulas import FALSE, Formula, TRUE
+from ..smt.budget import BudgetExhausted
 from ..smt.vcgen import VcChecker
 
 __all__ = [
@@ -432,25 +432,6 @@ def split_frame_predicates(
 # ----------------------------------------------------------------------
 # The persistent abstract reachability tree
 # ----------------------------------------------------------------------
-@dataclass
-class ExploreLimits:
-    """Budgets enforced during one :meth:`Art.explore` round.
-
-    ``max_nodes`` bounds the *cumulative* nodes created over the tree's
-    lifetime (matching the restart engine, which counts per run — a persistent
-    tree creates strictly fewer).  ``deadline`` is an absolute
-    ``time.perf_counter()`` value; ``max_solver_calls`` bounds the checks
-    the checker charged (:attr:`~repro.smt.vcgen.VcChecker.charged_checks`)
-    since that count read ``solver_calls_base`` (the run's start: a checker
-    shared by several runs must not charge one run for another's work).
-    """
-
-    max_nodes: Optional[int] = None
-    deadline: Optional[float] = None
-    max_solver_calls: Optional[int] = None
-    solver_calls_base: int = 0
-
-
 class Art:
     """A persistent abstract reachability tree.
 
@@ -503,10 +484,17 @@ class Art:
     # Exploration
     # ------------------------------------------------------------------
     def explore(
-        self, precision: Precision, limits: Optional[ExploreLimits] = None
+        self, precision: Precision, max_nodes: Optional[int] = None
     ) -> ReachabilityOutcome:
-        """Advance the frontier until an error path, a fixpoint, or a budget."""
-        limits = limits or ExploreLimits()
+        """Advance the frontier until an error path, a fixpoint, or a budget.
+
+        ``max_nodes`` bounds the *cumulative* nodes created over the tree's
+        lifetime (matching the restart engine, which counts per run — a
+        persistent tree creates strictly fewer).  The wall-clock and
+        solver-call budgets trip inside the checker
+        (:class:`~repro.smt.budget.BudgetExhausted`) before an expansion
+        changes the tree.
+        """
         expanded_before = self.edges_expanded
         created_before = self.nodes_created
 
@@ -517,8 +505,11 @@ class Art:
             node, transition, epoch = entry
             if node.removed or node.covered_by is not None or epoch != node.epoch:
                 continue
-            reason = self._budget_exceeded(limits)
-            if reason:
+            try:
+                if max_nodes is not None and self.nodes_created > max_nodes:
+                    raise BudgetExhausted(f"node budget of {max_nodes} exhausted")
+                child = self._expand_edge(node, transition, precision)
+            except BudgetExhausted as trip:
                 # Re-queue the untouched obligation so a later round with a
                 # larger budget can resume exactly where this one stopped.
                 self.frontier.push(node, transition)
@@ -527,9 +518,8 @@ class Art:
                     self.edges_expanded - expanded_before,
                     self.nodes_created - created_before,
                     exhausted=True,
-                    exhausted_reason=reason,
+                    exhausted_reason=trip.reason,
                 )
-            child = self._expand_edge(node, transition, precision)
             if child is not None and child.location == self.program.error:
                 self._error_node = child
                 return ReachabilityOutcome(
@@ -542,19 +532,6 @@ class Art:
             self.edges_expanded - expanded_before,
             self.nodes_created - created_before,
         )
-
-    def _budget_exceeded(self, limits: ExploreLimits) -> str:
-        if limits.max_nodes is not None and self.nodes_created > limits.max_nodes:
-            return f"node budget of {limits.max_nodes} exhausted"
-        if limits.deadline is not None and time.perf_counter() > limits.deadline:
-            return "wall-clock budget exhausted"
-        if (
-            limits.max_solver_calls is not None
-            and self.checker.charged_checks - limits.solver_calls_base
-            > limits.max_solver_calls
-        ):
-            return f"solver budget of {limits.max_solver_calls} triple checks exhausted"
-        return ""
 
     def _expand_edge(
         self, node: ArtNode, transition: Transition, precision: Precision
@@ -979,4 +956,4 @@ class AbstractReachability:
     def run(self, precision: Precision) -> ReachabilityOutcome:
         """Breadth-first abstract reachability from the initial location."""
         self.art = Art(self.program, self.checker, BfsFrontier())
-        return self.art.explore(precision, ExploreLimits(max_nodes=self.max_nodes))
+        return self.art.explore(precision, self.max_nodes)

@@ -341,11 +341,3 @@ class DivergenceMonitor:
     def classify_budget_trip(self) -> str:
         """Label an exhausted budget: was the refiner stalling or starved?"""
         return "diverging" if self.verdict().diverging else "under-resourced"
-
-    @classmethod
-    def analyze(cls, iterations, window: int = 3) -> DivergenceVerdict:
-        """One-shot classification of a finished run's iteration records."""
-        monitor = cls(window)
-        for record in iterations:
-            monitor.observe(record)
-        return monitor.verdict()

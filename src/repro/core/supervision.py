@@ -221,10 +221,9 @@ class WorkerSlot:
 
     The only way this package runs a task out of process: a
     :class:`Supervisor` owns ``jobs`` slots for the length of a batch or
-    borrows one long-lived slot (the daemon keeps one per executor thread),
-    and the portfolio race owns one slot per arm.  The worker process
-    starts on the first :meth:`acquire`, runs ``initializer`` once (the
-    daemon's keeps a bounded checker warm there,
+    borrows one long-lived slot (the daemon keeps one per executor thread).
+    The worker process starts on the first :meth:`acquire`, runs
+    ``initializer`` once (the daemon's keeps a bounded checker warm there,
     :func:`repro.core.engine.install_warm_checker`) and then answers task
     after task over a pipe that the caller writes and reads itself: a task
     costs one round trip, with no pool manager or queue feeder thread in

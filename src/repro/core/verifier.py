@@ -70,13 +70,16 @@ def verify(
     refiner:
         ``"path-invariant"`` (the paper's refinement through path programs,
         the default), ``"path-formula"`` (the classic CEGAR baseline),
-        ``"portfolio"`` (race both with divergence detection; returns a
+        ``"portfolio"`` (both, round-robin under one shared budget with
+        divergence detection; returns a
         :class:`~repro.core.engine.PortfolioResult`), or a custom
         :class:`Refiner` instance.  A name conflicts with ``options=``,
         which carries its own ``refiner`` field.
     options:
         A :class:`~repro.core.api.VerifierOptions` carrying every other
-        tuning knob (budgets, strategy, incremental mode, ...).
+        tuning knob (budgets, strategy, incremental mode, ...).  The wall
+        clock and solver-call budgets hold in every layer of the run; a
+        tripped budget ends in verdict ``unknown`` with a reason.
     checker:
         A shared :class:`VcChecker` (its memo caches carry across calls).
     initial_precision:

@@ -73,9 +73,11 @@ GIL plus one banking lock keep the store coherent across executor threads.
 
 Budget isolation: every request gets its own
 :class:`~repro.core.engine.Budget` from its own options; the service-level
-``request_timeout`` clamps each request's ``max_seconds`` and arms the
-supervisor's ``task_timeout``, so one pathological program burns only its
-own budget while concurrent small requests proceed on the other workers.
+``request_timeout`` clamps each request's ``max_seconds``, which the engine
+enforces in every layer, and arms the supervisor's ``task_timeout`` at the
+clamp plus :data:`REQUEST_TIMEOUT_GRACE_S`, so one pathological program
+burns only its own budget while concurrent small requests proceed on the
+other workers.
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ from .quota import CircuitBreaker, ClientQuota
 
 __all__ = ["ServiceConfig", "VerificationService"]
 
+#: Seconds past ``request_timeout`` before a request's worker is killed.  A
+#: request's engine stops at its clamped ``max_seconds``, but the kill's
+#: clock starts first: the grace must cover the engine's overshoot plus the
+#: worker's parse and the round trip through the pipe, or it kills
+#: requests that are merely using their budget.  Only a wedged worker
+#: should ever reach it.
+REQUEST_TIMEOUT_GRACE_S = 2.0
+
 #: Live services in this process; the last one to stop also stops the
 #: shared forkserver (see ``_main``).
 _forkserver_users = 0
@@ -134,7 +144,10 @@ class ServiceConfig:
     (full :meth:`VerifierOptions.to_dict` form or any subset of its keys)
     replaces them wholesale for that request.  ``request_timeout`` is the
     per-request isolation wall: it clamps the request's ``max_seconds``
-    budget and arms the supervisor's ``task_timeout``.
+    budget, so the engine ends the request with an UNKNOWN verdict and a
+    wall-clock reason, and it arms the supervisor's ``task_timeout`` at the
+    clamp plus :data:`REQUEST_TIMEOUT_GRACE_S`, which kills only a worker
+    that stopped answering.
     """
 
     host: str = "127.0.0.1"
@@ -865,7 +878,9 @@ class VerificationService:
             try:
                 supervisor = Supervisor(
                     worker=_run_batch_task,
-                    task_timeout=timeout,
+                    task_timeout=(
+                        None if timeout is None else timeout + REQUEST_TIMEOUT_GRACE_S
+                    ),
                     retry=RetryPolicy(
                         max_retries=opts.task_retries, degrade=opts.degrade_on_retry
                     ),

@@ -23,6 +23,7 @@ Two mechanisms live here.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -43,6 +44,7 @@ from ..logic.formulas import (
 )
 from ..logic.terms import ArrayRead, LinExpr, Var
 from ..logic.transform import FreshNames
+from .budget import BudgetExhausted
 from .lra import LraResult, LraSolver
 
 __all__ = [
@@ -94,15 +96,31 @@ def _collect_ground_reads(formula: Formula, out: set[ArrayRead]) -> None:
     raise TypeError(f"unexpected formula {formula!r}")
 
 
-def resolve_stores(formula: Formula, stores: dict[str, Store]) -> Formula:
+def resolve_stores(
+    formula: Formula, stores: dict[str, Store], deadline: Optional[float] = None
+) -> Formula:
     """Eliminate reads of written-to array versions by case splitting.
 
     ``stores`` maps an array symbol to the store that defines it; symbols not
     in the map are base arrays.  The result contains only reads of base
     arrays (outside quantifiers); reads under quantifiers are expected to
     target base arrays already.
+
+    Each split doubles the formula, so each round costs about twice the last
+    one and cannot be interrupted.  With a ``deadline`` (an absolute
+    ``time.perf_counter()`` value) a round that could not finish in time —
+    twice the last round, plus about as much again to normalise the result
+    for the solver — is not started:
+    :class:`~repro.smt.budget.BudgetExhausted` is raised instead.
     """
+    previous = None
     for _ in range(10_000):
+        if deadline is not None:
+            now = time.perf_counter()
+            last_round = now - previous if previous is not None else 0.0
+            if now + 3 * last_round > deadline:
+                raise BudgetExhausted()
+            previous = now
         target = _find_stored_read(formula, stores)
         if target is None:
             return formula

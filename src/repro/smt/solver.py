@@ -40,6 +40,7 @@ equivalence.  Quantified formulas must be pre-processed by
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -61,6 +62,7 @@ from ..logic.terms import ArrayRead, LinExpr, Var
 from ..logic.transform import FreshNames, dnf_cubes, quantifier_free, to_nnf
 from ..logic.simplify import simplify
 from .arrays import CubeSolver, find_functionality_violation, flatten_reads
+from .budget import BudgetExhausted
 from .lra import LraSolver, assert_atoms, integer_feasible
 from .simplex import IncrementalSimplex
 
@@ -118,10 +120,12 @@ class SolverStats:
 class _LazySearch:
     """One lazy case-splitting search over a persistent constraint store."""
 
-    def __init__(self, integer_mode: bool, bb_limit: int, stats: SolverStats) -> None:
-        self.integer_mode = integer_mode
-        self.bb_limit = bb_limit
-        self.stats = stats
+    def __init__(self, solver: "SmtSolver") -> None:
+        #: The owning solver, read for its current ``deadline``.
+        self.solver = solver
+        self.integer_mode = solver.integer_mode
+        self.bb_limit = solver.bb_limit
+        self.stats = solver.stats
         self.simplex = IncrementalSimplex()
         self._fresh = FreshNames("rd")
         #: canonical (read-flattened) ArrayRead -> its value variable.
@@ -152,6 +156,7 @@ class _LazySearch:
     # The splitter
     # ------------------------------------------------------------------
     def _solve(self, units: list[Atom], disjunctions: list[Or]) -> SatResult:
+        deadline = self.solver.deadline
         self.simplex.push()
         mark = len(self._active_reads)
         self._read_marks.append(mark)
@@ -167,6 +172,10 @@ class _LazySearch:
                 return SatResult(False)
 
             while True:
+                # The split tree can be exponential: every round checks the
+                # run's deadline (the finally below unwinds the store).
+                if deadline is not None and time.perf_counter() > deadline:
+                    raise BudgetExhausted()
                 if not pending:
                     self.stats.leaf_checks += 1
                     return self._leaf_check(decided=frozenset())
@@ -420,7 +429,7 @@ class SolverContext:
 
     def __init__(self, solver: "SmtSolver") -> None:
         self._solver = solver
-        self._search = _LazySearch(solver.integer_mode, solver.bb_limit, solver.stats)
+        self._search = _LazySearch(solver)
         #: disjunctions of the asserted base, replayed into every check.
         self._base_disjunctions: list[Or] = []
         self._seen: set[Or] = set()
@@ -503,6 +512,10 @@ class SmtSolver:
         self.num_entailment_queries = 0
         self.num_contexts = 0
         self.stats = SolverStats()
+        #: Absolute ``time.perf_counter()`` past which a search raises
+        #: :class:`~repro.smt.budget.BudgetExhausted`; set for the length of
+        #: a run by the owning :class:`~repro.smt.vcgen.VcChecker`.
+        self.deadline: Optional[float] = None
         self._sat_cache: dict[Formula, SatResult] = {}
         #: raw interned formula -> its normalised (simplify + NNF) form, so
         #: repeat queries skip the two formula-tree walks entirely.
@@ -512,6 +525,10 @@ class SmtSolver:
         """The memoised simplify+NNF pass shared with :class:`SolverContext`."""
         normalised = self._normal_form.get(formula)
         if normalised is None:
+            # Both passes walk the whole formula, which store resolution can
+            # leave exponentially large: check the run's deadline first.
+            if self.deadline is not None and time.perf_counter() > self.deadline:
+                raise BudgetExhausted()
             normalised = to_nnf(simplify(formula))
             self._normal_form[formula] = normalised
         return normalised
@@ -537,7 +554,7 @@ class SmtSolver:
             # Hand out a fresh model dict so callers cannot corrupt the cache.
             model = dict(cached.model) if cached.model is not None else None
             return SatResult(cached.satisfiable, model, cached.approximate)
-        search = _LazySearch(self.integer_mode, self.bb_limit, self.stats)
+        search = _LazySearch(self)
         result = search.solve(normalised)
         self.stats.simplex_checks += (
             search.simplex.num_checks + search.simplex.num_assert_conflicts

@@ -63,6 +63,7 @@ from ..logic.formulas import FALSE, Formula, TRUE, conjoin, negate
 from ..logic.terms import Var
 from ..logic.transform import FreshNames, quantifier_free
 from .arrays import resolve_stores
+from .budget import BudgetExhausted
 from .quant import instantiate_positive, skolemize_negative
 from .solver import SatResult, SmtSolver, SolverContext
 from .ssa import SsaTranslation, rename_to_versions, ssa_translate
@@ -139,6 +140,12 @@ class VcChecker:
         #: baseline the batched path is tested and benchmarked against.
         self.batched_posts = batched_posts
         self.num_triple_checks = 0
+        #: The charge count the current run's next charge may not reach, and
+        #: the reason it trips with (see :meth:`set_budget`).
+        self._charge_limit: Optional[int] = None
+        self._limit_reason = ""
+        #: :attr:`charged_checks` when the current run began.
+        self._run_base = 0
         #: Edge/post memo hits on entries an earlier run left: the triple
         #: checks a fresh checker would have made for them, charged to the
         #: run's solver budget all the same (see :meth:`begin_run`).
@@ -329,6 +336,50 @@ class VcChecker:
         entry mid-run on one checker and not on the other.)
         """
         self._run_asked = set() if (self._edge_cache or self._post_cache) else None
+        self._run_base = self.charged_checks
+
+    def set_budget(
+        self, deadline: Optional[float], max_solver_calls: Optional[int]
+    ) -> None:
+        """Hold the current run to a wall-clock ``deadline`` (an absolute
+        ``time.perf_counter()`` value) and to ``max_solver_calls`` charges
+        counted from :meth:`begin_run`; ``None`` lifts either limit.
+
+        From then on every charge (:meth:`_charge`) checks both, and every
+        :meth:`is_feasible`, every round of store resolution, every new
+        formula the solver normalises and every round of its case splitter
+        checks the deadline; a trip raises
+        :class:`~repro.smt.budget.BudgetExhausted`.  The engine sets the
+        budget when a run starts and lifts it when the run returns.
+        """
+        self.solver.deadline = deadline
+        if max_solver_calls is None:
+            self._charge_limit = None
+        else:
+            self._charge_limit = self._run_base + max_solver_calls
+            self._limit_reason = (
+                f"solver budget of {max_solver_calls} triple checks exhausted"
+            )
+
+    def _charge(self, carried: bool = False) -> None:
+        """Charge the run one triple check, or one carried memo hit.
+
+        Raises instead when the charge would pass the solver-call cap or the
+        deadline has passed, so no run is ever charged past its cap.
+        """
+        limit = self._charge_limit
+        if limit is not None and self.num_triple_checks + self.num_carried_hits >= limit:
+            raise BudgetExhausted(self._limit_reason)
+        self._check_deadline()
+        if carried:
+            self.num_carried_hits += 1
+        else:
+            self.num_triple_checks += 1
+
+    def _check_deadline(self) -> None:
+        deadline = self.solver.deadline
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExhausted()
 
     def _ask(self, key, hit: bool) -> None:
         """Ledger step of a run on populated tables: charge a hit on an
@@ -336,9 +387,9 @@ class VcChecker:
         decided)."""
         asked = self._run_asked
         if key not in asked:
-            asked.add(key)
             if hit:
-                self.num_carried_hits += 1
+                self._charge(carried=True)
+            asked.add(key)
 
     def asked_keys(self) -> set:
         """The edge/post memo keys the current run has asked so far (empty
@@ -373,7 +424,7 @@ class VcChecker:
         self, pre: Formula, commands: Sequence[Command], post: Formula
     ) -> bool:
         """Validity of ``{pre} commands {post}``."""
-        self.num_triple_checks += 1
+        self._charge()
         if isinstance(post, type(TRUE)) and post == TRUE:
             return True
         key = (pre, tuple(commands), post)
@@ -434,7 +485,7 @@ class VcChecker:
             edge = self._prepare_edge(state, transition)
             # Mirrors check_triple(pre, commands, FALSE) — one Hoare-triple
             # check against the memo both oracles share.
-            self.num_triple_checks += 1
+            self._charge()
             triple_key = (pre, tuple(transition.commands), FALSE)
             unsat = self._cache_get(self._triple_cache, triple_key)
             if unsat is not None:
@@ -536,7 +587,7 @@ class VcChecker:
         pre_ssa = rename_to_versions(self.state_formula(state), {}, {})
         core = conjoin([pre_ssa, translation.formula()])
         core = skolemize_negative(core, self._fresh)
-        core = resolve_stores(core, translation.stores)
+        core = resolve_stores(core, translation.stores, self.solver.deadline)
         quantified = not quantifier_free(core)
         context: Optional[SolverContext] = None
         base_failed = False
@@ -561,7 +612,7 @@ class VcChecker:
         """One predicate of a batch, with scalar-identical memo behaviour."""
         # Budget fidelity: every decided post is one Hoare-triple check, and
         # both oracles read and write the same triple memo.
-        self.num_triple_checks += 1
+        self._charge()
         if isinstance(predicate, type(TRUE)) and predicate == TRUE:
             return True
         triple_key = (pre, tuple(transition.commands), predicate)
@@ -581,7 +632,9 @@ class VcChecker:
             verdict = True
         else:
             assumption = resolve_stores(
-                skolemize_negative(negated, self._fresh), translation.stores
+                skolemize_negative(negated, self._fresh),
+                translation.stores,
+                self.solver.deadline,
             )
             if not quantifier_free(assumption):
                 verdict = self._scalar_fallback(edge, negated)
@@ -622,6 +675,7 @@ class VcChecker:
         self, commands: Sequence[Command], pre: Formula = TRUE
     ) -> PathFeasibility:
         """Is there a concrete execution of ``commands`` from a ``pre`` state?"""
+        self._check_deadline()
         self.num_feasibility_checks += 1
         translation = self._translate(commands)
         pre_ssa = rename_to_versions(pre, {}, {})
@@ -640,7 +694,7 @@ class VcChecker:
     def _prepare(self, obligation: Formula, translation: SsaTranslation) -> Formula:
         """Skolemise, resolve stores and instantiate quantifiers."""
         skolemized = skolemize_negative(obligation, self._fresh)
-        resolved = resolve_stores(skolemized, translation.stores)
+        resolved = resolve_stores(skolemized, translation.stores, self.solver.deadline)
         instantiated = instantiate_positive(resolved)
         return instantiated
 

@@ -271,7 +271,6 @@ def _oracle_portfolio(function, options):
     checker = VcChecker()
     portfolio = PortfolioEngine(
         build_program(function),
-        mode="round-robin",
         strategy=options.strategy,
         budget=options.budget(),
         checker=checker,

@@ -56,7 +56,6 @@ class TestVerifierOptions:
         [
             {"refiner": "alchemy"},
             {"strategy": "a-star"},
-            {"portfolio_mode": "tournament"},
             {"portfolio_refiners": ()},
             {"portfolio_refiners": ("portfolio",)},
             {"max_refinements": -1},
@@ -64,7 +63,6 @@ class TestVerifierOptions:
             {"max_seconds": -0.5},
             {"max_solver_calls": 0},
             {"slice_refinements": 0},
-            {"slice_seconds": 0.0},
             {"monitor_window": 1},
             {"max_predicates_per_location": 0},
         ],
@@ -81,7 +79,6 @@ class TestVerifierOptions:
             max_nodes=None,
             max_seconds=1.5,
             incremental=False,
-            portfolio_mode="round-robin",
             portfolio_refiners=("path-formula",),
             max_predicates_per_location=9,
             warm_start=False,
@@ -223,7 +220,7 @@ class TestResultSchema:
         assert doc["witness"] == {}
 
     def test_portfolio_result_document(self):
-        options = VerifierOptions(refiner="portfolio", portfolio_mode="round-robin")
+        options = VerifierOptions(refiner="portfolio")
         doc = Session(options).run("lock_step").to_json()
         self._check(doc, "safe")
         assert doc["portfolio"]["winner"] in ("path-invariant", "path-formula")
@@ -366,9 +363,7 @@ class TestWarmStart:
         assert predicate in seed.snapshot()[rebound_location]
 
     def test_portfolio_warm_start_through_session(self):
-        options = VerifierOptions(
-            refiner="portfolio", portfolio_mode="round-robin", max_refinements=8
-        )
+        options = VerifierOptions(refiner="portfolio", max_refinements=8)
         session = Session(options)
         cold = session.run("double_counter")
         warm = session.run("double_counter")
@@ -486,7 +481,6 @@ class TestSessionScheduling:
         options = VerifierOptions(
             refiner="portfolio",
             portfolio_refiners=("path-invariant",),
-            portfolio_mode="round-robin",
             max_refinements=8,
         )
         docs = Session(options).run_many(["lock_step", "double_counter"], jobs=2)
@@ -557,7 +551,7 @@ class TestWorkerPayload:
     reaches the engine must act there exactly as it does in-process."""
 
     _BASE = {"max_refinements": 8}
-    _ROUND_ROBIN = {**_BASE, "refiner": "portfolio", "portfolio_mode": "round-robin"}
+    _PORTFOLIO = {**_BASE, "refiner": "portfolio"}
     _KEYS = (
         "verdict", "reason", "iterations", "refinements", "predicates",
         "post_decisions", "nodes_reused",
@@ -595,10 +589,10 @@ class TestWorkerPayload:
                 (_BASE, {"max_solver_calls": 20}),
                 (_BASE, {"incremental": False}),
                 (_BASE, {"max_predicates_per_location": 1}),
-                (_BASE, {"refiner": "portfolio", "portfolio_mode": "round-robin"}),
-                (_ROUND_ROBIN, {"slice_refinements": 1}),
-                (_ROUND_ROBIN, {"monitor_window": 2}),
-                (_ROUND_ROBIN, {"portfolio_refiners": ("path-formula",)}),
+                (_BASE, {"refiner": "portfolio"}),
+                (_PORTFOLIO, {"slice_refinements": 1}),
+                (_PORTFOLIO, {"monitor_window": 2}),
+                (_PORTFOLIO, {"portfolio_refiners": ("path-formula",)}),
             ]
         ],
     )
@@ -625,8 +619,7 @@ class TestPerRunAccounting:
 
     def test_portfolio_budget_counts_from_the_portfolio_start(self):
         options = VerifierOptions(
-            refiner="portfolio", portfolio_mode="round-robin",
-            max_solver_calls=400, warm_start=False,
+            refiner="portfolio", max_solver_calls=400, warm_start=False
         )
         assert Session(options).run("lock_step").verdict == Verdict.SAFE
         session = Session(options)

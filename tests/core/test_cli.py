@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,28 @@ class TestVerifyCommand:
         assert run_cli(["verify", "forward", "--options", str(opts)]) == 3
         assert "unknown option keys ['jobs']" in capsys.readouterr().err
 
+    def test_verify_has_no_portfolio_mode_flag(self, capsys):
+        # The portfolio always runs its arms round-robin in-process.
+        with pytest.raises(SystemExit):
+            run_cli(["verify", "forward", "--refiner", "portfolio",
+                     "--portfolio-mode", "round-robin"])
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --portfolio-mode round-robin" in err
+
+    def test_options_file_portfolio_mode_key_is_a_usage_error(self, tmp_path, capsys):
+        opts = tmp_path / "opts.toml"
+        opts.write_text('refiner = "portfolio"\nportfolio_mode = "process"\n')
+        assert run_cli(["verify", "forward", "--options", str(opts)]) == 3
+        assert "unknown option keys ['portfolio_mode']" in capsys.readouterr().err
+
+    def test_max_seconds_ends_in_unknown_with_a_wall_clock_reason(self, capsys):
+        """A run stuck in refinement still stops at its wall-clock budget."""
+        started = time.perf_counter()
+        code = run_cli(["verify", "partition", "--max-seconds", "1", "--json"])
+        assert time.perf_counter() - started < 2.0
+        assert code == 2
+        assert "wall-clock budget exhausted" in json.loads(capsys.readouterr().out)["reason"]
+
     def test_max_predicates_per_location_flag(self, capsys):
         assert run_cli([
             "verify", "forward", "--refiner", "path-formula",
@@ -118,18 +141,14 @@ class TestVerifyCommand:
     def test_portfolio_refiner(self, capsys):
         """--refiner portfolio proves FORWARD, on which path-formula alone
         diverges, and reports the per-refiner breakdown."""
-        assert run_cli([
-            "verify", "forward", "--refiner", "portfolio",
-            "--portfolio-mode", "round-robin",
-        ]) == 0
+        assert run_cli(["verify", "forward", "--refiner", "portfolio"]) == 0
         out = capsys.readouterr().out
         assert "verdict:      safe" in out
         assert "winner=path-invariant" in out
 
     def test_portfolio_json_breakdown(self, capsys):
         assert run_cli([
-            "verify", "double_counter", "--refiner", "portfolio",
-            "--portfolio-mode", "round-robin", "--json",
+            "verify", "double_counter", "--refiner", "portfolio", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "safe"

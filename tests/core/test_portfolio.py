@@ -8,16 +8,16 @@ Three load-bearing properties:
   others, so programs on which one refiner diverges are still proved within
   the shared budget; and
 * portfolio verdicts always equal the winning single refiner's verdict on
-  the equivalence corpus (racing never changes an answer).
+  the equivalence corpus (scheduling never changes an answer).
 
 The resumable-engine semantics the portfolio is built on are covered at the
 bottom: a budget trip with an analysed-but-unrefined counterexample must
 re-enqueue the error obligation (leaving it dangling would let coverage
-drain the frontier into an unchecked SAFE verdict).
+drain the frontier into an unchecked SAFE verdict), and a solver budget
+that trips in any layer must leave the engine resumable.
 """
 
 import json
-import multiprocessing
 from types import SimpleNamespace
 
 import pytest
@@ -36,6 +36,7 @@ from repro.core import (
     make_refiner,
     verify,
 )
+from repro.core import supervision
 from repro.core.refiners import RefinementOutcome
 from repro.lang import PROGRAMS, get_program, get_source
 from repro.logic.formulas import eq
@@ -43,8 +44,15 @@ from repro.logic.terms import LinExpr
 
 from test_engine import EQUIVALENCE_CORPUS
 
-#: The deterministic in-process portfolio.
-ROUND_ROBIN = VerifierOptions(refiner="portfolio", portfolio_mode="round-robin")
+PORTFOLIO = VerifierOptions(refiner="portfolio")
+
+
+def _monitor_of(result, window=3):
+    """A monitor fed every iteration record of a finished run."""
+    monitor = DivergenceMonitor(window)
+    for record in result.iterations:
+        monitor.observe(record)
+    return monitor
 
 
 def _record(cex_length, pivots, predicates_total, frontier_size, progress=True):
@@ -122,14 +130,13 @@ class TestDivergenceMonitor:
             options=VerifierOptions(refiner="path-formula", max_refinements=6),
         )
         assert result.verdict == Verdict.UNKNOWN
-        verdict = DivergenceMonitor.analyze(result.iterations, window=3)
-        assert verdict.diverging
+        assert _monitor_of(result).verdict().diverging
 
     def test_analyze_real_convergent_run(self):
         """The successful path-invariant proof is left alone."""
         result = verify(get_program("forward"), refiner="path-invariant")
         assert result.verdict == Verdict.SAFE
-        assert not DivergenceMonitor.analyze(result.iterations, window=3).diverging
+        assert not _monitor_of(result).verdict().diverging
 
 
 class _StallingRefiner(PathInvariantRefiner):
@@ -173,7 +180,6 @@ class TestDivergenceDemotion:
         portfolio = PortfolioEngine(
             get_source("double_counter"),
             refiners=(PathFormulaRefiner(), _StallingRefiner(delay=4)),
-            mode="round-robin",
             slice_refinements=2,
             monitor_window=3,
         )
@@ -190,7 +196,7 @@ class TestDivergenceDemotion:
         """FORWARD/DOUBLE_COUNTER are proved although path-formula diverges,
         within the same shared refinement budget a single refiner would get."""
         for name in ("forward", "double_counter"):
-            result = verify(get_source(name), options=ROUND_ROBIN)
+            result = verify(get_source(name), options=PORTFOLIO)
             assert result.verdict == Verdict.SAFE, name
             assert result.winner == "path-invariant"
 
@@ -201,7 +207,6 @@ class TestDivergenceDemotion:
             get_source("double_counter"),
             refiners=("path-formula",),
             budget=Budget(max_refinements=8),
-            mode="round-robin",
         )
         result = portfolio.run()
         assert result.verdict == Verdict.UNKNOWN
@@ -217,12 +222,7 @@ class TestPortfolioEquivalence:
 
     @pytest.mark.parametrize("name", PROGRAMS_UNDER_TEST)
     def test_portfolio_verdict_equals_winning_refiner(self, name):
-        portfolio = PortfolioEngine(
-            get_source(name),
-            mode="round-robin",
-            slice_seconds=2.0,
-        )
-        result = portfolio.run()
+        result = PortfolioEngine(get_source(name)).run()
         assert result.winner is not None, result.reason
         single = verify(get_program(name), refiner=result.winner)
         assert result.verdict == single.verdict
@@ -230,7 +230,7 @@ class TestPortfolioEquivalence:
         assert (result.verdict == Verdict.SAFE) == expected_safe
 
     def test_unsafe_witness_is_preserved(self):
-        result = verify(get_source("simple_unsafe"), options=ROUND_ROBIN)
+        result = verify(get_source("simple_unsafe"), options=PORTFOLIO)
         assert result.verdict == Verdict.UNSAFE
         assert result.counterexample is not None
         payload = result.to_json()
@@ -239,62 +239,46 @@ class TestPortfolioEquivalence:
         json.dumps(payload)
 
 
-class TestPortfolioModes:
-    def test_process_race_decides(self):
-        """The process race returns the winning arm's verdict and stats."""
-        portfolio = PortfolioEngine(
-            get_source("forward"),
-            mode="process",
-            budget=Budget(max_seconds=60.0),
-        )
-        result = portfolio.run()
-        assert result.verdict == Verdict.SAFE
-        assert result.mode == "process"
-        assert "race_fallback" not in result.engine_stats
-        assert result.winner == "path-invariant"
-        json.dumps(result.to_json())
-
-    def test_process_race_leaves_no_worker_behind(self):
-        """The path-formula arm diverges on FORWARD, so it is still running
-        when path-invariant wins: its worker must be killed and reaped."""
-        before = set(multiprocessing.active_children())
-        result = PortfolioEngine(
-            get_source("forward"), mode="process", budget=Budget(max_seconds=60.0)
-        ).run()
-        assert result.mode == "process" and result.winner == "path-invariant"
-        by_name = {arm["refiner"]: arm for arm in result.arms}
-        assert by_name["path-formula"]["verdict"] == Verdict.UNKNOWN
-        assert set(multiprocessing.active_children()) - before == set()
-
-    def test_refiner_instances_force_round_robin(self):
+class TestPortfolioSurface:
+    def test_refiner_instances_are_accepted(self):
         portfolio = PortfolioEngine(
             get_source("lock_step"),
             refiners=(PathInvariantRefiner(), "path-formula"),
-            mode="auto",
         )
         result = portfolio.run()
-        assert result.mode == "round-robin"
         assert result.verdict == Verdict.SAFE
+        assert result.to_json()["portfolio"]["mode"] == "round-robin"
 
     def test_single_refiner_portfolio(self):
         result = PortfolioEngine(
-            get_source("lock_step"), refiners=("path-invariant",), mode="auto"
+            get_source("lock_step"), refiners=("path-invariant",)
         ).run()
         assert result.verdict == Verdict.SAFE
         assert result.winner == "path-invariant"
 
-    def test_unknown_refiner_and_mode_rejected(self):
+    def test_unknown_refiner_rejected(self):
         with pytest.raises(ValueError, match="unknown refiner"):
             PortfolioEngine(get_source("lock_step"), refiners=("alchemy",))
-        with pytest.raises(ValueError, match="portfolio mode"):
-            PortfolioEngine(get_source("lock_step"), mode="tournament")
         with pytest.raises(ValueError, match="at least one refiner"):
             PortfolioEngine(get_source("lock_step"), refiners=())
         with pytest.raises(ValueError, match="engine-level"):
             make_refiner("portfolio")
 
+    def test_portfolio_never_starts_a_worker(self, monkeypatch):
+        """The arms run in-process, round-robin: the engine never starts a
+        process, even with the source text at hand and a wall budget."""
+
+        def refuse(slot):
+            raise AssertionError("the portfolio started a worker process")
+
+        monkeypatch.setattr(supervision.WorkerSlot, "acquire", refuse)
+        session = Session(PORTFOLIO.replace(max_seconds=60.0, warm_start=False))
+        result = session.run("forward")
+        assert result.verdict == Verdict.SAFE
+        assert result.winner == "path-invariant"
+
     def test_verify_threads_portfolio(self):
-        result = verify(get_program("lock_step"), options=ROUND_ROBIN)
+        result = verify(get_program("lock_step"), options=PORTFOLIO)
         assert isinstance(result, PortfolioResult)
         assert result.verdict == Verdict.SAFE
 
@@ -304,6 +288,22 @@ class TestPortfolioModes:
         assert [r["verdict"] for r in results] == ["safe", "unsafe"]
         assert all(r["portfolio"]["winner"] for r in results)
         json.dumps(results)
+
+
+#: A bug reachable only after several loop unrollings.
+DEEP_BUG = """
+void deep_bug(int n) {
+  int i, a;
+  assume(n >= 3);
+  i = 0;
+  a = 0;
+  while (i < n) {
+    a = a + 2;
+    i = i + 1;
+  }
+  assert(a != 2 * n);
+}
+"""
 
 
 class TestResumableEngine:
@@ -349,20 +349,7 @@ class TestResumableEngine:
         """Regression guard for the dangling-error-node unsoundness: a bug
         reachable only after several unrollings must still be found when
         every earlier (infeasible) counterexample hit a budget boundary."""
-        deep_bug = """
-        void deep_bug(int n) {
-          int i, a;
-          assume(n >= 3);
-          i = 0;
-          a = 0;
-          while (i < n) {
-            a = a + 2;
-            i = i + 1;
-          }
-          assert(a != 2 * n);
-        }
-        """
-        engine = VerificationEngine(deep_bug, budget=Budget(max_refinements=0))
+        engine = VerificationEngine(DEEP_BUG, budget=Budget(max_refinements=0))
         engine.refiner = make_refiner("path-formula", engine.checker)
         result = engine.run()
         for _ in range(12):
@@ -371,6 +358,34 @@ class TestResumableEngine:
             engine.budget.max_refinements = engine.refinements_done + 1
             result = engine.run(resume=True)
         assert result.verdict == Verdict.UNSAFE
+
+    @pytest.mark.parametrize("name, expected", [("forward", Verdict.SAFE),
+                                                ("deep_bug", Verdict.UNSAFE)])
+    def test_solver_budget_trips_in_every_layer_and_resume(self, name, expected):
+        """Stepped solver budgets trip in exploration, refinement and repair;
+        each trip leaves the engine resumable, and resuming without a budget
+        reaches the unbudgeted verdict.  The cap doubles per step, so every
+        step grants more than the previous attempt spent."""
+        source = DEEP_BUG if name == "deep_bug" else get_source(name)
+        unbudgeted = VerificationEngine(source).run()
+        assert unbudgeted.verdict == expected
+        engine = VerificationEngine(source, budget=Budget(max_solver_calls=5))
+        reasons = []
+        cap = 5
+        while True:
+            engine.budget.max_solver_calls = cap
+            result = engine.run(resume=True)
+            if result.verdict != Verdict.UNKNOWN:
+                break
+            charged = result.iterations[-1].solver_stats
+            assert charged["triple_checks"] + charged["carried_hits"] <= cap
+            assert f"solver budget of {cap} triple checks exhausted" in result.reason
+            reasons.append(result.reason.split(" stopped: ")[0])
+            cap *= 2
+        assert set(reasons) <= {"abstract reachability", "refinement", "ART repair"}
+        assert "refinement" in reasons
+        engine.budget.max_solver_calls = None
+        assert engine.run(resume=True).verdict == expected
 
     def test_resume_after_decision_is_final(self):
         engine = VerificationEngine(get_program("simple_unsafe"))

@@ -203,15 +203,41 @@ class TestIsolation:
         assert light["verdict"] == "safe"
 
     def test_request_timeout_clamps_wall_clock(self):
+        # Each request ends on its clamped wall-clock budget, on its first
+        # attempt: none is killed, so none strikes the circuit breaker.
         service = VerificationService(
             ServiceConfig(workers=1, request_timeout=0.05)
         ).start()
         try:
             with ServiceClient(port=service.port) as client:
-                doc = client.verify("double_counter")
-            assert doc["verdict"] == "unknown"
+                docs = [client.verify("double_counter") for _ in range(4)]
         finally:
             service.stop()
+        for doc in docs:
+            assert doc["verdict"] == "unknown", doc
+            assert "wall-clock budget exhausted" in doc["reason"]
+            assert doc.get("attempts", 1) == 1
+            assert "failure" not in doc and "failures" not in doc
+
+    def test_request_timeout_lets_the_engine_use_its_budget(self):
+        # A request still running refinements at its clamped max_seconds
+        # is stopped by the engine, not killed by the supervisor.
+        service = VerificationService(
+            ServiceConfig(workers=1, request_timeout=2.0)
+        ).start()
+        try:
+            with ServiceClient(port=service.port, timeout=120.0) as client:
+                doc = client.verify(
+                    "initcheck_buggy", options={"max_refinements": 30}
+                )
+            totals = service.statistics()["service"]["supervision"]
+        finally:
+            service.stop()
+        assert doc["verdict"] == "unknown", doc
+        assert "wall-clock" in doc["reason"]
+        assert doc.get("attempts", 1) == 1
+        assert "failures" not in doc
+        assert totals["timeouts"] == 0
 
 
 class TestDrain:

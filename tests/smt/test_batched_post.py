@@ -86,8 +86,7 @@ class TestEngineEquivalence:
             checker = VcChecker(batched_posts=batched)
             portfolio = PortfolioEngine(
                 get_source("forward"),
-                mode="round-robin",
-                budget=Budget(max_refinements=8),
+                    budget=Budget(max_refinements=8),
                 checker=checker,
             )
             results[batched] = portfolio.run()
