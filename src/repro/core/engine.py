@@ -263,9 +263,10 @@ class Result:
                                 through a :class:`~repro.core.api.Session`)
         ``per_iteration``       one record per iteration (nodes, posts,
                                 counterexample length/feasibility, repair)
-        ``witness``             (unsafe only) the counterexample's model as
-                                strings; ``{}`` when the failing path needs
-                                no input values
+        ``witness``             (unsafe only) the counterexample's model of
+                                the program's (SSA) variables as strings;
+                                ``{}`` when the failing path needs no input
+                                values
         ``solver``              solver/checker counters of this run
         ``portfolio``           (portfolio only) mode (always
                                 ``round-robin``), winner, per-arm reports
@@ -311,8 +312,12 @@ class Result:
         if self.failure is not None:
             payload["failure"] = self.failure
         if self.counterexample is not None and self.counterexample.model is not None:
+            # Solver-made names (read values, flattened reads) carry a '#',
+            # which the lexer rejects: they are never program variables.
             payload["witness"] = {
-                str(var): str(value) for var, value in self.counterexample.model.items()
+                str(var): str(value)
+                for var, value in self.counterexample.model.items()
+                if "#" not in var.name
             }
         if self.iterations and self.iterations[-1].solver_stats:
             payload["solver"] = self.iterations[-1].solver_stats

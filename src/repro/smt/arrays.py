@@ -4,9 +4,12 @@ Two mechanisms live here.
 
 1. :func:`resolve_stores` performs the *read-over-write* case split of
    Section 4.2 of the paper on the formula level: a read ``a1[t]`` where
-   ``a1 = store(a0, i, v)`` is replaced by the disjunction of the two cases
-   ``t = i`` (the read returns the written value ``v``) and ``t != i`` (the
-   read falls through to ``a0[t]``).
+   ``a1 = store(a0, i, v)`` becomes a value variable ``r`` with the
+   definition ``(t = i ∧ r = v) ∨ (t ≠ i ∧ r = a0[t])`` — either the read
+   returns the written value ``v`` or it falls through to ``a0[t]``.  One
+   variable per distinct read and one definition per store it passes keep
+   the formula linear in reads × stores; copying the formula into a hit and
+   a miss branch per read would double it with every read.
 
 2. :class:`CubeSolver` decides conjunctions that still contain reads of
    *base* (store-free) arrays.  Reads are treated as applications of
@@ -40,7 +43,7 @@ from ..logic.formulas import (
     conjoin,
     disjoin,
     eq,
-    ne,
+    negate,
 )
 from ..logic.terms import ArrayRead, LinExpr, Var
 from ..logic.transform import FreshNames
@@ -99,50 +102,136 @@ def _collect_ground_reads(formula: Formula, out: set[ArrayRead]) -> None:
 def resolve_stores(
     formula: Formula, stores: dict[str, Store], deadline: Optional[float] = None
 ) -> Formula:
-    """Eliminate reads of written-to array versions by case splitting.
+    """Eliminate reads of written-to array versions by read-over-write definitions.
 
     ``stores`` maps an array symbol to the store that defines it; symbols not
-    in the map are base arrays.  The result contains only reads of base
-    arrays (outside quantifiers); reads under quantifiers are expected to
-    target base arrays already.
+    in the map are base arrays.  Each distinct ground read ``a@k[t]`` of a
+    written version gets one value variable ``r``, named from the read itself
+    (``sel#a@k[t]``: the lexer rejects ``#``, so no program variable clashes,
+    and the same read gets the same variable in every formula).  For
+    ``a@k = store(a@(k-1), i, v)`` the result conjoins one definition
+    ``(t = i ∧ r = v) ∨ (t ≠ i ∧ r = r')``, where ``r'`` is the value of
+    ``a@(k-1)[t]``: another value variable, or the base read itself.  When
+    ``t = i`` holds or fails syntactically, the read takes ``v`` or ``r'``
+    outright.  Read indices, store indices and stored values are resolved
+    first, innermost reads first; the SSA store chain is acyclic, so this
+    terminates.  The result grows with reads × stores and contains only reads
+    of base arrays outside quantifiers.  Quantifier bodies get the read →
+    value mapping through ``substitute_reads``; their reads at the bound
+    index are expected to target base arrays already.
 
-    Each split doubles the formula, so each round costs about twice the last
-    one and cannot be interrupted.  With a ``deadline`` (an absolute
-    ``time.perf_counter()`` value) a round that could not finish in time —
-    twice the last round, plus about as much again to normalise the result
-    for the solver — is not started:
-    :class:`~repro.smt.budget.BudgetExhausted` is raised instead.
+    With a ``deadline`` (an absolute ``time.perf_counter()`` value) each new
+    definition checks it and raises
+    :class:`~repro.smt.budget.BudgetExhausted` once it has passed.
     """
-    previous = None
-    for _ in range(10_000):
-        if deadline is not None:
-            now = time.perf_counter()
-            last_round = now - previous if previous is not None else 0.0
-            if now + 3 * last_round > deadline:
-                raise BudgetExhausted()
-            previous = now
-        target = _find_stored_read(formula, stores)
-        if target is None:
-            return formula
-        store = stores[target.array]
-        hit = formula.substitute_reads({target: store.value})
-        miss = formula.substitute_reads(
-            {target: LinExpr.make({ArrayRead(store.base, target.index): 1})}
-        )
-        formula = disjoin(
-            [
-                conjoin([eq(target.index, store.index), hit]),
-                conjoin([ne(target.index, store.index), miss]),
-            ]
-        )
-    raise RuntimeError("store resolution did not terminate")
+    if not stores:
+        return formula
+    resolver = _StoreResolver(stores, deadline)
+    resolved = resolver.formula(formula)
+    if resolver.quantified and resolved is not formula:
+        resolved = resolved.substitute_reads(resolver.values)
+    if not resolver.definitions:
+        return resolved
+    return conjoin([resolved, *resolver.definitions])
 
 
-def _find_stored_read(formula: Formula, stores: dict[str, Store]) -> Optional[ArrayRead]:
-    for read in sorted(ground_reads(formula), key=str):
-        if read.array in stores:
-            return read
-    return None
+class _StoreResolver:
+    """One :func:`resolve_stores` walk, memoised on the interned nodes."""
+
+    def __init__(self, stores: dict[str, Store], deadline: Optional[float]) -> None:
+        self.stores = stores
+        self.deadline = deadline
+        #: read (as written, or with its index resolved) -> its value
+        self.values: dict[ArrayRead, LinExpr] = {}
+        #: one read-over-write definition per value variable, innermost first
+        self.definitions: list[Formula] = []
+        #: whether the walk passed a quantifier, whose body it leaves alone
+        self.quantified = False
+        self._formulas: dict[Formula, Formula] = {}
+        self._exprs: dict[LinExpr, LinExpr] = {}
+
+    def formula(self, formula: Formula) -> Formula:
+        resolved = self._formulas.get(formula)
+        if resolved is not None:
+            return resolved
+        resolved = formula
+        if isinstance(formula, Atom):
+            expr = self.expr(formula.expr)
+            if expr is not formula.expr:
+                resolved = Atom(expr, formula.rel)
+        elif isinstance(formula, (And, Or)):
+            args = [self.formula(arg) for arg in formula.args]
+            if any(new is not old for new, old in zip(args, formula.args)):
+                resolved = conjoin(args) if isinstance(formula, And) else disjoin(args)
+        elif isinstance(formula, Not):
+            arg = self.formula(formula.arg)
+            if arg is not formula.arg:
+                resolved = negate(arg)
+        elif isinstance(formula, Forall):
+            self.quantified = True
+        self._formulas[formula] = resolved
+        return resolved
+
+    def expr(self, expr: LinExpr) -> LinExpr:
+        resolved = self._exprs.get(expr)
+        if resolved is None:
+            resolved = expr
+            if expr.array_reads():
+                mapping = {
+                    atom: self.read(atom)
+                    for atom, _ in expr.terms
+                    if isinstance(atom, ArrayRead)
+                }
+                resolved = expr.substitute_reads(mapping)
+            self._exprs[expr] = resolved
+        return resolved
+
+    def read(self, read: ArrayRead) -> LinExpr:
+        """The value of a ground read: its index resolved, then selected."""
+        value = self.values.get(read)
+        if value is None:
+            value = self.select(read.array, self.expr(read.index))
+            self.values[read] = value
+        return value
+
+    def select(self, array: str, index: LinExpr) -> LinExpr:
+        """The value of ``array[index]`` for an already resolved ``index``."""
+        # Walk down the store chain (a loop, so a long path cannot exhaust
+        # the recursion limit) to a version whose value at ``index`` is
+        # known, then define the reads above it, innermost first.
+        passed: list[tuple[ArrayRead, Store, Atom]] = []
+        while True:
+            read = ArrayRead(array, index)
+            store = self.stores.get(array)
+            if store is None:
+                value = LinExpr.make({read: 1})
+                break
+            value = self.values.get(read)
+            if value is not None:
+                break
+            hit = eq(index, self.expr(store.index))
+            if hit.is_trivially_true():
+                value = self.expr(store.value)
+                self.values[read] = value
+                break
+            passed.append((read, store, hit))
+            array = store.base
+        for read, store, hit in reversed(passed):
+            if not hit.is_trivially_false():
+                if self.deadline is not None and time.perf_counter() > self.deadline:
+                    raise BudgetExhausted()
+                older = value
+                value = LinExpr.make({Var(f"sel#{read}"): 1})
+                self.definitions.append(
+                    disjoin(
+                        [
+                            conjoin([hit, eq(value, self.expr(store.value))]),
+                            conjoin([hit.negated(), eq(value, older)]),
+                        ]
+                    )
+                )
+            self.values[read] = value
+        return value
 
 
 def flatten_reads(

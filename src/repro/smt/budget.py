@@ -4,11 +4,11 @@ A run's wall-clock deadline and solver-call cap live on its
 :class:`~repro.smt.vcgen.VcChecker`
 (:meth:`~repro.smt.vcgen.VcChecker.set_budget`), which checks them where the
 work happens: at every charged triple check, at path-feasibility entry,
-before the solver normalises a new formula, in each round of store
-resolution (:func:`~repro.smt.arrays.resolve_stores`) and in each round of
-the solver's case splitter.  A trip raises :class:`BudgetExhausted`; the
-engine turns it into an UNKNOWN verdict that names the layer and the
-exception's reason.
+before the solver normalises a new formula, at each new read-over-write
+definition of store resolution (:func:`~repro.smt.arrays.resolve_stores`)
+and in each round of the solver's case splitter.  A trip raises
+:class:`BudgetExhausted`; the engine turns it into an UNKNOWN verdict that
+names the layer and the exception's reason.
 """
 
 from __future__ import annotations

@@ -525,8 +525,8 @@ class SmtSolver:
         """The memoised simplify+NNF pass shared with :class:`SolverContext`."""
         normalised = self._normal_form.get(formula)
         if normalised is None:
-            # Both passes walk the whole formula, which store resolution can
-            # leave exponentially large: check the run's deadline first.
+            # Both passes walk the whole formula: check the run's deadline
+            # first.
             if self.deadline is not None and time.perf_counter() > self.deadline:
                 raise BudgetExhausted()
             normalised = to_nnf(simplify(formula))

@@ -6,7 +6,7 @@ that is, where each assignment to a variable is given a fresh name"
 (Section 2.1 of the paper).  This module performs that translation for
 sequences of primitive commands and also tracks array writes as a chain of
 symbolic ``store`` records, which the array machinery later eliminates by
-case splitting.
+read-over-write definitions.
 """
 
 from __future__ import annotations

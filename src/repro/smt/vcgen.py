@@ -20,7 +20,7 @@ semantic questions about straight-line code:
 Both ``pre`` and ``post`` may contain universally quantified conjuncts of the
 array-property fragment.  The pipeline follows Section 4.2 of the paper:
 skolemise the negated post-condition, resolve array writes by read-over-write
-case splits, instantiate quantified hypotheses at the read index terms, and
+definitions, instantiate quantified hypotheses at the read index terms, and
 discharge the resulting quantifier-free obligation with the SMT solver.
 
 The batched abstract-post oracle
@@ -346,8 +346,8 @@ class VcChecker:
         counted from :meth:`begin_run`; ``None`` lifts either limit.
 
         From then on every charge (:meth:`_charge`) checks both, and every
-        :meth:`is_feasible`, every round of store resolution, every new
-        formula the solver normalises and every round of its case splitter
+        :meth:`is_feasible`, every new definition of store resolution, every
+        new formula the solver normalises and every round of its case splitter
         checks the deadline; a trip raises
         :class:`~repro.smt.budget.BudgetExhausted`.  The engine sets the
         budget when a run starts and lifts it when the run returns.

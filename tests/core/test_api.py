@@ -219,6 +219,25 @@ class TestResultSchema:
         assert doc["per_iteration"][-1]["counterexample_feasible"] is True
         assert doc["witness"] == {}
 
+    @pytest.mark.parametrize(
+        "source,witness",
+        [
+            (
+                "forward_buggy",
+                {"a@1": "0", "a@2": "1", "b@1": "0", "b@2": "2", "i@1": "0",
+                 "i@2": "1", "n@0": "1"},
+            ),
+            ("simple_unsafe", {"x@0": "0", "y@1": "-1"}),
+            ("array_init_buggy", {"i@1": "0", "i@2": "1", "i@3": "0", "n@0": "1"}),
+            ("void f(int a[], int x) { assert(a[x] != 3); }", {}),
+        ],
+    )
+    def test_witness_names_program_variables_only(self, source, witness):
+        """Read values and flattened reads are solver-made ``#`` names."""
+        doc = Session(VerifierOptions(max_refinements=8)).run(source).to_json()
+        self._check(doc, "unsafe")
+        assert doc["witness"] == witness
+
     def test_portfolio_result_document(self):
         options = VerifierOptions(refiner="portfolio")
         doc = Session(options).run("lock_step").to_json()

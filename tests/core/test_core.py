@@ -212,6 +212,18 @@ class TestVerify:
         result = verify(get_program("array_init_buggy"), options=VerifierOptions(max_refinements=4))
         assert result.verdict == Verdict.UNSAFE
 
+    @pytest.mark.parametrize(
+        "expected,verdicts",
+        [(4, {Verdict.UNSAFE}), (5, {Verdict.SAFE, Verdict.UNKNOWN})],
+    )
+    def test_read_at_an_index_read_from_a_written_array(self, expected, verdicts):
+        source = (
+            "void f(int a[]) { a[0] = 1; a[1] = 5; "
+            f"assert(a[a[0]] == {expected}); }}"
+        )
+        result = verify(source, options=VerifierOptions(max_refinements=4))
+        assert result.verdict in verdicts, result.reason
+
 
 # ----------------------------------------------------------------------
 # Exploration order and the frame rule

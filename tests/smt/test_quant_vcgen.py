@@ -82,6 +82,25 @@ class TestStoreResolution:
         )
         assert not SmtSolver().is_sat(resolve_stores(formula, stores))
 
+    def test_nested_and_stored_reads_of_written_versions(self):
+        # a@2[a@2[0]]: the index itself reads a written version.
+        stores = {
+            "a@1": Store("a@0", const(0), const(1)),
+            "a@2": Store("a@1", const(1), const(5)),
+        }
+        nested = read("a@2", read("a@2", const(0)))
+        solver = SmtSolver()
+        assert not solver.is_sat(resolve_stores(ne(nested, const(5)), stores))
+        assert solver.is_sat(resolve_stores(eq(nested, const(5)), stores))
+        # b@1 = store(b@0, j, a@1[i]): the stored value reads a written version.
+        stores = {
+            "a@1": Store("a@0", var("i"), const(7)),
+            "b@1": Store("b@0", var("j"), read("a@1", var("i"))),
+        }
+        resolved = resolve_stores(ne(read("b@1", var("j")), const(7)), stores)
+        assert not solver.is_sat(resolved)
+        assert {r.array for r in ground_reads(resolved)} <= {"a@0", "b@0"}
+
     def test_ground_reads_skips_quantified(self):
         formula = conjoin(
             [eq(read("a", var("i")), 0), Forall(Var("k"), eq(read("a", var("k")), 0))]
