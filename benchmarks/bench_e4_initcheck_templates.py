@@ -11,7 +11,7 @@ import pytest
 
 from common import first_counterexample, record, run_once
 from repro.core import PathInvariantRefiner, Precision, build_path_program
-from repro.core.predabs import AbstractReachability
+from repro.core.predabs import Art
 from repro.invgen import PathInvariantSynthesizer
 from repro.invgen.postcond import make_range_forall
 from repro.lang import get_program
@@ -24,12 +24,12 @@ def _initcheck_path_program():
     program = get_program("initcheck")
     checker = VcChecker()
     precision = Precision()
-    reach = AbstractReachability(program, checker)
     refiner = PathInvariantRefiner(checker)
     # The first counterexample skips the loops; refine once to obtain the
     # counterexample that traverses both loops (the one shown in Figure 2(b)).
-    refiner.refine(program, reach.run(precision).counterexample, precision)
-    path = reach.run(precision).counterexample
+    first = Art(program, checker).explore(precision, 4000).counterexample
+    refiner.refine(program, first, precision)
+    path = Art(program, checker).explore(precision, 4000).counterexample
     return build_path_program(program, path).program
 
 

@@ -27,7 +27,7 @@ speedup is never bought with a changed answer.
 
 import pytest
 
-from common import record, run_once
+from common import record, restart_run, run_once
 from repro.core import Verdict, VerifierOptions, verify
 from repro.lang import PROGRAMS, get_program
 
@@ -35,7 +35,7 @@ from repro.lang import PROGRAMS, get_program
 def run_both(name, max_refinements):
     options = VerifierOptions(max_refinements=max_refinements)
     incremental = verify(get_program(name), options=options)
-    restart = verify(get_program(name), options=options.replace(incremental=False))
+    restart = restart_run(name, options)
     return incremental, restart
 
 

@@ -9,7 +9,7 @@ the result (who proves what, with how many refinements), not micro-timings.
 
 from __future__ import annotations
 
-from repro.core import AbstractReachability, Precision, build_path_program
+from repro.core import Art, Precision, VerificationEngine, build_path_program, make_refiner
 from repro.lang import get_program
 from repro.smt.vcgen import VcChecker
 
@@ -32,10 +32,24 @@ def run_once(benchmark, function, *args, **kwargs):
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
+def restart_run(name, options):
+    """Run the restart-the-world reference engine (a fresh ART after every
+    refinement) on a built-in under ``options``, on a fresh checker."""
+    checker = VcChecker()
+    return VerificationEngine(
+        get_program(name),
+        refiner=make_refiner(options.refiner, checker),
+        checker=checker,
+        strategy=options.strategy,
+        budget=options.budget(),
+        incremental=False,
+    ).run()
+
+
 def first_counterexample(program, precision=None, checker=None):
     """The first abstract counterexample under the given precision."""
     checker = checker or VcChecker()
-    outcome = AbstractReachability(program, checker).run(precision or Precision())
+    outcome = Art(program, checker).explore(precision or Precision(), 4000)
     assert outcome.counterexample is not None
     return outcome.counterexample
 
@@ -44,9 +58,8 @@ def looping_counterexample(program, refiner, checker=None, max_rounds=4):
     """Refine until the abstract counterexample traverses a loop, and return it."""
     checker = checker or VcChecker()
     precision = Precision()
-    reach = AbstractReachability(program, checker)
     for _ in range(max_rounds):
-        outcome = reach.run(precision)
+        outcome = Art(program, checker).explore(precision, 4000)
         assert outcome.counterexample is not None
         path = outcome.counterexample
         visited = [path[0].source] + [t.target for t in path]

@@ -71,6 +71,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import Session, VerifierOptions  # noqa: E402  (path set up above)
 from repro.core import PortfolioEngine  # noqa: E402
 from repro.lang import get_source  # noqa: E402
+from common import restart_run  # noqa: E402
 
 #: Programs of the engine section, with per-program refinement budgets (the
 #: divergent ones are capped where rounds get solver-expensive).
@@ -130,19 +131,21 @@ def run_pytest_section() -> list[dict]:
 def run_engine_section() -> list[dict]:
     """Direct incremental-vs-restart runs with reuse and solver counters.
 
-    Every run uses a fresh cold session: the two modes must not share memo
-    caches or warm-start seeds, or the comparison (and the per-run solver
-    counters) would be polluted.
+    Every run starts cold on a fresh checker (the incremental run in a fresh
+    session, the restart reference on the engine directly): the two modes
+    must not share memo caches or warm-start seeds, or the comparison (and
+    the per-run solver counters) would be polluted.
     """
     records = []
     for name, max_refinements in ENGINE_PROGRAMS:
         row: dict = {"program": name, "max_refinements": max_refinements}
-        for mode, label in ((True, "incremental"), (False, "restart")):
-            options = VerifierOptions(
-                max_refinements=max_refinements, incremental=mode, warm_start=False
-            )
+        options = VerifierOptions(max_refinements=max_refinements, warm_start=False)
+        for label in ("incremental", "restart"):
             started = time.perf_counter()
-            result = Session(options).run(name)
+            if label == "incremental":
+                result = Session(options).run(name)
+            else:
+                result = restart_run(name, options)
             solver = result.iterations[-1].solver_stats or {}
             row[label] = {
                 "verdict": result.verdict,

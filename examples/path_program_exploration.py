@@ -8,7 +8,7 @@ path-invariant synthesizer on it, and prints the resulting invariant map.
 Run with:  python examples/path_program_exploration.py
 """
 
-from repro.core import AbstractReachability, Precision, build_path_program
+from repro.core import Art, Precision, build_path_program
 from repro.invgen import PathInvariantSynthesizer
 from repro.lang import format_path, format_program, get_program
 from repro.smt.vcgen import VcChecker
@@ -20,7 +20,7 @@ def main() -> None:
     print(format_program(program))
 
     checker = VcChecker()
-    outcome = AbstractReachability(program, checker).run(Precision())
+    outcome = Art(program, checker).explore(Precision(), 4000)
     assert outcome.counterexample is not None
     print("\n=== First abstract counterexample (cf. Figure 1b) ===")
     print(format_path(outcome.counterexample))

@@ -11,7 +11,7 @@ Run with:  python examples/template_synthesis.py
 
 import time
 
-from repro.core import AbstractReachability, PathFormulaRefiner, Precision, build_path_program
+from repro.core import Art, PathFormulaRefiner, Precision, build_path_program
 from repro.invgen import FarkasEngine, cutpoints, equality_template
 from repro.lang import get_program
 from repro.logic.terms import Var
@@ -22,10 +22,9 @@ def forward_path_program():
     program = get_program("forward")
     checker = VcChecker()
     precision = Precision()
-    reach = AbstractReachability(program, checker)
     refiner = PathFormulaRefiner()
     while True:
-        outcome = reach.run(precision)
+        outcome = Art(program, checker).explore(precision, 4000)
         assert outcome.counterexample is not None
         path = outcome.counterexample
         visited = [path[0].source] + [t.target for t in path]

@@ -105,11 +105,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "path-formula refiner's array-predicate flood; default: unbounded)",
     )
     parser.add_argument(
-        "--restart", action="store_true",
-        help="rebuild the ART from scratch after every refinement "
-        "(the baseline the incremental engine is benchmarked against)",
-    )
-    parser.add_argument(
         "--no-warm-start", action="store_true",
         help="do not seed repeated programs from previously discovered "
         "precisions (batch mode runs every task cold)",
@@ -131,11 +126,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="supervised batch pools: retries granted per task after a "
         "worker crash/hang/error before it settles as a structured "
         "failure record (default: 2)",
-    )
-    parser.add_argument(
-        "--degrade-on-retry", action="store_true",
-        help="supervised batch pools: halve a task's resource budgets on "
-        "each retry (a degraded retry may return a weaker verdict)",
     )
 
 
@@ -163,12 +153,8 @@ def _resolve_options(args: argparse.Namespace) -> VerifierOptions:
         for flag, field in _FLAG_FIELDS.items()
         if getattr(args, flag) is not None
     }
-    if args.restart:
-        overrides["incremental"] = False
     if args.no_warm_start:
         overrides["warm_start"] = False
-    if args.degrade_on_retry:
-        overrides["degrade_on_retry"] = True
     return options.replace(**overrides) if overrides else options
 
 
@@ -610,6 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         "budget to S and kills a worker still running S plus a fixed grace "
         "later (default: none)",
     )
+    # perfbench's daemon workload still passes `--worker-backend process`.
     serve_parser.add_argument(
         "--worker-backend", choices=("process",), default="process",
         help="accepted for compatibility; engine runs always execute in "

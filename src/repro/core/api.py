@@ -65,7 +65,6 @@ from ..smt.vcgen import VcChecker
 from . import faults as _faults
 from .supervision import RetryPolicy, Supervisor
 from .engine import (
-    PORTFOLIO_REFINERS,
     RESULT_SCHEMA_VERSION,
     Budget,
     Result,
@@ -116,7 +115,11 @@ def program_fingerprint(program: Program) -> str:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class VerifierOptions:
-    """Every knob of a verification run, validated at construction.
+    """Every product knob of a verification run, validated at construction.
+
+    The references that tests and benchmarks compare against (restart
+    mode, the scalar abstract post) and the portfolio's tuning are engine
+    and checker constructor arguments, not options.
 
     Instances are frozen (safe to share across tasks and sessions) and
     round-trip losslessly through :meth:`to_dict`/:meth:`from_dict`; the CLI
@@ -139,15 +142,6 @@ class VerifierOptions:
     #: Checker triple-check budget (``None`` = unbounded); a run is never
     #: charged more.
     max_solver_calls: Optional[int] = None
-    #: Keep one persistent ART across refinements (``False`` = the
-    #: restart-the-world baseline).
-    incremental: bool = True
-    #: The refiners a portfolio runs.
-    portfolio_refiners: tuple[str, ...] = PORTFOLIO_REFINERS
-    #: Refinements granted per round-robin slice.
-    slice_refinements: int = 2
-    #: Sliding window of the divergence monitor (>= 2).
-    monitor_window: int = 3
     #: Cap on predicates tracked per location (``None`` = unbounded); bounds
     #: the path-formula refiner's array-predicate flood.
     max_predicates_per_location: Optional[int] = None
@@ -169,17 +163,10 @@ class VerifierOptions:
     #: crash / hang / worker exception) before it settles as verdict
     #: ``unknown`` with a structured ``failure`` record.
     task_retries: int = 2
-    #: Halve a task's resource budgets on each supervised retry.  Off by
-    #: default: a degraded retry may legitimately return a weaker verdict.
-    degrade_on_retry: bool = False
 
     def __post_init__(self) -> None:
-        from .verifier import ENGINE_REFINER_NAMES, REFINER_NAMES
+        from .verifier import ENGINE_REFINER_NAMES
 
-        if not isinstance(self.portfolio_refiners, tuple):
-            object.__setattr__(
-                self, "portfolio_refiners", tuple(self.portfolio_refiners)
-            )
         if self.refiner not in ENGINE_REFINER_NAMES:
             raise ValueError(
                 f"unknown refiner {self.refiner!r}; expected one of {ENGINE_REFINER_NAMES}"
@@ -189,13 +176,6 @@ class VerifierOptions:
                 f"unknown exploration strategy {self.strategy!r}; "
                 f"expected one of {FRONTIER_NAMES}"
             )
-        if not self.portfolio_refiners:
-            raise ValueError("portfolio_refiners must name at least one refiner")
-        for name in self.portfolio_refiners:
-            if name not in REFINER_NAMES:
-                raise ValueError(
-                    f"unknown portfolio refiner {name!r}; expected one of {REFINER_NAMES}"
-                )
         if self.max_refinements < 0:
             raise ValueError(f"max_refinements must be >= 0, got {self.max_refinements}")
         if self.max_nodes is not None and self.max_nodes < 1:
@@ -206,12 +186,6 @@ class VerifierOptions:
             raise ValueError(
                 f"max_solver_calls must be >= 1 or None, got {self.max_solver_calls}"
             )
-        if self.slice_refinements < 1:
-            raise ValueError(
-                f"slice_refinements must be >= 1, got {self.slice_refinements}"
-            )
-        if self.monitor_window < 2:
-            raise ValueError(f"monitor_window must be >= 2, got {self.monitor_window}")
         if (
             self.max_predicates_per_location is not None
             and self.max_predicates_per_location < 1
@@ -247,9 +221,7 @@ class VerifierOptions:
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON/TOML-safe dict; ``from_dict`` inverts it exactly."""
-        payload = dataclasses.asdict(self)
-        payload["portfolio_refiners"] = list(self.portfolio_refiners)
-        return payload
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "VerifierOptions":
@@ -403,12 +375,6 @@ class PrecisionStore:
         """The append-only merge journal next to the snapshot."""
         assert self.path is not None
         return self.path.with_name(self.path.name + ".journal")
-
-    @property
-    def lock_path(self) -> Path:
-        """The stable advisory-lock file next to the snapshot."""
-        assert self.path is not None
-        return self.path.with_name(self.path.name + ".lock")
 
     @staticmethod
     @contextlib.contextmanager
@@ -826,12 +792,11 @@ class Session:
         :class:`~repro.core.supervision.Supervisor`): each worker runs one
         task at a time, so a crash or hang is charged to exactly that task
         and retried with backoff on a fresh worker
-        (``options.task_retries`` / ``options.task_timeout`` /
-        ``options.degrade_on_retry``); when worker processes cannot start
-        at all the batch runs in-process; and a task that exhausts its
-        retries yields verdict ``unknown`` with a structured ``failure``
-        record — no exception ever escapes to the caller, and one bad task
-        never discards its siblings' results.
+        (``options.task_retries`` / ``options.task_timeout``); when worker
+        processes cannot start at all the batch runs in-process; and a task
+        that exhausts its retries yields verdict ``unknown`` with a
+        structured ``failure`` record — no exception ever escapes to the
+        caller, and one bad task never discards its siblings' results.
         """
         normalised = [self._coerce(entry) for entry in tasks]
         if jobs is None:
@@ -878,10 +843,7 @@ class Session:
                 worker=_run_batch_task,
                 jobs=jobs,
                 task_timeout=self.options.task_timeout,
-                retry=RetryPolicy(
-                    max_retries=self.options.task_retries,
-                    degrade=self.options.degrade_on_retry,
-                ),
+                retry=RetryPolicy(max_retries=self.options.task_retries),
             )
             self.last_supervisor = supervisor
             pool_docs = supervisor.run_batch(payloads, keys=keys)

@@ -611,10 +611,6 @@ class PortfolioResult(Result):
     winner: Optional[str] = None
     arms: list[dict[str, Any]] = field(default_factory=list)
 
-    def divergence_verdicts(self) -> dict[str, Any]:
-        """Per-refiner divergence classification (``refiner -> verdict dict``)."""
-        return {arm["refiner"]: arm.get("divergence") for arm in self.arms}
-
     def summary(self) -> str:
         lines = [super().summary(), f"portfolio:    winner={self.winner or '-'}"]
         for arm in self.arms:
@@ -677,7 +673,6 @@ class PortfolioEngine:
         refiners: Sequence[Union[str, Refiner]] = PORTFOLIO_REFINERS,
         strategy: str = "bfs",
         budget: Optional[Budget] = None,
-        incremental: bool = True,
         checker: Optional[VcChecker] = None,
         slice_refinements: int = 2,
         monitor_window: int = 3,
@@ -703,7 +698,6 @@ class PortfolioEngine:
         self.strategy_name = strategy
         make_frontier(strategy, self.program)  # fail fast on unknown names
         self.budget = budget or Budget()
-        self.incremental = incremental
         self.checker = checker or VcChecker()
         self.slice_refinements = max(1, slice_refinements)
         self.monitor_window = monitor_window
@@ -742,7 +736,6 @@ class PortfolioEngine:
                     # The checker is shared, so this is a portfolio-total pool.
                     max_solver_calls=self.budget.max_solver_calls,
                 ),
-                incremental=self.incremental,
                 max_predicates_per_location=self.max_predicates_per_location,
             )
             engine.counters_origin = origin
@@ -851,7 +844,7 @@ class PortfolioEngine:
                     f" [{report['budget_class']}]"
                     for report in reports
                 ),
-                engine_stats={"strategy": self.strategy_name, "incremental": self.incremental},
+                engine_stats={"strategy": self.strategy_name, "incremental": True},
                 winner=None,
                 arms=reports,
             )
@@ -993,13 +986,9 @@ def run_engine(
     if refiner is None and options.refiner == "portfolio":
         return PortfolioEngine(
             program,
-            refiners=options.portfolio_refiners,
             strategy=options.strategy,
             budget=options.budget(),
-            incremental=options.incremental,
             checker=checker,
-            slice_refinements=options.slice_refinements,
-            monitor_window=options.monitor_window,
             initial_precision=seed,
             max_predicates_per_location=options.max_predicates_per_location,
         ).run()
@@ -1013,7 +1002,6 @@ def run_engine(
         checker=checker,
         strategy=options.strategy,
         budget=options.budget(),
-        incremental=options.incremental,
         max_predicates_per_location=options.max_predicates_per_location,
     )
     return engine.run(initial_precision=seed)

@@ -62,7 +62,6 @@ __all__ = [
     "Precision",
     "ArtNode",
     "Art",
-    "AbstractReachability",
     "ReachabilityOutcome",
     "Frontier",
     "BfsFrontier",
@@ -119,9 +118,6 @@ class Precision:
         existing.add(predicate)
         self._journal.append((location, predicate))
         return True
-
-    def add_all(self, location: Location, predicates: Iterable[Formula]) -> int:
-        return sum(1 for predicate in predicates if self.add(location, predicate))
 
     def mark(self) -> int:
         """An opaque journal position for later :meth:`added_since` calls."""
@@ -850,22 +846,6 @@ class Art:
     def num_live_nodes(self) -> int:
         return sum(1 for _ in self.live_nodes())
 
-    def progress_signature(self) -> dict[str, int]:
-        """The cheap per-round signals the divergence monitor consumes.
-
-        A refiner that makes progress shrinks the abstract error frontier
-        over time: coverage kicks in, live nodes stabilise and pending
-        obligations drain.  A diverging refiner (one loop unrolling per
-        refinement) instead grows ``frontier`` and ``nodes_live`` round after
-        round while ``nodes_reused`` stalls relative to ``nodes_created``.
-        """
-        return {
-            "frontier": len(self.frontier),
-            "nodes_live": self.num_live_nodes(),
-            "nodes_created": self.nodes_created,
-            "nodes_reused": self.nodes_reused,
-        }
-
     def statistics(self) -> dict[str, int]:
         return {
             "nodes_created": self.nodes_created,
@@ -928,32 +908,3 @@ class Art:
                     )
         return problems
 
-
-# ----------------------------------------------------------------------
-# The restart-the-world engine (compatibility wrapper / baseline)
-# ----------------------------------------------------------------------
-class AbstractReachability:
-    """Builds a fresh abstract reachability tree under a given precision.
-
-    This is the restart-the-world baseline: each :meth:`run` grows a new
-    :class:`Art` from the initial location.  The incremental engine
-    (:class:`~repro.core.engine.VerificationEngine`) keeps one tree alive
-    across refinements instead.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        checker: Optional[VcChecker] = None,
-        max_nodes: int = 4000,
-    ) -> None:
-        self.program = program
-        self.checker = checker or VcChecker()
-        self.max_nodes = max_nodes
-        #: The tree of the most recent run (inspectable by callers/tests).
-        self.art: Optional[Art] = None
-
-    def run(self, precision: Precision) -> ReachabilityOutcome:
-        """Breadth-first abstract reachability from the initial location."""
-        self.art = Art(self.program, self.checker, BfsFrontier())
-        return self.art.explore(precision, self.max_nodes)

@@ -16,8 +16,7 @@ applies an explicit failure policy:
 * **capped exponential backoff retries** — every crash, timeout and worker
   exception consumes the task's retry budget (:class:`RetryPolicy`), which
   therefore also bounds how often a task's workers are replaced.  Retries
-  run on a fresh worker after a death, optionally with degraded options
-  (halved budgets);
+  run on a fresh worker after a death;
 * **graceful degradation** — when an owned worker cannot be started at all
   (the platform refuses processes), the remaining tasks run in-process
   sequentially.  A borrowed slot never falls back in-process: a task it
@@ -65,18 +64,12 @@ class RetryPolicy:
     ``max_retries`` bounds the failures per task (crash / timeout / worker
     exception).  The backoff before retry ``n`` is
     ``backoff_base * backoff_factor**n`` capped at ``backoff_max`` seconds.
-    With ``degrade`` set, each retry halves the task's resource budgets
-    (``max_nodes`` / ``max_seconds`` / ``max_solver_calls`` and
-    ``max_predicates_per_location`` where set) — off by default because a
-    degraded retry may legitimately return a different (weaker) verdict
-    than the original budget would have.
     """
 
     max_retries: int = 2
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
     backoff_max: float = 1.0
-    degrade: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -544,31 +537,14 @@ class Supervisor:
             self._degrade(list(queue))
 
     def _decorate(self, task: _Supervised) -> dict[str, Any]:
-        """The per-attempt payload: control keys plus optional degradation."""
+        """The per-attempt payload: the task's payload plus control keys."""
         payload = dict(task.payload)
         payload["_attempt"] = task.attempts - 1  # 0-based attempt number
         payload["_task_keys"] = task.keys
         payload["_in_worker"] = True
         if self.fault_plan is not None:
             payload["_faults"] = self.fault_plan.to_payload()
-        if self.retry.degrade and task.failures:
-            payload = self._degraded_payload(payload, len(task.failures))
         return payload
-
-    @staticmethod
-    def _degraded_payload(payload: dict[str, Any], retries: int) -> dict[str, Any]:
-        """Halve the resource budgets in the task's ``options`` once per
-        failed attempt (floor 1)."""
-        factor = 2 ** retries
-        options = dict(payload.get("options") or {})
-        for knob in (
-            "max_nodes", "max_seconds", "max_solver_calls", "max_predicates_per_location"
-        ):
-            value = options.get(knob)
-            if value is not None:
-                halved = value / factor if knob == "max_seconds" else value // factor
-                options[knob] = max(halved, 1)
-        return {**payload, "options": options}
 
     def _fail(
         self,

@@ -77,7 +77,7 @@ def verify(
         which carries its own ``refiner`` field.
     options:
         A :class:`~repro.core.api.VerifierOptions` carrying every other
-        tuning knob (budgets, strategy, incremental mode, ...).  The wall
+        tuning knob (budgets, strategy, warm starts, ...).  The wall
         clock and solver-call budgets hold in every layer of the run; a
         tripped budget ends in verdict ``unknown`` with a reason.
     checker:

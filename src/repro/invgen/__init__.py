@@ -4,7 +4,6 @@ from .cutset import BasicPath, basic_paths, cutpoints
 from .invariant_map import InvariantMap, MapCheckResult, check_invariant_map
 from .candidates import (
     ArrayFacts,
-    CandidatePool,
     collect_array_facts,
     mine_linear_candidates,
     quantified_candidates,
@@ -15,7 +14,6 @@ from .templates import (
     ParamExpr,
     TemplateConjunction,
     equality_template,
-    inequality_template,
 )
 from .farkas import FarkasEngine, FarkasResult
 from .synthesize import PathInvariantSynthesizer, SynthesisOptions, SynthesisResult
@@ -28,7 +26,6 @@ __all__ = [
     "MapCheckResult",
     "check_invariant_map",
     "ArrayFacts",
-    "CandidatePool",
     "collect_array_facts",
     "mine_linear_candidates",
     "quantified_candidates",
@@ -39,7 +36,6 @@ __all__ = [
     "ParamExpr",
     "TemplateConjunction",
     "equality_template",
-    "inequality_template",
     "FarkasEngine",
     "FarkasResult",
     "PathInvariantSynthesizer",

@@ -40,7 +40,6 @@ from ..logic.terms import ArrayRead, LinExpr, Var
 from .postcond import make_range_forall
 
 __all__ = [
-    "CandidatePool",
     "mine_linear_candidates",
     "quantified_candidates",
     "collect_array_facts",
@@ -49,20 +48,6 @@ __all__ = [
 
 #: Bound variable used in every quantified candidate.
 _INDEX = Var("__k")
-
-
-@dataclass
-class CandidatePool:
-    """Candidates proposed for the cut-points of a path program."""
-
-    linear: list[Formula] = field(default_factory=list)
-    quantified: list[Formula] = field(default_factory=list)
-
-    def all(self) -> list[Formula]:
-        return list(self.linear) + list(self.quantified)
-
-    def __len__(self) -> int:
-        return len(self.linear) + len(self.quantified)
 
 
 # ----------------------------------------------------------------------

@@ -11,12 +11,11 @@ that does not pass through a cut-point in between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from ..lang.cfg import Location, Program, Transition
 from ..lang.commands import Command
 
-__all__ = ["BasicPath", "cutpoints", "basic_paths", "entry_paths", "error_paths"]
+__all__ = ["BasicPath", "cutpoints", "basic_paths"]
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,3 @@ def _paths_from(
     explore_exits(source, [], {source})
     return results
 
-
-def entry_paths(program: Program, paths: Iterable[BasicPath]) -> list[BasicPath]:
-    """Basic paths starting at the initial location."""
-    return [p for p in paths if p.source == program.initial]
-
-
-def error_paths(program: Program, paths: Iterable[BasicPath]) -> list[BasicPath]:
-    """Basic paths ending at the error location."""
-    return [p for p in paths if p.target == program.error]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..lang.cfg import Location, Program, Transition
-from ..logic.formulas import FALSE, Formula, TRUE, conjoin, conjuncts
+from ..logic.formulas import FALSE, Formula, TRUE
 from ..smt.vcgen import VcChecker
 
 __all__ = ["InvariantMap", "MapCheckResult", "check_invariant_map"]
@@ -38,12 +38,6 @@ class InvariantMap:
 
     def set(self, location: Location, formula: Formula) -> None:
         self.assertions[location] = formula
-
-    def strengthen(self, location: Location, formula: Formula) -> None:
-        self.assertions[location] = conjoin([self.get(location), formula])
-
-    def conjuncts_at(self, location: Location) -> tuple[Formula, ...]:
-        return conjuncts(self.get(location))
 
     def copy(self) -> "InvariantMap":
         return InvariantMap(self.program, dict(self.assertions))

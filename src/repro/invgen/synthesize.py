@@ -45,6 +45,11 @@ from .templates import TemplateConjunction, equality_template
 
 __all__ = ["SynthesisResult", "PathInvariantSynthesizer", "SynthesisOptions"]
 
+#: Try the wide quantified-candidate grid if the focused grid fails.
+ALLOW_WIDE_QUANTIFIED = True
+#: Upper bound on Houdini candidates per cut-point (safety valve).
+MAX_CANDIDATES = 250
+
 
 @dataclass
 class SynthesisOptions:
@@ -52,10 +57,6 @@ class SynthesisOptions:
 
     #: Try the Farkas template engine for numeric (array-free) path programs.
     use_farkas: bool = True
-    #: Try the wide quantified-candidate grid if the focused grid fails.
-    allow_wide_quantified: bool = True
-    #: Upper bound on Houdini candidates per cut-point (safety valve).
-    max_candidates: int = 250
 
 
 @dataclass
@@ -93,7 +94,7 @@ class PathInvariantSynthesizer:
         cuts = sorted(cutpoints(program), key=lambda l: l.name)
 
         result = self._attempt(program, paths, cuts, wide=False)
-        if not result.success and self.options.allow_wide_quantified and program.arrays:
+        if not result.success and ALLOW_WIDE_QUANTIFIED and program.arrays:
             wide_result = self._attempt(program, paths, cuts, wide=True)
             if wide_result.success:
                 result = wide_result
@@ -150,7 +151,7 @@ class PathInvariantSynthesizer:
     ) -> dict[Location, list[Formula]]:
         linear = mine_linear_candidates(program)
         quantified = quantified_candidates(program, wide=wide)
-        pool = (linear + quantified)[: self.options.max_candidates]
+        pool = (linear + quantified)[:MAX_CANDIDATES]
         return {cut: list(pool) for cut in cuts}
 
     def _farkas_candidates(

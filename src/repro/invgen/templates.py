@@ -23,7 +23,6 @@ __all__ = [
     "LinearTemplate",
     "TemplateConjunction",
     "equality_template",
-    "inequality_template",
 ]
 
 _param_counter = itertools.count()
@@ -128,8 +127,3 @@ class TemplateConjunction:
 def equality_template(variables: Sequence[Var]) -> TemplateConjunction:
     """A single affine-equality template (the paper's first FORWARD attempt)."""
     return TemplateConjunction((LinearTemplate.fresh(variables, Relation.EQ, "c"),))
-
-
-def inequality_template(variables: Sequence[Var]) -> TemplateConjunction:
-    """A single affine-inequality template."""
-    return TemplateConjunction((LinearTemplate.fresh(variables, Relation.LE, "d"),))

@@ -128,12 +128,6 @@ class Program:
     def predecessors(self, location: Location) -> list[Location]:
         return [t.source for t in self.incoming(location)]
 
-    def location_by_name(self, name: str) -> Location:
-        for location in self.locations:
-            if location.name == name:
-                return location
-        raise KeyError(name)
-
     def reachable_locations(self) -> set[Location]:
         """Locations reachable from the initial location in the graph."""
         seen = {self.initial}

@@ -12,7 +12,7 @@ over ``X`` and ``X'``) is recovered by :func:`relation_formula`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..logic.formulas import Atom, Formula, TRUE, conjoin, eq
 from ..logic.terms import ArrayRead, LinExpr, Var
@@ -24,12 +24,8 @@ __all__ = [
     "ArrayAssign",
     "Havoc",
     "Skip",
-    "command_reads",
     "command_writes",
-    "commands_variables",
-    "commands_arrays",
     "relation_formula",
-    "pretty_command",
 ]
 
 
@@ -88,25 +84,6 @@ class Skip(Command):
         return "skip"
 
 
-def command_reads(cmd: Command) -> set[str]:
-    """Names of scalar variables and arrays read by a command."""
-    if isinstance(cmd, Assume):
-        names = {v.name for v in cmd.cond.variables()}
-        names |= cmd.cond.arrays()
-        return names
-    if isinstance(cmd, Assign):
-        names = {v.name for v in cmd.expr.variables()}
-        names |= cmd.expr.arrays()
-        return names
-    if isinstance(cmd, ArrayAssign):
-        names = {v.name for v in cmd.index.variables()} | {
-            v.name for v in cmd.value.variables()
-        }
-        names |= cmd.index.arrays() | cmd.value.arrays()
-        return names
-    return set()
-
-
 def command_writes(cmd: Command) -> set[str]:
     """Names of scalar variables and arrays written by a command."""
     if isinstance(cmd, Assign):
@@ -116,28 +93,6 @@ def command_writes(cmd: Command) -> set[str]:
     if isinstance(cmd, Havoc):
         return set(cmd.vars)
     return set()
-
-
-def commands_variables(cmds: Iterable[Command]) -> set[str]:
-    """All scalar-variable and array names mentioned by a command sequence."""
-    names: set[str] = set()
-    for cmd in cmds:
-        names |= command_reads(cmd) | command_writes(cmd)
-    return names
-
-
-def commands_arrays(cmds: Iterable[Command]) -> set[str]:
-    """Array names mentioned by a command sequence."""
-    arrays: set[str] = set()
-    for cmd in cmds:
-        if isinstance(cmd, ArrayAssign):
-            arrays.add(cmd.array)
-            arrays |= cmd.index.arrays() | cmd.value.arrays()
-        elif isinstance(cmd, Assume):
-            arrays |= cmd.cond.arrays()
-        elif isinstance(cmd, Assign):
-            arrays |= cmd.expr.arrays()
-    return arrays
 
 
 def relation_formula(cmd: Command, frame: Sequence[str] = ()) -> Formula:
@@ -169,8 +124,3 @@ def relation_formula(cmd: Command, frame: Sequence[str] = ()) -> Formula:
         if name not in written:
             parts.append(eq(LinExpr.variable(Var(name).primed()), LinExpr.variable(name)))
     return conjoin(parts)
-
-
-def pretty_command(cmd: Command) -> str:
-    """A single-line rendering used by the CFG pretty printer."""
-    return str(cmd)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 #: Guards every hash-consing intern table in the logic layer (terms *and*
 #: formulas — :mod:`repro.logic.formulas` imports this same lock).  Lookups
@@ -143,14 +143,6 @@ class Var:
     def primed(self) -> "Var":
         """Return the next-state version of this variable."""
         return Var(self.name + "'")
-
-    def is_primed(self) -> bool:
-        return self.name.endswith("'")
-
-    def unprimed(self) -> "Var":
-        if not self.is_primed():
-            return self
-        return Var(self.name.rstrip("'"))
 
 
 class ArrayRead:
@@ -530,10 +522,3 @@ def const(value: Rat) -> LinExpr:
 def read(array: str, index: LinExpr | str | Rat) -> LinExpr:
     """Shorthand for an array-read linear expression."""
     return LinExpr.array_read(array, index)
-
-
-def sum_exprs(exprs: Iterable[LinExpr]) -> LinExpr:
-    total = LinExpr.zero()
-    for expr in exprs:
-        total = total + expr
-    return total

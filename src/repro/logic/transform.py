@@ -12,7 +12,7 @@ guards their worst-case exponential blow-up.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .formulas import (
     FALSE,
@@ -152,8 +152,3 @@ def quantifier_free(formula: Formula) -> bool:
     if isinstance(formula, (And, Or)):
         return all(quantifier_free(arg) for arg in formula.args)
     raise TypeError(f"unexpected formula {formula!r}")
-
-
-def substitute_all(formulas: Iterable[Formula], mapping) -> list[Formula]:
-    """Apply a variable substitution to every formula in a collection."""
-    return [formula.substitute(mapping) for formula in formulas]

@@ -881,9 +881,7 @@ class VerificationService:
                     task_timeout=(
                         None if timeout is None else timeout + REQUEST_TIMEOUT_GRACE_S
                     ),
-                    retry=RetryPolicy(
-                        max_retries=opts.task_retries, degrade=opts.degrade_on_retry
-                    ),
+                    retry=RetryPolicy(max_retries=opts.task_retries),
                     slot=slot,
                 )
                 doc = supervisor.run_batch([payload], keys=[(fingerprint, name)])[0]

@@ -2,10 +2,10 @@
 
 from .linear import LinConstraint, normalize_constraint, tighten_integer
 from .fourier_motzkin import project, satisfiable
-from .simplex import IncrementalSimplex, LPResult, LPStatus, feasible, solve_lp
+from .simplex import IncrementalSimplex
 from .lra import LraResult, LraSolver
 from .arrays import CubeSolver, Store, resolve_stores
-from .quant import eliminate_quantifiers, instantiate_positive, skolemize_negative
+from .quant import instantiate_positive, skolemize_negative
 from .solver import SatResult, SmtSolver, SolverStats
 from .ssa import SsaTranslation, ssa_translate, versioned
 from .vcgen import PathFeasibility, VcChecker
@@ -17,16 +17,11 @@ __all__ = [
     "project",
     "satisfiable",
     "IncrementalSimplex",
-    "LPResult",
-    "LPStatus",
-    "feasible",
-    "solve_lp",
     "LraResult",
     "LraSolver",
     "CubeSolver",
     "Store",
     "resolve_stores",
-    "eliminate_quantifiers",
     "instantiate_positive",
     "skolemize_negative",
     "SatResult",

@@ -1,20 +1,19 @@
 """Fourier–Motzkin elimination over exact rationals.
 
-This module provides the two operations the rest of the library needs from a
-linear-arithmetic engine:
+This module provides two operations:
 
+* :func:`project` — existentially quantify a set of variables away, which is
+  what the strongest-postcondition engine (:mod:`repro.invgen.postcond`)
+  uses it for, and
 * :func:`satisfiable` — decide satisfiability of a conjunction of linear
   constraints over the rationals and, when satisfiable, return a witness
   valuation (reconstructed by back-substitution through the elimination
-  steps), and
-* :func:`project` — existentially quantify a set of variables away, which is
-  used by the strongest-postcondition engine and the polyhedra-lite abstract
-  domain.
+  steps).  No verifier query routes through it: it stays as the independent
+  reference that ``tests/smt/test_fourier_motzkin_simplex.py`` checks the
+  incremental simplex against.
 
 Fourier–Motzkin has worst-case exponential behaviour, but the constraint
-systems produced from path programs are small; the satisfiability entry point
-additionally falls back to the simplex engine when systems grow large (see
-:mod:`repro.smt.lra`).
+systems produced from path programs are small.
 """
 
 from __future__ import annotations

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from ..logic.formulas import Atom, Relation
+from ..logic.formulas import Relation
 from ..logic.terms import LinExpr, Var
 
 __all__ = [
     "LinConstraint",
-    "from_atom",
     "tighten_integer",
     "normalize_constraint",
-    "constraints_variables",
     "is_trivial_true",
     "is_trivial_false",
 ]
@@ -46,13 +43,6 @@ class LinConstraint:
 
     def __str__(self) -> str:
         return f"{self.expr} {self.rel.value} 0"
-
-
-def from_atom(atom: Atom) -> LinConstraint:
-    """Convert a (read-free, non-disequality) atom into a constraint."""
-    if atom.rel is Relation.NE:
-        raise ValueError("disequalities must be split before reaching LinConstraint")
-    return LinConstraint(atom.expr, atom.rel)
 
 
 def normalize_constraint(constraint: LinConstraint) -> LinConstraint:
@@ -115,22 +105,11 @@ def _floor(value: Fraction) -> int:
     return value.numerator // value.denominator
 
 
-def _ceil(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
-
-
 def _gcd(a: int, b: int) -> int:
     a, b = abs(a), abs(b)
     while b:
         a, b = b, a % b
     return a
-
-
-def constraints_variables(constraints: Iterable[LinConstraint]) -> set[Var]:
-    result: set[Var] = set()
-    for constraint in constraints:
-        result |= constraint.variables()
-    return result
 
 
 def is_trivial_true(constraint: LinConstraint) -> bool:

@@ -43,7 +43,6 @@ __all__ = [
     "arrays_under_quantifier",
     "instantiation_terms",
     "instantiate_positive",
-    "eliminate_quantifiers",
 ]
 
 
@@ -150,12 +149,3 @@ def _instantiate_once(formula: Formula, pool: Formula) -> Formula:
         return conjoin(instances)
     raise TypeError(f"unexpected formula {formula!r}")
 
-
-def eliminate_quantifiers(formula: Formula, fresh: FreshNames) -> Formula:
-    """Full pipeline: skolemise negative, instantiate positive quantifiers.
-
-    The result is quantifier-free.  Unsatisfiability of the result implies
-    unsatisfiability of the input.
-    """
-    skolemized = skolemize_negative(formula, fresh)
-    return instantiate_positive(skolemized)

@@ -1,44 +1,26 @@
-"""Exact simplex engines over rationals.
+"""The exact simplex engine over rationals.
 
-Two engines live here.
-
-1. :class:`IncrementalSimplex` — a sparse, incremental feasibility engine in
-   the style of Dutertre and de Moura's "A Fast Linear-Arithmetic Solver for
-   DPLL(T)".  Constraints are asserted as *bounds* on problem or slack
-   variables; the tableau (one row per slack variable, interned by linear
-   form) is persistent, and ``push``/``pop`` only save and restore bounds.
-   This is what makes the lazy case-splitting SMT core cheap: sibling cubes
-   of a case split share the whole tableau prefix and only flip a few bounds.
-   Strict inequalities are handled exactly with delta-rationals
-   ``a + b*delta`` (an infinitesimal positive ``delta``), so no separate
-   Fourier–Motzkin pass is needed for satisfiability.
-
-2. :func:`solve_lp` — the original batch two-phase primal simplex, kept as
-   the LP *optimisation* back end (it supports objectives, which the
-   incremental engine does not need).  Free variables are split into
-   differences of non-negative variables, every row is equipped with a slack
-   or artificial variable so that the all-slack/artificial basis is feasible,
-   and Bland's rule is used for pivot selection, which guarantees
-   termination.
+:class:`IncrementalSimplex` is a sparse, incremental feasibility engine in
+the style of Dutertre and de Moura's "A Fast Linear-Arithmetic Solver for
+DPLL(T)".  Constraints are asserted as *bounds* on problem or slack
+variables; the tableau (one row per slack variable, interned by linear form)
+is persistent, and ``push``/``pop`` only save and restore bounds.  This is
+what makes the lazy case-splitting SMT core cheap: sibling cubes of a case
+split share the whole tableau prefix and only flip a few bounds.  Strict
+inequalities are handled exactly with delta-rationals ``a + b*delta`` (an
+infinitesimal positive ``delta``), so no separate Fourier–Motzkin pass is
+needed for satisfiability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..logic.formulas import Relation
 from ..logic.terms import LinExpr, Var
-from .linear import LinConstraint
 
-__all__ = [
-    "LPStatus",
-    "LPResult",
-    "solve_lp",
-    "feasible",
-    "IncrementalSimplex",
-]
+__all__ = ["IncrementalSimplex"]
 
 # ----------------------------------------------------------------------
 # Delta-rationals: pairs (a, b) denoting a + b*delta for an infinitesimal
@@ -378,261 +360,3 @@ class IncrementalSimplex:
             else:
                 model[variable] = Fraction(a.numerator // a.denominator)
         return model
-
-    def in_conflict(self) -> bool:
-        return self._conflict
-
-
-class LPStatus:
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
-@dataclass
-class LPResult:
-    status: str
-    objective: Optional[Fraction] = None
-    assignment: dict[Var, Fraction] = field(default_factory=dict)
-
-    @property
-    def is_feasible(self) -> bool:
-        return self.status in (LPStatus.OPTIMAL, LPStatus.UNBOUNDED)
-
-
-def solve_lp(
-    constraints: Sequence[LinConstraint],
-    objective: Optional[LinExpr] = None,
-    maximize: bool = True,
-) -> LPResult:
-    """Solve ``max/min objective`` subject to the constraints.
-
-    With ``objective=None`` only feasibility is decided (the returned
-    objective value is then ``0``).  Strict inequalities are rejected; callers
-    either tighten them (integer mode) or use Fourier–Motzkin.
-    """
-    for constraint in constraints:
-        if constraint.rel is Relation.LT:
-            raise ValueError("simplex does not accept strict inequalities")
-
-    variables = sorted({v for c in constraints for v in c.variables()})
-    if objective is not None:
-        variables = sorted(set(variables) | objective.variables())
-    var_index = {v: i for i, v in enumerate(variables)}
-    num_struct = 2 * len(variables)  # x = x+ - x-
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    rels: list[Relation] = []
-    for constraint in constraints:
-        row = [Fraction(0)] * num_struct
-        for atom, coeff in constraint.expr.terms:
-            idx = var_index[atom]  # type: ignore[index]
-            row[2 * idx] += coeff
-            row[2 * idx + 1] -= coeff
-        rows.append(row)
-        rhs.append(-constraint.expr.const)
-        rels.append(constraint.rel)
-
-    # Add slack variables for <= rows.
-    num_slack = sum(1 for rel in rels if rel is Relation.LE)
-    slack_base = num_struct
-    slack_idx = 0
-    for i, rel in enumerate(rels):
-        rows[i] = rows[i] + [Fraction(0)] * num_slack
-        if rel is Relation.LE:
-            rows[i][slack_base + slack_idx] = Fraction(1)
-            slack_idx += 1
-    num_cols = num_struct + num_slack
-
-    # Make all right-hand sides non-negative.
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-value for value in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # Choose a starting basis: a slack column with coefficient +1, otherwise an
-    # artificial variable.
-    basis: list[int] = []
-    artificial_cols: list[int] = []
-    for i in range(len(rows)):
-        basic_col = None
-        for j in range(slack_base, num_cols):
-            if rows[i][j] == 1 and all(
-                rows[k][j] == 0 for k in range(len(rows)) if k != i
-            ):
-                basic_col = j
-                break
-        if basic_col is None:
-            for row in rows:
-                row.append(Fraction(0))
-            rows[i][num_cols] = Fraction(1)
-            basic_col = num_cols
-            artificial_cols.append(num_cols)
-            num_cols += 1
-        basis.append(basic_col)
-
-    # ------------------------------------------------------------------
-    # Phase 1: drive artificial variables to zero.
-    # ------------------------------------------------------------------
-    if artificial_cols:
-        phase1_cost = [Fraction(0)] * num_cols
-        for col in artificial_cols:
-            phase1_cost[col] = Fraction(-1)
-        status, value = _simplex(rows, rhs, basis, phase1_cost)
-        assert status != LPStatus.UNBOUNDED
-        if value < 0:
-            return LPResult(LPStatus.INFEASIBLE)
-        _drive_out_artificials(rows, rhs, basis, artificial_cols, num_struct)
-        # Remove artificial columns (none is basic at a nonzero value now).
-        keep = [j for j in range(num_cols) if j not in set(artificial_cols)]
-        col_map = {old: new for new, old in enumerate(keep)}
-        for i in range(len(rows)):
-            rows[i] = [rows[i][j] for j in keep]
-        new_basis = []
-        surviving_rows = []
-        new_rhs = []
-        for i, b in enumerate(basis):
-            if b in col_map:
-                new_basis.append(col_map[b])
-                surviving_rows.append(rows[i])
-                new_rhs.append(rhs[i])
-            # Rows whose basic variable is still an artificial are redundant
-            # (the artificial sits at value zero in an all-zero row).
-        rows = surviving_rows
-        rhs = new_rhs
-        basis = new_basis
-        num_cols = len(keep)
-
-    # ------------------------------------------------------------------
-    # Phase 2: optimise the real objective (or stop after feasibility).
-    # ------------------------------------------------------------------
-    cost = [Fraction(0)] * num_cols
-    objective_const = Fraction(0)
-    if objective is not None:
-        sign = Fraction(1) if maximize else Fraction(-1)
-        objective_const = objective.const
-        for atom, coeff in objective.terms:
-            idx = var_index[atom]  # type: ignore[index]
-            cost[2 * idx] += sign * coeff
-            cost[2 * idx + 1] -= sign * coeff
-        status, value = _simplex(rows, rhs, basis, cost)
-        if status == LPStatus.UNBOUNDED:
-            return LPResult(LPStatus.UNBOUNDED, None, _assignment(variables, basis, rhs))
-    else:
-        value = Fraction(0)
-
-    assignment = _assignment(variables, basis, rhs)
-    objective_value = None
-    if objective is not None:
-        raw = value if maximize else -value
-        objective_value = raw + objective_const
-    return LPResult(LPStatus.OPTIMAL, objective_value, assignment)
-
-
-def feasible(constraints: Sequence[LinConstraint]) -> Optional[dict[Var, Fraction]]:
-    """Feasibility check; returns a witness assignment or ``None``."""
-    result = solve_lp(constraints, objective=None)
-    if not result.is_feasible:
-        return None
-    return result.assignment
-
-
-def _assignment(
-    variables: Sequence[Var], basis: Sequence[int], rhs: Sequence[Fraction]
-) -> dict[Var, Fraction]:
-    values = {col: rhs[i] for i, col in enumerate(basis)}
-    assignment: dict[Var, Fraction] = {}
-    for idx, variable in enumerate(variables):
-        positive = values.get(2 * idx, Fraction(0))
-        negative = values.get(2 * idx + 1, Fraction(0))
-        assignment[variable] = positive - negative
-    return assignment
-
-
-def _simplex(
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    basis: list[int],
-    cost: list[Fraction],
-) -> tuple[str, Fraction]:
-    """Primal simplex with Bland's rule on an explicitly maintained tableau."""
-    num_rows = len(rows)
-    num_cols = len(cost)
-    while True:
-        basis_set = set(basis)
-        entering = None
-        for j in range(num_cols):
-            if j in basis_set:
-                continue
-            reduced = cost[j] - sum(cost[basis[i]] * rows[i][j] for i in range(num_rows))
-            if reduced > 0:
-                entering = j
-                break
-        if entering is None:
-            value = sum(cost[basis[i]] * rhs[i] for i in range(num_rows))
-            return LPStatus.OPTIMAL, value
-        # Ratio test (Bland's rule tie break: smallest basic variable index).
-        leaving = None
-        best_ratio: Optional[Fraction] = None
-        for i in range(num_rows):
-            coeff = rows[i][entering]
-            if coeff > 0:
-                ratio = rhs[i] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving is None:
-            return LPStatus.UNBOUNDED, Fraction(0)
-        _pivot(rows, rhs, basis, leaving, entering)
-
-
-def _pivot(
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    basis: list[int],
-    pivot_row: int,
-    pivot_col: int,
-) -> None:
-    pivot_value = rows[pivot_row][pivot_col]
-    rows[pivot_row] = [value / pivot_value for value in rows[pivot_row]]
-    rhs[pivot_row] = rhs[pivot_row] / pivot_value
-    for i in range(len(rows)):
-        if i == pivot_row:
-            continue
-        factor = rows[i][pivot_col]
-        if factor == 0:
-            continue
-        rows[i] = [
-            rows[i][j] - factor * rows[pivot_row][j] for j in range(len(rows[i]))
-        ]
-        rhs[i] = rhs[i] - factor * rhs[pivot_row]
-    basis[pivot_row] = pivot_col
-
-
-def _drive_out_artificials(
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    basis: list[int],
-    artificial_cols: list[int],
-    num_real_cols: int,
-) -> None:
-    """Pivot basic artificial variables (at value zero) out of the basis."""
-    artificial = set(artificial_cols)
-    for i in range(len(rows)):
-        if basis[i] not in artificial:
-            continue
-        pivot_col = None
-        for j in range(len(rows[i])):
-            if j in artificial:
-                continue
-            if rows[i][j] != 0:
-                pivot_col = j
-                break
-        if pivot_col is not None:
-            _pivot(rows, rhs, basis, i, pivot_col)
-        # Otherwise the row is redundant; it is dropped by the caller.

@@ -27,11 +27,6 @@ def versioned(name: str, version: int) -> str:
     return f"{name}@{version}"
 
 
-def base_name(name: str) -> str:
-    """Strip an SSA version suffix."""
-    return name.split("@", 1)[0]
-
-
 @dataclass
 class SsaTranslation:
     """Result of translating a command sequence into SSA form."""

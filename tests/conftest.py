@@ -14,6 +14,7 @@ Override the default per test with ``@pytest.mark.timeout(seconds)``.
 import math
 import signal
 import threading
+import warnings
 
 import pytest
 
@@ -31,6 +32,16 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "timeout(seconds): override the per-test SIGALRM budget"
     )
+    # Hypothesis imports its patch writer when an example fails; through
+    # libcst that import warns (mypy_extensions.TypedDict), which the error
+    # policy above turned into an INTERNALERROR that hid the falsifying
+    # example and stopped the session.  Import it once, warnings ignored.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            import hypothesis.extra._patching  # noqa: F401
+        except ImportError:
+            pass
 
 
 @pytest.fixture(scope="session", autouse=True)

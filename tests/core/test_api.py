@@ -15,6 +15,7 @@ Four load-bearing properties:
   strictly less abstract-post work whenever the cold run refined.
 """
 
+import dataclasses
 import json
 import pickle
 
@@ -56,14 +57,10 @@ class TestVerifierOptions:
         [
             {"refiner": "alchemy"},
             {"strategy": "a-star"},
-            {"portfolio_refiners": ()},
-            {"portfolio_refiners": ("portfolio",)},
             {"max_refinements": -1},
             {"max_nodes": 0},
             {"max_seconds": -0.5},
             {"max_solver_calls": 0},
-            {"slice_refinements": 0},
-            {"monitor_window": 1},
             {"max_predicates_per_location": 0},
         ],
     )
@@ -78,21 +75,37 @@ class TestVerifierOptions:
             max_refinements=7,
             max_nodes=None,
             max_seconds=1.5,
-            incremental=False,
-            portfolio_refiners=("path-formula",),
             max_predicates_per_location=9,
             warm_start=False,
         )
         payload = options.to_dict()
         json.dumps(payload)  # the dict form must be JSON-safe
         assert VerifierOptions.from_dict(payload) == options
-        # from_dict also accepts lists where tuples are expected (JSON/TOML).
-        payload["portfolio_refiners"] = list(payload["portfolio_refiners"])
-        assert VerifierOptions.from_dict(payload) == options
 
-    def test_from_dict_rejects_unknown_keys(self):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"refiner": "path-formula", "mood": "hopeful"},
+            # Removed fields: restart mode and the portfolio's tuning are
+            # engine constructor arguments; degraded retries are gone.
+            {"incremental": False},
+            {"portfolio_refiners": ["path-formula"]},
+            {"slice_refinements": 1},
+            {"monitor_window": 2},
+            {"degrade_on_retry": True},
+        ],
+        ids=lambda data: ",".join(data),
+    )
+    def test_from_dict_rejects_unknown_keys(self, data):
         with pytest.raises(ValueError, match="unknown option keys"):
-            VerifierOptions.from_dict({"refiner": "path-formula", "mood": "hopeful"})
+            VerifierOptions.from_dict(data)
+
+    def test_field_names_are_pinned(self):
+        assert [field.name for field in dataclasses.fields(VerifierOptions)] == [
+            "refiner", "strategy", "max_refinements", "max_nodes", "max_seconds",
+            "max_solver_calls", "max_predicates_per_location", "warm_start",
+            "max_cache_entries", "task_timeout", "task_retries",
+        ]
 
     def test_replace_validates(self):
         options = VerifierOptions()
@@ -495,19 +508,6 @@ class TestSessionScheduling:
         warm = session.run("lock_step")
         assert warm.engine_stats["session"]["warm_started"] is True
 
-    def test_run_many_pool_honours_portfolio_options(self):
-        """Pool workers must receive the portfolio knobs, not defaults."""
-        options = VerifierOptions(
-            refiner="portfolio",
-            portfolio_refiners=("path-invariant",),
-            max_refinements=8,
-        )
-        docs = Session(options).run_many(["lock_step", "double_counter"], jobs=2)
-        for doc in docs:
-            assert doc["verdict"] == "safe"
-            arms = {arm["refiner"] for arm in doc["portfolio"]["arms"]}
-            assert arms == {"path-invariant"}, doc["name"]
-
     def test_run_many_sequential_isolates_bad_tasks(self):
         """A malformed source yields an error doc, not a batch abort."""
         session = Session()
@@ -570,7 +570,6 @@ class TestWorkerPayload:
     reaches the engine must act there exactly as it does in-process."""
 
     _BASE = {"max_refinements": 8}
-    _PORTFOLIO = {**_BASE, "refiner": "portfolio"}
     _KEYS = (
         "verdict", "reason", "iterations", "refinements", "predicates",
         "post_decisions", "nodes_reused",
@@ -606,12 +605,8 @@ class TestWorkerPayload:
                 (_BASE, {"max_nodes": 5}),
                 (_BASE, {"max_seconds": 0}),
                 (_BASE, {"max_solver_calls": 20}),
-                (_BASE, {"incremental": False}),
                 (_BASE, {"max_predicates_per_location": 1}),
                 (_BASE, {"refiner": "portfolio"}),
-                (_PORTFOLIO, {"slice_refinements": 1}),
-                (_PORTFOLIO, {"monitor_window": 2}),
-                (_PORTFOLIO, {"portfolio_refiners": ("path-formula",)}),
             ]
         ],
     )

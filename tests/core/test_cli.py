@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 
 SRC_ROOT = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -72,31 +72,42 @@ class TestVerifyCommand:
         typed.write_text('max_refinements = "five"\n')
         assert run_cli(["verify", "forward", "--options", str(typed)]) == 3
 
-    def test_verify_has_no_jobs_flag(self, capsys):
-        # One verification runs sequentially; only ``batch --jobs`` sizes a pool.
-        with pytest.raises(SystemExit):
-            run_cli(["verify", "forward", "--jobs", "2"])
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "args,rejected",
+        [
+            # One verification runs sequentially; only ``batch --jobs`` sizes
+            # a pool.
+            (["--jobs", "2"], "--jobs 2"),
+            # The portfolio always runs its arms round-robin in-process.
+            (["--refiner", "portfolio", "--portfolio-mode", "round-robin"],
+             "--portfolio-mode round-robin"),
+            # Restart mode is an engine-level test reference
+            # (``VerificationEngine(incremental=False)``), not a product knob.
+            (["--restart"], "--restart"),
+            (["--degrade-on-retry"], "--degrade-on-retry"),
+        ],
+        ids=["jobs", "portfolio-mode", "restart", "degrade-on-retry"],
+    )
+    def test_removed_flags_are_rejected(self, args, rejected, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["verify", "forward", *args])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {rejected}" in capsys.readouterr().err
 
-    def test_options_file_jobs_key_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key,text",
+        [
+            ("jobs", "jobs = 2\n"),
+            ("portfolio_mode", 'refiner = "portfolio"\nportfolio_mode = "process"\n'),
+            ("incremental", "incremental = false\n"),
+        ],
+        ids=["jobs", "portfolio_mode", "incremental"],
+    )
+    def test_options_file_removed_key_is_a_usage_error(self, tmp_path, capsys, key, text):
         opts = tmp_path / "opts.toml"
-        opts.write_text("jobs = 2\n")
+        opts.write_text(text)
         assert run_cli(["verify", "forward", "--options", str(opts)]) == 3
-        assert "unknown option keys ['jobs']" in capsys.readouterr().err
-
-    def test_verify_has_no_portfolio_mode_flag(self, capsys):
-        # The portfolio always runs its arms round-robin in-process.
-        with pytest.raises(SystemExit):
-            run_cli(["verify", "forward", "--refiner", "portfolio",
-                     "--portfolio-mode", "round-robin"])
-        err = capsys.readouterr().err
-        assert "unrecognized arguments: --portfolio-mode round-robin" in err
-
-    def test_options_file_portfolio_mode_key_is_a_usage_error(self, tmp_path, capsys):
-        opts = tmp_path / "opts.toml"
-        opts.write_text('refiner = "portfolio"\nportfolio_mode = "process"\n')
-        assert run_cli(["verify", "forward", "--options", str(opts)]) == 3
-        assert "unknown option keys ['portfolio_mode']" in capsys.readouterr().err
+        assert f"unknown option keys ['{key}']" in capsys.readouterr().err
 
     def test_max_seconds_ends_in_unknown_with_a_wall_clock_reason(self, capsys):
         """A run stuck in refinement still stops at its wall-clock budget."""
@@ -114,11 +125,6 @@ class TestVerifyCommand:
         ]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["engine"]["max_predicates_per_location"] == 3
-
-    def test_restart_flag(self, capsys):
-        assert run_cli(["verify", "lock_step", "--json", "--restart"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"]["incremental"] is False
 
     def test_source_file(self, tmp_path, capsys):
         source = tmp_path / "abs.c"
@@ -301,6 +307,21 @@ class TestListCommand:
         assert run_cli(["list"]) == 0
         out = capsys.readouterr().out
         assert "forward" in out and "initcheck" in out
+
+
+class TestServeCommand:
+    """perfbench's daemon workload starts ``repro serve --worker-backend
+    process``, so the flag keeps parsing, with that one accepted value."""
+
+    def test_worker_backend_process_parses(self):
+        args = build_parser().parse_args(["serve", "--worker-backend", "process"])
+        assert args.worker_backend == "process"
+
+    def test_worker_backend_thread_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--worker-backend", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
 
 class TestFuzzCommand:

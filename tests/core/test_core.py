@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (
-    AbstractReachability,
+    Art,
     ArtNode,
     ErrorDistanceFrontier,
     PathFormulaRefiner,
@@ -85,8 +85,7 @@ class TestPathProgram:
 
     def test_path_program_contains_only_path_commands(self):
         program = get_program("forward")
-        reach = AbstractReachability(program, VcChecker())
-        outcome = reach.run(Precision())
+        outcome = Art(program, VcChecker()).explore(Precision(), 4000)
         path_program = build_path_program(program, outcome.counterexample)
         original_commands = {t.commands for t in path_program.path}
         for transition in path_program.program.transitions:
@@ -96,11 +95,9 @@ class TestPathProgram:
         program = get_program("initcheck")
         checker = VcChecker()
         precision = Precision()
-        reach = AbstractReachability(program, checker)
-        PathInvariantRefiner(checker).refine(
-            program, reach.run(precision).counterexample, precision
-        )
-        path = reach.run(precision).counterexample
+        first = Art(program, checker).explore(precision, 4000).counterexample
+        PathInvariantRefiner(checker).refine(program, first, precision)
+        path = Art(program, checker).explore(precision, 4000).counterexample
         path_program = build_path_program(program, path)
         assert any(l.name.endswith("^") for l in path_program.program.locations)
         assert path_program.program.loop_heads()
@@ -116,7 +113,7 @@ class TestPrecisionAndReachability:
 
     def test_reachability_finds_error_without_predicates(self):
         program = get_program("simple_unsafe")
-        outcome = AbstractReachability(program, VcChecker()).run(Precision())
+        outcome = Art(program, VcChecker()).explore(Precision(), 4000)
         assert outcome.counterexample is not None
 
     def test_reachability_proves_with_predicates(self):
@@ -125,26 +122,26 @@ class TestPrecisionAndReachability:
         # y >= 1 at the location before the assertion
         for transition in program.incoming(program.error):
             precision.add(transition.source, ge(var("y"), 1))
-        outcome = AbstractReachability(program, VcChecker()).run(precision)
+        outcome = Art(program, VcChecker()).explore(precision, 4000)
         assert outcome.is_safe
 
     def test_counterexample_analysis_feasible(self):
         program = get_program("simple_unsafe")
-        outcome = AbstractReachability(program, VcChecker()).run(Precision())
+        outcome = Art(program, VcChecker()).explore(Precision(), 4000)
         analysis = analyze_counterexample(outcome.counterexample)
         assert analysis.feasible
         assert analysis.model is not None
 
     def test_counterexample_analysis_spurious(self):
         program = get_program("forward")
-        outcome = AbstractReachability(program, VcChecker()).run(Precision())
+        outcome = Art(program, VcChecker()).explore(Precision(), 4000)
         assert not analyze_counterexample(outcome.counterexample).feasible
 
 
 class TestRefiners:
     def test_path_formula_refiner_adds_constants(self):
         program = get_program("forward")
-        outcome = AbstractReachability(program, VcChecker()).run(Precision())
+        outcome = Art(program, VcChecker()).explore(Precision(), 4000)
         precision = Precision()
         result = PathFormulaRefiner().refine(program, outcome.counterexample, precision)
         assert result.progress
@@ -159,7 +156,7 @@ class TestRefiners:
         program = get_program("forward")
         checker = VcChecker()
         precision = Precision()
-        outcome = AbstractReachability(program, checker).run(precision)
+        outcome = Art(program, checker).explore(precision, 4000)
         result = PathInvariantRefiner(checker).refine(program, outcome.counterexample, precision)
         assert result.progress
         assert result.path_program is not None

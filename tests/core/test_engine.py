@@ -53,12 +53,25 @@ EQUIVALENCE_CORPUS = [
 ]
 
 
+def restart_engine(name, options):
+    """The restart-the-world reference: a fresh tree after every refinement."""
+    checker = VcChecker()
+    return VerificationEngine(
+        get_program(name),
+        refiner=make_refiner(options.refiner, checker),
+        checker=checker,
+        strategy=options.strategy,
+        budget=options.budget(),
+        incremental=False,
+    )
+
+
 def run_both(name, refiner="path-invariant", max_refinements=4, strategy="bfs"):
     options = VerifierOptions(
         refiner=refiner, max_refinements=max_refinements, strategy=strategy
     )
     incremental = verify(get_program(name), options=options)
-    restart = verify(get_program(name), options=options.replace(incremental=False))
+    restart = restart_engine(name, options).run()
     return incremental, restart
 
 
@@ -92,7 +105,7 @@ class TestIncrementalRestartEquivalence:
         assert engine.art.validate(result.precision) == []
 
     def test_restart_mode_never_repairs(self):
-        result = verify(get_program("forward"), options=VerifierOptions(incremental=False))
+        result = restart_engine("forward", VerifierOptions()).run()
         assert all(record.repair is None for record in result.iterations)
         assert result.engine_stats["incremental"] is False
 

@@ -19,7 +19,6 @@ import time
 import pytest
 
 from repro import Session, VerifierOptions
-from repro.core.engine import task_payload
 from repro.core.faults import FaultPlan, FaultSpec, installed
 from repro.core.supervision import RetryPolicy, Supervisor, WorkerSlot
 
@@ -215,42 +214,6 @@ class TestSupervisorScheduling:
         assert by_name["t0"]["failures"][0]["kind"] == "crash"
         assert by_name["t1"]["failures"][0]["kind"] == "timeout"
         assert all(d["verdict"] == "safe" for d in docs)
-
-    def test_degraded_retry_halves_budgets(self):
-        options = VerifierOptions(
-            max_nodes=4000, max_seconds=8.0, max_predicates_per_location=12
-        )
-        payload = task_payload("t", "void f() { }", options)
-        degraded = Supervisor._degraded_payload(payload, retries=1)
-        assert degraded["options"]["max_nodes"] == 2000
-        assert degraded["options"]["max_seconds"] == pytest.approx(4.0)
-        assert degraded["options"]["max_solver_calls"] is None
-        assert degraded["options"]["max_predicates_per_location"] == 6
-        # Still a valid options payload for the worker.
-        assert VerifierOptions.from_dict(degraded["options"]).max_nodes == 2000
-        twice = Supervisor._degraded_payload(payload, retries=2)
-        assert twice["options"]["max_nodes"] == 1000
-        # The original payload was not mutated.
-        assert payload["options"]["max_nodes"] == 4000
-
-    def test_degraded_budgets_floor_at_one_and_spare_other_options(self):
-        options = VerifierOptions(
-            refiner="path-formula", strategy="dfs", max_refinements=9,
-            max_nodes=3, max_seconds=1.0, max_solver_calls=5,
-        )
-        payload = task_payload("t", "void f() { }", options)
-        degraded = Supervisor._degraded_payload(payload, retries=3)
-        assert degraded["options"]["max_nodes"] == 1
-        assert degraded["options"]["max_solver_calls"] == 1
-        assert degraded["options"]["max_seconds"] == 1
-        # Only the resource budgets shrink; the rest of the task is as sent.
-        untouched = {"max_nodes", "max_seconds", "max_solver_calls"}
-        for key, value in payload["options"].items():
-            if key not in untouched:
-                assert degraded["options"][key] == value, key
-        assert {k: v for k, v in degraded.items() if k != "options"} == {
-            k: v for k, v in payload.items() if k != "options"
-        }
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.invgen import (
 from repro.invgen.postcond import forall_range, make_range_forall
 from repro.invgen.templates import LinearTemplate
 from repro.core.pathprogram import build_path_program
-from repro.core.predabs import AbstractReachability, Precision
+from repro.core.predabs import Art, Precision
 from repro.lang import get_program
 from repro.lang.commands import ArrayAssign, Assign, Assume
 from repro.logic.formulas import Forall, Relation, conjoin, conjuncts, eq, ge, le, lt
@@ -30,8 +30,7 @@ from repro.smt.vcgen import VcChecker
 
 def error_path(program, max_refinements=0):
     """The first abstract counterexample of a program (no predicates)."""
-    reach = AbstractReachability(program, VcChecker())
-    outcome = reach.run(Precision())
+    outcome = Art(program, VcChecker()).explore(Precision(), 4000)
     assert outcome.counterexample is not None
     return outcome.counterexample
 
@@ -185,9 +184,8 @@ class TestFarkasEngine:
 
         precision = Precision()
         checker = VcChecker()
-        reach = AbstractReachability(program, checker)
         for _ in range(4):
-            outcome = reach.run(precision)
+            outcome = Art(program, checker).explore(precision, 4000)
             assert outcome.counterexample is not None
             path = outcome.counterexample
             visited = [path[0].source] + [t.target for t in path]
@@ -225,13 +223,12 @@ class TestSynthesizer:
         # Drive the ART to the counterexample that goes through both loops.
         checker = VcChecker()
         precision = Precision()
-        reach = AbstractReachability(program, checker)
         from repro.core.refiners import PathInvariantRefiner
 
         refiner = PathInvariantRefiner(checker)
-        outcome = reach.run(precision)
+        outcome = Art(program, checker).explore(precision, 4000)
         refiner.refine(program, outcome.counterexample, precision)
-        outcome = reach.run(precision)
+        outcome = Art(program, checker).explore(precision, 4000)
         path_program = build_path_program(program, outcome.counterexample)
         synthesizer = PathInvariantSynthesizer(checker)
         result = synthesizer.synthesize(path_program.program)

@@ -1,4 +1,5 @@
-"""Tests for the linear-arithmetic engines (Fourier–Motzkin and simplex)."""
+"""Tests for the linear-arithmetic engines (Fourier–Motzkin and the
+incremental simplex)."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from repro.logic.formulas import Relation
 from repro.logic.terms import LinExpr, Var, const, var
 from repro.smt.fourier_motzkin import eliminate_variable, project, satisfiable
 from repro.smt.linear import LinConstraint, normalize_constraint, tighten_integer
-from repro.smt.simplex import LPStatus, feasible, solve_lp
+from repro.smt.simplex import IncrementalSimplex
 
 
 def c_le(expr):
@@ -23,6 +24,22 @@ def c_lt(expr):
 
 def c_eq(expr):
     return LinConstraint(expr, Relation.EQ)
+
+
+def feasible(constraints):
+    """Decide ``constraints`` on a fresh :class:`IncrementalSimplex`: its
+    model, or ``None`` when they are infeasible."""
+    simplex = IncrementalSimplex()
+    for constraint in constraints:
+        simplex.assert_constraint(constraint.expr, constraint.rel)
+    return simplex.model() if simplex.check() else None
+
+
+def satisfied(constraint, model):
+    value = sum(
+        coeff * model.get(v, Fraction(0)) for v, coeff in constraint.expr.terms
+    ) + constraint.expr.const
+    return constraint.rel.holds(value)
 
 
 class TestLinConstraint:
@@ -121,30 +138,39 @@ class TestSimplex:
         assert model is not None
         assert model[Var("x")] == model[Var("y")] == 2
 
-    def test_optimisation(self):
-        result = solve_lp(
-            [c_le(var("x") - 10), c_le(-var("x"))], objective=var("x"), maximize=True
-        )
-        assert result.status == LPStatus.OPTIMAL
-        assert result.objective == 10
+    def test_strict_inequalities(self):
+        model = feasible([c_lt(var("x") - 1), c_lt(-var("x"))])
+        assert model is not None
+        assert 0 < model[Var("x")] < 1
+        assert feasible([c_lt(var("x")), c_lt(-var("x"))]) is None
 
-    def test_minimisation(self):
-        result = solve_lp(
-            [c_le(var("x") - 10), c_le(const(2) - var("x"))], objective=var("x"), maximize=False
-        )
-        assert result.objective == 2
+    def test_pop_undoes_bounds_and_conflicts(self):
+        simplex = IncrementalSimplex()
+        assert simplex.assert_constraint(var("x") - 1, Relation.LE)
+        simplex.push()
+        assert not simplex.assert_constraint(const(2) - var("x"), Relation.LE)
+        assert not simplex.check()
+        simplex.pop()
+        assert simplex.check()
+        assert simplex.model()[Var("x")] <= 1
 
-    def test_unbounded(self):
-        result = solve_lp([c_le(-var("x"))], objective=var("x"), maximize=True)
-        assert result.status == LPStatus.UNBOUNDED
+    def test_tableau_rows_survive_pop(self):
+        simplex = IncrementalSimplex()
+        simplex.push()
+        simplex.assert_constraint(var("x") + var("y") - 3, Relation.LE)
+        simplex.pop()
+        simplex.assert_constraint(const(1) - var("x") - var("y"), Relation.LE)
+        assert simplex.check()
+        assert (simplex.num_slack_vars, simplex.num_slack_reuses) == (1, 1)
 
-    def test_rejects_strict(self):
+    def test_rejects_disequality(self):
         with pytest.raises(ValueError):
-            solve_lp([c_lt(var("x"))])
+            IncrementalSimplex().assert_constraint(var("x"), Relation.NE)
 
 
 # ----------------------------------------------------------------------
-# Property: Fourier–Motzkin and simplex agree on feasibility.
+# Property: Fourier–Motzkin and the incremental simplex agree on
+# feasibility, and every simplex model is a real witness.
 # ----------------------------------------------------------------------
 var_names = st.sampled_from(["x", "y", "z"])
 
@@ -156,7 +182,7 @@ def random_constraints(draw):
         expr = const(draw(st.integers(-6, 6)))
         for name in ["x", "y", "z"]:
             expr = expr + var(name) * draw(st.integers(-3, 3))
-        rel = draw(st.sampled_from([Relation.LE, Relation.EQ]))
+        rel = draw(st.sampled_from([Relation.LE, Relation.LT, Relation.EQ]))
         constraints.append(LinConstraint(expr, rel))
     return constraints
 
@@ -167,6 +193,8 @@ def test_fm_and_simplex_agree(constraints):
     fm_model = satisfiable(constraints)
     simplex_model = feasible(constraints)
     assert (fm_model is None) == (simplex_model is None)
+    if simplex_model is not None:
+        assert all(satisfied(constraint, simplex_model) for constraint in constraints)
 
 
 @given(random_constraints())
