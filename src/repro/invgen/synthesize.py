@@ -165,10 +165,6 @@ class PathInvariantSynthesizer:
         outcome = self.farkas.synthesize(program, template_map)
         if outcome.success:
             return outcome.assertions, True
-        # Even a failed full synthesis may have produced useful equalities in
-        # phase 1; re-run phase 1 only by requesting an equality template and
-        # reading the partial result.  (The engine reports only full results,
-        # so fall back to proposing nothing here.)
         return {}, False
 
     # ------------------------------------------------------------------
@@ -197,12 +193,10 @@ class PathInvariantSynthesizer:
                 if not targets:
                     continue
                 pre = conjoin(surviving.get(path.source, [])) if path.source in surviving else TRUE
-                kept: list[Formula] = []
-                for candidate in targets:
-                    if self.checker.check_triple(pre, path.commands, candidate):
-                        kept.append(candidate)
-                    else:
-                        changed_locations.add(path.target)
+                verdicts = self.checker.check_triples(pre, path.commands, targets)
+                kept = [c for c, holds in zip(targets, verdicts) if holds]
+                if len(kept) < len(targets):
+                    changed_locations.add(path.target)
                 surviving[path.target] = kept
             if not changed_locations:
                 break
@@ -219,7 +213,7 @@ class PathInvariantSynthesizer:
             if path.target != program.error:
                 continue
             pre = assertions.get(path.source, TRUE)
-            if not self.checker.check_triple(pre, path.commands, FALSE):
+            if not self.checker.check_triples(pre, path.commands, (FALSE,))[0]:
                 return False
         return True
 

@@ -15,11 +15,17 @@ Instantiating hypotheses at read terms is sound (it only weakens the
 hypothesis) and, by the decidability result for the array property fragment
 [Bradley–Manna–Sipma 2006] the paper builds on, sufficient for obligations in
 the fragment targeted by the templates.
+
+A hypothesis is instantiated at the index terms of the ground reads of the
+whole obligation.  When every quantifier of a core is a top-level hypothesis
+(:func:`split_hypotheses`), that set is the union over the core and each
+assumption checked against it, so the core's own instances can be asserted
+once and each assumption adds only the instances at terms it introduces.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Optional
 
 from ..logic.formulas import (
     And,
@@ -31,11 +37,12 @@ from ..logic.formulas import (
     Or,
     TRUE,
     conjoin,
+    conjuncts,
     disjoin,
     negate,
 )
-from ..logic.terms import ArrayRead, LinExpr, Var
-from ..logic.transform import FreshNames
+from ..logic.terms import LinExpr
+from ..logic.transform import FreshNames, quantifier_free
 from .arrays import ground_reads
 
 __all__ = [
@@ -43,6 +50,7 @@ __all__ = [
     "arrays_under_quantifier",
     "instantiation_terms",
     "instantiate_positive",
+    "split_hypotheses",
 ]
 
 
@@ -79,28 +87,22 @@ def arrays_under_quantifier(forall: Forall) -> set[str]:
     return arrays
 
 
-def instantiation_terms(
-    formula: Formula, arrays: set[str], extra_terms: Iterable[LinExpr] = ()
-) -> list[LinExpr]:
-    """Candidate index terms for instantiating a hypothesis over ``arrays``.
+def instantiation_terms(hypothesis: Forall, pool: Formula) -> list[LinExpr]:
+    """The index terms at which ``hypothesis`` is instantiated against ``pool``.
 
-    The candidates are the index expressions of all ground reads of the same
-    base array anywhere in the obligation (base = the name before any ``@``
-    version suffix), plus any explicitly supplied extra terms.
+    The candidates are the index expressions of all ground reads in ``pool``
+    of an array the hypothesis reads at its bound index (compared by base
+    name, the name before any ``@`` version suffix), in a fixed order.
     """
-    bases = {_base_name(a) for a in arrays}
+    bases = {_base_name(a) for a in arrays_under_quantifier(hypothesis)}
     terms: list[LinExpr] = []
     seen: set[LinExpr] = set()
-    for read in sorted(ground_reads(formula), key=str):
+    for read in sorted(ground_reads(pool), key=str):
         if _base_name(read.array) not in bases:
             continue
         if read.index not in seen:
             seen.add(read.index)
             terms.append(read.index)
-    for term in extra_terms:
-        if term not in seen:
-            seen.add(term)
-            terms.append(term)
     return terms
 
 
@@ -139,8 +141,7 @@ def _instantiate_once(formula: Formula, pool: Formula) -> Formula:
     if isinstance(formula, Not):
         return Not(_instantiate_once(formula.arg, pool))
     if isinstance(formula, Forall):
-        arrays = arrays_under_quantifier(formula)
-        terms = instantiation_terms(pool, arrays)
+        terms = instantiation_terms(formula, pool)
         if not terms:
             # No relevant read: the hypothesis contributes nothing (sound
             # weakening for unsatisfiability checking).
@@ -149,3 +150,27 @@ def _instantiate_once(formula: Formula, pool: Formula) -> Formula:
         return conjoin(instances)
     raise TypeError(f"unexpected formula {formula!r}")
 
+
+def split_hypotheses(formula: Formula) -> Optional[tuple[tuple[Forall, ...], Formula]]:
+    """``formula`` as its top-level ∀ conjuncts and its quantifier-free rest.
+
+    This is the shape whose instantiation can be split across a shared core
+    and the assumptions checked against it: a hypothesis is instantiated at
+    the terms of every ground read of the whole obligation
+    (:func:`instantiation_terms`), and the ground reads of a conjunction are
+    those of its conjuncts.  ``None`` when a quantifier sits anywhere else
+    — nested in a hypothesis, under a disjunction or under a negation —
+    where :func:`instantiate_positive` must see the whole obligation at once.
+    """
+    hypotheses: list[Forall] = []
+    rest: list[Formula] = []
+    for part in conjuncts(formula):
+        if isinstance(part, Forall):
+            if not quantifier_free(part.body):
+                return None
+            hypotheses.append(part)
+        elif quantifier_free(part):
+            rest.append(part)
+        else:
+            return None
+    return tuple(hypotheses), conjoin(rest)

@@ -24,7 +24,8 @@ answered without touching the theory solver.
 
 For query *families* that share a common core — the abstract-post oracle asks
 "does predicate p hold after this edge?" for every precision predicate
-against one ``(state, transition)`` pair — :meth:`SmtSolver.context` opens a
+against one ``(state, transition)`` pair, and Houdini asks it for every
+candidate after one basic path — :meth:`SmtSolver.context` opens a
 :class:`SolverContext`: the core is asserted **once** into a persistent
 constraint store, and each family member is decided by scoping only its own
 (usually single-literal) assumption with ``push``/``pop``.  The simplex
@@ -425,32 +426,59 @@ class SolverContext:
     after normalisation (the context normalises with the solver's shared
     simplify+NNF memo); quantified obligations go through
     :mod:`repro.smt.vcgen` instead.
+
+    Tableau rows are permanent (one per distinct linear form), so every
+    assumption with new forms grows the tableau every later check pivots
+    over.  Once it holds more than ``2 * base rows + 8`` rows, the next
+    check first rebuilds the context from its base: a family of many
+    distinct assumptions then pays for about the base plus one assumption
+    per check, not for every assumption before it.
     """
 
     def __init__(self, solver: "SmtSolver") -> None:
         self._solver = solver
-        self._search = _LazySearch(solver)
-        #: disjunctions of the asserted base, replayed into every check.
-        self._base_disjunctions: list[Or] = []
-        self._seen: set[Or] = set()
+        #: the normalised base formulas, replayed into a rebuilt store.
+        self._base: list[Formula] = []
         #: True once the base itself is unsatisfiable — every later check is
         #: answered False without touching the store.
         self._base_failed = False
+        #: tableau rows right after the base was asserted.
+        self._base_rows = 0
+        self._reset()
         self.num_checks = 0
+
+    def _reset(self) -> None:
+        """Start over on an empty constraint store."""
+        self._search = _LazySearch(self._solver)
+        #: disjunctions of the asserted base, replayed into every check.
+        self._base_disjunctions: list[Or] = []
+        self._seen: set[Or] = set()
 
     @property
     def base_failed(self) -> bool:
         return self._base_failed
+
+    @property
+    def tableau_rows(self) -> int:
+        """Rows of the context's simplex tableau (one per slack variable)."""
+        return self._search.simplex.num_slack_vars
 
     def assert_base(self, formula: Formula) -> bool:
         """Permanently assert ``formula``; False when the base became unsat."""
         if self._base_failed:
             return False
         normalised = self._solver._normalise(formula)
+        self._base.append(normalised)
+        if not self._assert_base(normalised):
+            self._base_failed = True
+            return False
+        self._base_rows = self.tableau_rows
+        return True
+
+    def _assert_base(self, normalised: Formula) -> bool:
         units: list[Atom] = []
         disjunctions: list[Or] = []
         if not _decompose(normalised, units, disjunctions):
-            self._base_failed = True
             return False
         for disjunction in disjunctions:
             if disjunction not in self._seen:
@@ -459,10 +487,7 @@ class SolverContext:
         # No push around the base: these bounds (and any lazy NE splits,
         # appended to the base disjunctions) are the permanent floor every
         # check's push/pop scope sits on.
-        if not self._search._assert_units(units, self._base_disjunctions, self._seen):
-            self._base_failed = True
-            return False
-        return True
+        return self._search._assert_units(units, self._base_disjunctions, self._seen)
 
     def check(self, assumption: Formula = TRUE) -> SatResult:
         """Satisfiability of ``base ∧ assumption`` (assumption scoped to this call)."""
@@ -471,6 +496,10 @@ class SolverContext:
         stats.context_checks += 1
         if self._base_failed:
             return SatResult(False)
+        if self.tableau_rows > 2 * self._base_rows + 8:
+            self._reset()
+            for normalised in self._base:
+                self._assert_base(normalised)
         normalised = self._solver._normalise(assumption)
         units: list[Atom] = []
         disjunctions: list[Or] = []

@@ -5,7 +5,9 @@ semantic questions about straight-line code:
 
 * ``check_triple(pre, commands, post)`` — validity of the Hoare triple
   ``{pre} commands {post}`` (this is the Inductiveness condition I1 of the
-  paper applied to a basic path),
+  paper applied to a basic path), and ``check_triples(pre, commands,
+  posts)`` — the same for many posts on one basic path (the synthesizer's
+  candidates),
 * ``is_feasible(commands, pre)`` — satisfiability of the path formula, used
   by the counterexample-analysis phase, and
 * ``check_entailment(lhs, rhs)`` — implication between two state formulas
@@ -23,32 +25,46 @@ skolemise the negated post-condition, resolve array writes by read-over-write
 definitions, instantiate quantified hypotheses at the read index terms, and
 discharge the resulting quantifier-free obligation with the SMT solver.
 
-The batched abstract-post oracle
---------------------------------
+The batched oracle
+------------------
 
-An ART expansion asks *every* precision predicate of the target location
-against the same ``(state, transition)`` pair.  The scalar oracle pays the
-full pipeline — ``ssa_translate``, renaming, skolemisation, store resolution
-and a cold ``check_sat`` — once **per predicate**.  The batched oracle
-prepares the edge once and decides the whole family inside one incremental
-solver context::
+Both the abstract post and the synthesizer ask many posts of one ``pre``
+and one command sequence: an ART expansion asks every precision predicate
+of the target location after one ``(state, transition)`` pair, and Houdini
+asks every candidate of a cut-point after one basic path.  ``check_triple``
+pays the full pipeline — ``ssa_translate``, renaming, skolemisation, store
+resolution, instantiation and a cold ``check_sat`` — once **per post**.  The
+batched oracle prepares the core once and decides the whole family inside
+one incremental solver context::
 
-    (state, transition)  ──prepare once──►  core = pre_ssa ∧ trans_ssa
-                                            │  skolemise + resolve stores
-                                            │  assert into SolverContext
-                                            ▼
-    p₁, p₂, …, pₙ        ──per predicate──► push ¬pᵢ' / check / pop
-                                            (shared tableau, shared unit
-                                             store, shared read flattening)
+    (pre, commands)  ──prepare once──►  core = pre_ssa ∧ commands_ssa
+                                        │  skolemise + resolve stores
+                                        │  instantiate ∀ hypotheses at the
+                                        │  core's own read terms
+                                        │  assert into SolverContext
+                                        ▼
+    p₁, p₂, …, pₙ    ──per post──────►  ¬pᵢ' skolemised + resolved, plus the
+                                        hypotheses' instances at the terms
+                                        it introduces: push / check / pop
 
-The prepared core (SSA translation + solver context) is memoised per
-``(state, transition)`` in an LRU-bounded table, so the delta-recheck wave
-after a refinement — which re-asks the *same* edge about the newly added
-predicates — reuses the context instead of re-preparing (counted in
-``context_reuses``).  Memo-hit predicates are answered from the post cache
-before any context is built; edges or predicates with quantifiers fall back
-to the scalar pipeline, whose verdicts the context path matches exactly
-(``post_predicate_holds`` is kept as the differential oracle).
+Resolving the core and a post apart gives each read the same value variable
+(``sel#a@k[t]``), so the base's instances and a post's together are the
+instances ``check_triple`` builds over the whole obligation.  Every post is
+charged, shortcut and memoised exactly as ``check_triple`` does it, so
+budgets trip at the same post.  Only shapes the context cannot host take the
+scalar pipeline (counted in ``scalar_fallbacks``): a quantifier nested in a
+hypothesis or under a disjunction or negation, or a post that stays
+quantified after skolemisation.
+
+An abstract-post core is memoised per ``(state, transition)`` in an
+LRU-bounded table, so the delta-recheck wave after a refinement — which
+re-asks the *same* edge about the newly added predicates — reuses the
+context instead of re-preparing (counted in ``context_reuses``).
+Memo-hit predicates are answered from the post cache before any context is
+built.  A synthesizer core serves one ``check_triples`` call and stays out
+of that table.  ``check_triple`` and ``post_predicate_holds`` are kept as
+the differential references, and ``VcChecker(batched_posts=False)`` routes
+every batch through them.
 """
 
 from __future__ import annotations
@@ -56,15 +72,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..lang.commands import Command
-from ..logic.formulas import FALSE, Formula, TRUE, conjoin, negate
-from ..logic.terms import Var
+from ..logic.formulas import FALSE, Forall, Formula, TRUE, conjoin, negate
+from ..logic.terms import LinExpr, Var
 from ..logic.transform import FreshNames, quantifier_free
 from .arrays import resolve_stores
 from .budget import BudgetExhausted
-from .quant import instantiate_positive, skolemize_negative
+from .quant import (
+    instantiate_positive,
+    instantiation_terms,
+    skolemize_negative,
+    split_hypotheses,
+)
 from .solver import SatResult, SmtSolver, SolverContext
 from .ssa import SsaTranslation, rename_to_versions, ssa_translate
 
@@ -81,25 +102,20 @@ class PathFeasibility:
 
 
 @dataclass
-class _PreparedEdge:
-    """The once-per-``(state, transition)`` core of the batched post oracle."""
+class _PreparedCore:
+    """``pre ∧ commands`` prepared once for every post decided against it."""
 
     translation: SsaTranslation
     pre_ssa: Formula
-    #: ``pre_ssa ∧ trans_ssa`` after skolemisation and store resolution (not
-    #: yet instantiated: hypothesis instantiation is per-predicate, because
-    #: the predicate contributes instantiation terms).
-    core: Formula
-    #: True when the resolved core still contains a quantifier — the context
-    #: path cannot host it, so every predicate falls back to the scalar
-    #: pipeline (which instantiates against the full obligation).
-    quantified: bool
-    #: The incremental solver context with the core asserted; ``None`` for
-    #: quantified cores.
+    #: The core's top-level ∀ hypotheses, each with the index terms the
+    #: asserted base already instantiates it at; a post adds the instances
+    #: at the terms it introduces.
+    hypotheses: tuple[tuple[Forall, frozenset[LinExpr]], ...]
+    #: The incremental solver context with the instantiated core asserted;
+    #: ``None`` when the core has a quantifier the context cannot host
+    #: (nested, or under a disjunction or negation), so that every post
+    #: takes the scalar pipeline.
     context: Optional[SolverContext]
-    #: True when the core itself is unsatisfiable: the edge cannot fire and
-    #: every predicate trivially holds after it.
-    base_failed: bool
 
 
 class VcChecker:
@@ -134,10 +150,12 @@ class VcChecker:
         self.solver = SmtSolver(integer_mode=integer_mode, bb_limit=bb_limit)
         self._fresh = FreshNames("vc")
         self.max_cache_entries = max_cache_entries
-        #: Route batched post queries through the shared solver context.
+        #: Route batched queries through the shared solver context.
         #: ``False`` degrades :meth:`post_all_predicates` to one scalar
-        #: :meth:`post_predicate_holds` per predicate — the differential
-        #: baseline the batched path is tested and benchmarked against.
+        #: :meth:`post_predicate_holds` per predicate, :meth:`edge_feasible`
+        #: and :meth:`check_triples` to :meth:`check_triple` — the
+        #: differential baseline the batched path is tested and benchmarked
+        #: against.
         self.batched_posts = batched_posts
         self.num_triple_checks = 0
         #: The charge count the current run's next charge may not reach, and
@@ -177,15 +195,15 @@ class VcChecker:
         #: this table is bounded even when the verdict caches are not: it
         #: gets its own LRU cap, and eviction just means re-preparing the
         #: edge if its batch ever recurs.
-        self._prepared_edges: dict[tuple, _PreparedEdge] = {}
+        self._prepared_edges: dict[tuple, _PreparedCore] = {}
         self.num_edge_queries = 0
         self.edge_cache_hits = 0
         self.num_post_queries = 0
         self.post_cache_hits = 0
-        #: Batched-oracle counters: cores prepared / served from the
-        #: prepared-edge cache, predicates decided inside a context vs
-        #: through the scalar fallback, and edges whose whole batch was
-        #: answered from the post cache (no context ever touched).
+        #: Batched-oracle counters: edge cores prepared / served from the
+        #: prepared-edge cache, posts (of edges and of synthesizer batches)
+        #: decided inside a context vs through the scalar pipeline, and
+        #: abstract-post batches the post cache did not answer whole.
         self.num_prepare_calls = 0
         self.num_context_reuses = 0
         self.num_batched_posts = 0
@@ -193,9 +211,9 @@ class VcChecker:
         self.num_batch_calls = 0
         self.num_ssa_translations = 0
         self.cache_evictions = 0
-        #: Per-phase wall clock of the batched oracle (seconds): edge
-        #: preparation (translate + skolemise + resolve + base assert) vs
-        #: per-predicate context checks.
+        #: Per-phase wall clock of the batched oracle (seconds): core
+        #: preparation (translate + skolemise + resolve + instantiate + base
+        #: assert) vs per-post context checks.
         self.prepare_seconds = 0.0
         self.post_solve_seconds = 0.0
 
@@ -423,7 +441,11 @@ class VcChecker:
     def check_triple(
         self, pre: Formula, commands: Sequence[Command], post: Formula
     ) -> bool:
-        """Validity of ``{pre} commands {post}``."""
+        """Validity of ``{pre} commands {post}``.
+
+        One run of the whole pipeline over the obligation; the reference
+        :meth:`check_triples` is tested against.
+        """
         self._charge()
         if isinstance(post, type(TRUE)) and post == TRUE:
             return True
@@ -443,6 +465,22 @@ class VcChecker:
         verdict = self._is_unsat_obligation(obligation, translation)
         self._cache_put(self._triple_cache, key, verdict)
         return verdict
+
+    def check_triples(
+        self, pre: Formula, commands: Sequence[Command], posts: Iterable[Formula]
+    ) -> list[bool]:
+        """Validity of ``{pre} commands {post}`` for each of ``posts``, in order.
+
+        Each post is charged, shortcut and memoised exactly as by
+        :meth:`check_triple`; the posts the triple memo does not answer are
+        decided against one ``pre ∧ commands`` core, prepared when the first
+        of them needs it.  Used for a synthesizer's candidates on one basic
+        path.  These one-shot cores stay out of the prepared-edge table.
+        With ``batched_posts`` off, one :meth:`check_triple` per post.
+        """
+        if not self.batched_posts:
+            return [self.check_triple(pre, commands, post) for post in posts]
+        return list(self._decide_posts(pre, tuple(commands), posts))
 
     # ------------------------------------------------------------------
     # Abstract-post oracle (memoised on ART-level keys)
@@ -482,25 +520,10 @@ class VcChecker:
         if not self.batched_posts:
             verdict = not self.check_triple(pre, transition.commands, FALSE)
         else:
+            # One Hoare-triple check, {pre} commands {false}, against the
+            # edge's prepared core.
             edge = self._prepare_edge(state, transition)
-            # Mirrors check_triple(pre, commands, FALSE) — one Hoare-triple
-            # check against the memo both oracles share.
-            self._charge()
-            triple_key = (pre, tuple(transition.commands), FALSE)
-            unsat = self._cache_get(self._triple_cache, triple_key)
-            if unsat is not None:
-                self.cache_hits += 1
-            else:
-                if edge.quantified:
-                    unsat = self._is_unsat_obligation(edge.core, edge.translation)
-                elif edge.base_failed:
-                    unsat = True
-                else:
-                    started = time.perf_counter()
-                    self.num_batched_posts += 1
-                    unsat = not edge.context.check(TRUE).satisfiable
-                    self.post_solve_seconds += time.perf_counter() - started
-                self._cache_put(self._triple_cache, triple_key, unsat)
+            (unsat,) = self._decide_posts(pre, transition.commands, (FALSE,), edge)
             verdict = not unsat
         self._cache_put(self._edge_cache, key, verdict)
         return verdict
@@ -565,8 +588,8 @@ class VcChecker:
         self.num_batch_calls += 1
         edge = self._prepare_edge(state, transition)
         pre = self.state_formula(state)
-        for predicate in remaining:
-            verdict = self._decide_post(edge, pre, transition, predicate)
+        decided = self._decide_posts(pre, transition.commands, remaining, edge)
+        for predicate, verdict in zip(remaining, decided):
             self._cache_put(self._post_cache, (state, transition, predicate), verdict)
             verdicts[predicate] = verdict
         return verdicts
@@ -574,91 +597,113 @@ class VcChecker:
     # ------------------------------------------------------------------
     # Batched-oracle internals
     # ------------------------------------------------------------------
-    def _prepare_edge(self, state: frozenset, transition) -> _PreparedEdge:
+    def _prepare_edge(self, state: frozenset, transition) -> _PreparedCore:
         """The prepared core for ``(state, transition)`` (LRU-cached)."""
         key = (state, transition)
         edge = self._cache_get(self._prepared_edges, key, cap=self._prepared_edge_cap)
         if edge is not None:
             self.num_context_reuses += 1
             return edge
-        started = time.perf_counter()
         self.num_prepare_calls += 1
-        translation = self._translate(transition.commands)
-        pre_ssa = rename_to_versions(self.state_formula(state), {}, {})
+        edge = self._prepare_core(self.state_formula(state), transition.commands)
+        self._cache_put(self._prepared_edges, key, edge, cap=self._prepared_edge_cap)
+        return edge
+
+    def _prepare_core(
+        self, pre: Formula, commands: Sequence[Command]
+    ) -> _PreparedCore:
+        """Translate, skolemise, resolve and instantiate ``pre ∧ commands``
+        and assert it as the base of a fresh solver context."""
+        started = time.perf_counter()
+        translation = self._translate(commands)
+        pre_ssa = rename_to_versions(pre, {}, {})
         core = conjoin([pre_ssa, translation.formula()])
         core = skolemize_negative(core, self._fresh)
         core = resolve_stores(core, translation.stores, self.solver.deadline)
-        quantified = not quantifier_free(core)
+        split = split_hypotheses(core)
+        hypotheses: tuple[tuple[Forall, frozenset[LinExpr]], ...] = ()
         context: Optional[SolverContext] = None
-        base_failed = False
-        if not quantified:
+        if split is not None:
+            foralls, rest = split
+            terms = [(forall, instantiation_terms(forall, core)) for forall in foralls]
+            hypotheses = tuple((forall, frozenset(ts)) for forall, ts in terms)
+            instances = [forall.instantiate(t) for forall, ts in terms for t in ts]
             context = self.solver.context()
-            base_failed = not context.assert_base(core)
-        edge = _PreparedEdge(
-            translation=translation,
-            pre_ssa=pre_ssa,
-            core=core,
-            quantified=quantified,
-            context=context,
-            base_failed=base_failed,
-        )
-        self._cache_put(self._prepared_edges, key, edge, cap=self._prepared_edge_cap)
+            context.assert_base(conjoin([rest, *instances]))
         self.prepare_seconds += time.perf_counter() - started
-        return edge
+        return _PreparedCore(translation, pre_ssa, hypotheses, context)
 
-    def _decide_post(
-        self, edge: _PreparedEdge, pre: Formula, transition, predicate: Formula
-    ) -> bool:
-        """One predicate of a batch, with scalar-identical memo behaviour."""
-        # Budget fidelity: every decided post is one Hoare-triple check, and
-        # both oracles read and write the same triple memo.
-        self._charge()
-        if isinstance(predicate, type(TRUE)) and predicate == TRUE:
-            return True
-        triple_key = (pre, tuple(transition.commands), predicate)
-        cached = self._cache_get(self._triple_cache, triple_key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        translation = edge.translation
-        post_ssa = rename_to_versions(
-            predicate, translation.var_versions, translation.array_versions
+    def _decide_posts(
+        self,
+        pre: Formula,
+        commands: tuple,
+        posts: Iterable[Formula],
+        core: Optional[_PreparedCore] = None,
+    ) -> Iterator[bool]:
+        """Each post's verdict, with :meth:`check_triple`'s charge, shortcut
+        and memo, decided against ``core`` (prepared here when the first post
+        reaches the solver if not given).  Lazy: a caller's own bookkeeping
+        for one post happens before the next post is charged."""
+        for post in posts:
+            # Budget fidelity: every post is one Hoare-triple check, and
+            # every path reads and writes the same triple memo.
+            self._charge()
+            if isinstance(post, type(TRUE)) and post == TRUE:
+                yield True
+                continue
+            key = (pre, commands, post)
+            cached = self._cache_get(self._triple_cache, key)
+            if cached is not None:
+                self.cache_hits += 1
+                yield cached
+                continue
+            if core is None:
+                core = self._prepare_core(pre, commands)
+            verdict = self._decide(core, post)
+            self._cache_put(self._triple_cache, key, verdict)
+            yield verdict
+
+    def _decide(self, core: _PreparedCore, post: Formula) -> bool:
+        """Validity of ``{pre} commands {post}`` against the prepared core.
+
+        The negated post is skolemised and resolved on its own; the core's
+        hypotheses add their instances at the terms it introduces, which
+        together with the base's instances are the instances the scalar
+        pipeline builds over the whole obligation.  Shapes the context
+        cannot host — a core without a context, a post that stays
+        quantified — take that scalar pipeline instead.
+        """
+        translation = core.translation
+        negated = negate(
+            rename_to_versions(
+                post, translation.var_versions, translation.array_versions
+            )
         )
-        negated = negate(post_ssa)
-        if edge.quantified:
-            verdict = self._scalar_fallback(edge, negated)
-        elif edge.base_failed:
-            # The edge cannot fire: {pre} commands {p} holds vacuously.
-            verdict = True
-        else:
+        context = core.context
+        if context is not None:
+            if context.base_failed:
+                # The commands cannot run from pre: the triple holds vacuously.
+                return True
             assumption = resolve_stores(
                 skolemize_negative(negated, self._fresh),
                 translation.stores,
                 self.solver.deadline,
             )
-            if not quantifier_free(assumption):
-                verdict = self._scalar_fallback(edge, negated)
-            else:
+            if quantifier_free(assumption):
+                instances = [
+                    forall.instantiate(term)
+                    for forall, done in core.hypotheses
+                    for term in instantiation_terms(forall, assumption)
+                    if term not in done
+                ]
                 started = time.perf_counter()
                 self.num_batched_posts += 1
-                verdict = not edge.context.check(assumption).satisfiable
+                verdict = context.is_unsat(conjoin([assumption, *instances]))
                 self.post_solve_seconds += time.perf_counter() - started
-        self._cache_put(self._triple_cache, triple_key, verdict)
-        return verdict
-
-    def _scalar_fallback(self, edge: _PreparedEdge, negated: Formula) -> bool:
-        """The full quantifier pipeline over the whole obligation.
-
-        Used whenever the core or the (negated) predicate still carries a
-        quantifier: hypothesis instantiation draws its index terms from the
-        *combined* obligation, so splitting it across the context would
-        weaken the check.  The prepared translation is still reused.
-        """
+                return verdict
         self.num_scalar_fallbacks += 1
-        obligation = conjoin(
-            [edge.pre_ssa, edge.translation.formula(), negated]
-        )
-        return self._is_unsat_obligation(obligation, edge.translation)
+        obligation = conjoin([core.pre_ssa, translation.formula(), negated])
+        return self._is_unsat_obligation(obligation, translation)
 
     def check_entailment(self, lhs: Formula, rhs: Formula) -> bool:
         """``lhs |= rhs`` for state formulas (no commands involved)."""

@@ -4,9 +4,13 @@ Each oracle runs one program through two configurations whose equivalence
 an earlier PR established, and compares exactly what that PR guarantees:
 
 ``batched``
-    Batched abstract-post oracle vs the scalar per-predicate baseline
-    (PR 5): verdicts, precisions and post-decision counts must be
-    **bit-identical** — the batching is a pure caching layer.
+    Batched oracle vs the scalar per-post baseline: verdicts,
+    precisions and post-decision counts must be **bit-identical** — the
+    batching is a pure caching layer.  ``VcChecker(batched_posts=False)``
+    sends abstract posts through ``post_predicate_holds`` and Houdini's
+    ``check_triples`` batches through ``check_triple``, so the oracle
+    compares both the abstract post and the synthesizer's candidate
+    checks.
 ``incremental``
     Persistent-ART engine vs the restart-the-world baseline (PR 2): the
     *verdicts* must agree whenever both runs decide.  One side exhausting

@@ -23,6 +23,7 @@ from repro.core import (
 )
 from repro.core import engine as engine_module
 from repro.lang import get_program
+from repro.lang.commands import Assign
 from repro.logic.formulas import FALSE, TRUE, conjoin, disjoin, eq, le
 from repro.logic.terms import ArrayRead, LinExpr
 from repro.smt import SmtSolver, VcChecker
@@ -38,6 +39,24 @@ def _c(value):
     return LinExpr.constant(value)
 
 
+#: One basic path and five candidate posts, the shape of a synthesizer
+#: batch: the third post repeats the first (a triple-memo hit).
+_PRE = le(_x(), _c(0))
+_COMMANDS = (Assign("x", _x() + _c(1)),)
+_POSTS = (le(_x(), _c(1)), le(_x(), _c(0)), le(_x(), _c(1)), le(_x(), _c(2)), TRUE)
+
+
+def _tripped(cap, decide):
+    """A fresh checker after ``decide`` ran into a solver cap of ``cap``."""
+    checker = VcChecker()
+    checker.begin_run()
+    checker.set_budget(None, cap)
+    with pytest.raises(BudgetExhausted, match=f"solver budget of {cap} triple checks"):
+        decide(checker)
+    assert checker.charged_checks == cap
+    return checker
+
+
 class TestCheckerBudget:
     def test_no_charge_passes_the_cap(self):
         checker = VcChecker()
@@ -50,6 +69,16 @@ class TestCheckerBudget:
         assert checker.charged_checks == 3
         checker.set_budget(None, None)
         assert checker.check_triple(TRUE, (), TRUE)
+        # A batch trips on the same post as the per-post loop, and the memo
+        # holds exactly the posts decided before the trip.
+        for cap in range(len(_POSTS)):
+            batch = _tripped(cap, lambda c: c.check_triples(_PRE, _COMMANDS, _POSTS))
+            loop = _tripped(
+                cap, lambda c: [c.check_triple(_PRE, _COMMANDS, p) for p in _POSTS]
+            )
+            decided = {(_PRE, _COMMANDS, p) for p in _POSTS[:cap] if p != TRUE}
+            assert set(batch._triple_cache) == decided
+            assert batch._triple_cache == loop._triple_cache
 
     def test_the_cap_counts_from_the_run_start(self):
         checker = VcChecker()
@@ -68,6 +97,10 @@ class TestCheckerBudget:
             checker.is_feasible(())
         with pytest.raises(BudgetExhausted, match="wall-clock"):
             checker.check_triple(TRUE, (), FALSE)
+        with pytest.raises(BudgetExhausted, match="wall-clock"):
+            checker.check_triples(_PRE, _COMMANDS, _POSTS)
+        assert checker.num_ssa_translations == 0  # no core was prepared
+        assert checker.solver.num_contexts == 0
         stores = {"a@1": Store("a@0", _x("i"), _c(1))}
         read = LinExpr.make({ArrayRead("a@1", _x("j")): 1})
         with pytest.raises(BudgetExhausted):

@@ -205,12 +205,15 @@ class TestIsolation:
     def test_request_timeout_clamps_wall_clock(self):
         # Each request ends on its clamped wall-clock budget, on its first
         # attempt: none is killed, so none strikes the circuit breaker.
+        # partition needs seconds of solving, so the memo entries each
+        # clamped run leaves on the warm worker cannot add up to a decided
+        # run within four clamps.
         service = VerificationService(
             ServiceConfig(workers=1, request_timeout=0.05)
         ).start()
         try:
             with ServiceClient(port=service.port) as client:
-                docs = [client.verify("double_counter") for _ in range(4)]
+                docs = [client.verify("partition") for _ in range(4)]
         finally:
             service.stop()
         for doc in docs:

@@ -1,11 +1,13 @@
-"""The batched abstract-post oracle vs the scalar differential baseline.
+"""The batched oracle vs the scalar differential baseline.
 
 ``VcChecker.post_all_predicates`` prepares one ``(state, transition)`` core
 and decides every predicate inside a shared incremental solver context; the
 scalar ``post_predicate_holds`` runs the full pipeline per predicate and is
-kept as the differential oracle.  The load-bearing property is **verdict
-identity**: on any query the two paths must return the same boolean map, and
-an engine driven by either must discover the same precision and verdict.
+kept as the differential oracle.  ``VcChecker.check_triples`` does the same
+for a synthesizer's candidates on one basic path, against ``check_triple``.
+The load-bearing property is **verdict identity**: on any query the two
+paths must return the same verdicts, and an engine driven by either must
+discover the same precision and verdict.
 
 The corpus reuses the engine equivalence programs (scalar shapes, array
 shapes, unsafe shapes); a hypothesis property throws randomly assembled
@@ -21,9 +23,12 @@ from hypothesis import strategies as st
 from repro.core.engine import VerificationEngine, PortfolioEngine, Budget
 from repro.core.predabs import Precision
 from repro.lang import get_program, get_source
-from repro.logic.formulas import TRUE, conjoin, eq, ge, le, lt, ne
-from repro.logic.terms import var
-from repro.smt.solver import SolverContext
+from repro.lang.commands import Assume
+from repro.logic.formulas import (
+    FALSE, TRUE, Forall, conjoin, disjoin, eq, ge, gt, le, lt, ne,
+)
+from repro.logic.terms import Var, read, var
+from repro.smt.solver import SmtSolver, SolverContext
 from repro.smt.vcgen import VcChecker
 
 #: (program, refiner) pairs shared with tests/core/test_engine.py — the
@@ -115,8 +120,29 @@ def _collect_queries(name, max_refinements=3):
     return queries
 
 
+def _collect_triple_batches(name, max_refinements=3):
+    """Real (pre, commands, posts) batches the synthesizer asked in a run."""
+    batches = []
+    checker = VcChecker()
+    original = checker.check_triples
+
+    def recording(pre, commands, posts):
+        posts = list(posts)
+        batches.append((pre, tuple(commands), tuple(posts)))
+        return original(pre, commands, posts)
+
+    checker.check_triples = recording
+    VerificationEngine(
+        get_program(name), checker=checker, budget=Budget(max_refinements=max_refinements)
+    ).run()
+    return batches
+
+
 class TestOracleDifferential:
-    @pytest.mark.parametrize("name", ["forward", "lock_step", "array_init_buggy"])
+    @pytest.mark.parametrize(
+        "name",
+        ["forward", "lock_step", "array_init_buggy", "initcheck", "array_init_nonneg"],
+    )
     def test_recorded_queries_agree(self, name):
         """Replay an engine run's real batches against both fresh oracles."""
         queries = _collect_queries(name)
@@ -129,6 +155,19 @@ class TestOracleDifferential:
                 for p in predicates
             }
             assert batched.post_all_predicates(state, transition, predicates) == expected
+
+    @pytest.mark.parametrize("name", ["forward", "initcheck", "array_init_nonneg"])
+    def test_recorded_triple_batches_agree(self, name):
+        """Replay a run's synthesizer batches against per-post check_triple."""
+        batches = _collect_triple_batches(name)
+        assert batches, "the synthesizer should have asked at least one batch"
+        batched = VcChecker()
+        scalar = VcChecker(batched_posts=False)
+        for pre, commands, posts in batches:
+            expected = [scalar.check_triple(pre, commands, post) for post in posts]
+            assert batched.check_triples(pre, commands, posts) == expected
+        assert batched.num_triple_checks == scalar.num_triple_checks
+        assert batched.statistics()["batched_posts"] > 0
 
     def test_edge_feasibility_agrees(self):
         queries = _collect_queries("forward")
@@ -213,10 +252,61 @@ class TestMemoFastPath:
         assert checker.num_context_reuses == 1
 
 
+def _range_forall(index, lower, upper, body):
+    """forall index: lower <= index <= upper -> body."""
+    k = var(index)
+    return Forall(Var(index), disjoin([lt(k, lower), gt(k, upper), body]))
+
+
+class TestQuantifiedCores:
+    """Cores with ∀ hypotheses are decided in the context, not the scalar
+    pipeline, with the instances the whole obligation would get."""
+
+    def test_post_terms_instantiate_the_core_hypotheses(self):
+        # The core reads no array; the post's read a[j] is the only term
+        # the hypothesis can be instantiated at.
+        pre = _range_forall("k", 0, var("n") - 1, ge(read("a", var("k")), 0))
+        commands = (Assume(ge(var("j"), 0)), Assume(lt(var("j"), var("n"))))
+        posts = [ge(read("a", var("j")), 0), ge(read("a", var("j")), 1), TRUE]
+        batched = VcChecker()
+        scalar = VcChecker(batched_posts=False)
+        expected = [scalar.check_triple(pre, commands, post) for post in posts]
+        assert expected == [True, False, True]
+        assert batched.check_triples(pre, commands, posts) == expected
+        stats = batched.statistics()
+        assert stats["scalar_fallbacks"] == 0
+        assert stats["batched_posts"] == 2
+        assert stats["sat_queries"] == 0
+
+    def test_core_terms_instantiate_in_the_base(self):
+        pre = _range_forall("k", 0, var("n") - 1, eq(read("a", var("k")), 0))
+        error = (
+            Assume(ge(var("i"), 0)),
+            Assume(lt(var("i"), var("n"))),
+            Assume(ne(read("a", var("i")), 0)),
+        )
+        checker = VcChecker()
+        assert checker.check_triples(pre, error, (FALSE,)) == [True]
+        assert checker.check_triples(TRUE, error, (FALSE,)) == [False]
+        assert checker.statistics()["scalar_fallbacks"] == 0
+
+    def test_nested_quantifier_takes_the_scalar_pipeline(self):
+        a_m, a_k = read("a", var("m")), read("a", var("k"))
+        inner = _range_forall("m", 0, var("k"), le(a_m, a_k))
+        pre = Forall(Var("k"), disjoin([lt(var("k"), 0), inner]))
+        commands = (Assume(ge(var("j"), 0)),)
+        post = le(read("a", 0), read("a", var("j")))
+        checker = VcChecker()
+        reference = VcChecker(batched_posts=False)
+        assert checker.check_triples(pre, commands, [post]) == [
+            reference.check_triple(pre, commands, post)
+        ]
+        assert checker.statistics()["scalar_fallbacks"] == 1
+
+
 class TestSolverContext:
     def test_context_agrees_with_check_sat(self):
         x, y = var("x"), var("y")
-        from repro.smt.solver import SmtSolver
 
         solver = SmtSolver()
         context = solver.context()
@@ -230,9 +320,24 @@ class TestSolverContext:
         # The context survives its own UNSAT answers (push/pop scoping).
         assert context.check(le(x, 10)).satisfiable
 
+    def test_many_assumptions_keep_the_tableau_bounded(self):
+        """Every assumption brings a new linear form; the context rebuilds
+        from its base instead of pivoting over all of them."""
+        x, y, z = var("x"), var("y"), var("z")
+        base = conjoin([le(x + y, 10), ge(x - y, -4), le(z, x + 2 * y)])
+        solver = SmtSolver()
+        context = solver.context()
+        assert context.assert_base(base)
+        base_rows = context.tableau_rows
+        bound = 2 * base_rows + 8
+        for k in range(1, 40):
+            assumption = conjoin([ge(k * x + y, k), ge(x + k * z, 3 * k)])
+            expected = solver.check_sat(conjoin([base, assumption])).satisfiable
+            assert context.check(assumption).satisfiable == expected, k
+            assert context.tableau_rows <= bound + 2, (k, context.tableau_rows)
+
     def test_unsat_base_short_circuits(self):
         x = var("x")
-        from repro.smt.solver import SmtSolver
 
         solver = SmtSolver()
         context = solver.context()
@@ -242,7 +347,6 @@ class TestSolverContext:
 
     def test_disequality_base_splits_lazily(self):
         x = var("x")
-        from repro.smt.solver import SmtSolver
 
         solver = SmtSolver()
         context = solver.context()
