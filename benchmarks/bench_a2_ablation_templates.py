@@ -33,7 +33,10 @@ VARIABLES = [Var(name) for name in ("a", "b", "i", "n")]
 def test_equality_only_templates(benchmark):
     path_program = _forward_path_program()
     engine = FarkasEngine()
-    templates = {cut: equality_template(VARIABLES) for cut in cutpoints(path_program)}
+    templates = {
+        cut: equality_template(VARIABLES, f"c{k}")
+        for k, cut in enumerate(sorted(cutpoints(path_program)))
+    }
     result = run_once(benchmark, engine.synthesize, path_program, templates)
     record(benchmark, success=result.success)
     assert not result.success
@@ -43,8 +46,8 @@ def test_equality_plus_inequality_templates(benchmark):
     path_program = _forward_path_program()
     engine = FarkasEngine()
     templates = {
-        cut: equality_template(VARIABLES).with_extra_inequality(VARIABLES)
-        for cut in cutpoints(path_program)
+        cut: equality_template(VARIABLES, f"c{k}").with_extra_inequality(VARIABLES, f"d{k}")
+        for k, cut in enumerate(sorted(cutpoints(path_program)))
     }
     result = run_once(benchmark, engine.synthesize, path_program, templates)
     record(benchmark, success=result.success)

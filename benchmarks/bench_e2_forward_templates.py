@@ -30,7 +30,10 @@ VARIABLES = [Var(name) for name in ("a", "b", "i", "n")]
 def test_equality_template_fails(benchmark):
     path_program = _forward_path_program()
     engine = FarkasEngine()
-    templates = {cut: equality_template(VARIABLES) for cut in cutpoints(path_program)}
+    templates = {
+        cut: equality_template(VARIABLES, f"c{k}")
+        for k, cut in enumerate(sorted(cutpoints(path_program)))
+    }
     result = run_once(benchmark, engine.synthesize, path_program, templates)
     record(benchmark, success=result.success, lp_calls=result.lp_calls, reason=result.reason)
     assert not result.success
@@ -40,8 +43,8 @@ def test_refined_template_succeeds(benchmark):
     path_program = _forward_path_program()
     engine = FarkasEngine()
     templates = {
-        cut: equality_template(VARIABLES).with_extra_inequality(VARIABLES)
-        for cut in cutpoints(path_program)
+        cut: equality_template(VARIABLES, f"c{k}").with_extra_inequality(VARIABLES, f"d{k}")
+        for k, cut in enumerate(sorted(cutpoints(path_program)))
     }
     result = run_once(benchmark, engine.synthesize, path_program, templates)
     record(

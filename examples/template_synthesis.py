@@ -37,18 +37,20 @@ def main() -> None:
     path_program = forward_path_program()
     variables = [Var(name) for name in ("a", "b", "i", "n")]
     engine = FarkasEngine()
-    cuts = cutpoints(path_program)
+    cuts = sorted(cutpoints(path_program))
 
     print("=== Attempt 1: equality template only ===")
     start = time.perf_counter()
-    result = engine.synthesize(path_program, {c: equality_template(variables) for c in cuts})
+    templates = {c: equality_template(variables, f"c{k}") for k, c in enumerate(cuts)}
+    result = engine.synthesize(path_program, templates)
     print(f"success: {result.success}   ({time.perf_counter() - start:.3f}s, "
           f"{result.lp_calls} LP calls)   reason: {result.reason}")
 
     print("\n=== Attempt 2: equality template conjoined with an inequality ===")
     start = time.perf_counter()
     templates = {
-        c: equality_template(variables).with_extra_inequality(variables) for c in cuts
+        c: equality_template(variables, f"c{k}").with_extra_inequality(variables, f"d{k}")
+        for k, c in enumerate(cuts)
     }
     result = engine.synthesize(path_program, templates)
     print(f"success: {result.success}   ({time.perf_counter() - start:.3f}s, "

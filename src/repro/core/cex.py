@@ -10,12 +10,11 @@ genuine bugs) for the bug report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..lang.cfg import Transition
 from ..lang.commands import Command
-from ..logic.terms import Var
+from ..logic.terms import Rat, Var
 from ..smt.vcgen import VcChecker
 
 __all__ = ["CounterexampleAnalysis", "analyze_counterexample", "path_commands"]
@@ -36,17 +35,17 @@ class CounterexampleAnalysis:
     path: tuple[Transition, ...]
     feasible: bool
     #: A witness valuation of the SSA variables (only for feasible paths).
-    model: Optional[dict[Var, Fraction]] = None
+    model: Optional[dict[Var, Rat]] = None
     #: True when the feasibility verdict relied on an over-approximation
     #: (branch-and-bound budget exhausted); such a path is treated as
     #: potentially feasible and reported as an inconclusive alarm.
     approximate: bool = False
 
-    def witness_inputs(self, variables: Sequence[str]) -> dict[str, Fraction]:
+    def witness_inputs(self, variables: Sequence[str]) -> dict[str, Rat]:
         """Initial values of the program variables extracted from the model."""
         if self.model is None:
             return {}
-        values: dict[str, Fraction] = {}
+        values: dict[str, Rat] = {}
         for name in variables:
             for candidate in (f"{name}@0", name):
                 for var, value in self.model.items():

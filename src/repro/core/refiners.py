@@ -20,13 +20,12 @@ Two refiners are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..lang.cfg import Location, Program, Transition
 from ..lang.commands import ArrayAssign, Assign, Assume, Command, Havoc, Skip
 from ..logic.formulas import Atom, Formula, Relation, conjuncts, eq
-from ..logic.terms import LinExpr, Var
+from ..logic.terms import LinExpr, Rat, Var
 from ..invgen.synthesize import PathInvariantSynthesizer, SynthesisOptions, SynthesisResult
 from ..smt.vcgen import VcChecker
 from .pathprogram import PathProgram, build_path_program
@@ -85,7 +84,7 @@ class PathFormulaRefiner(Refiner):
         # atoms.  As in BLAST, the predicates are tracked at every location
         # touched by the path rather than point-wise.
         predicates: list[Formula] = []
-        constants: dict[str, Fraction] = {}
+        constants: dict[str, Rat] = {}
         for transition in path:
             for command in transition.commands:
                 if isinstance(command, Assume):
@@ -125,8 +124,8 @@ class PathFormulaRefiner(Refiner):
 
 
 def _propagate_constants(
-    constants: dict[str, Fraction], command: Command
-) -> dict[str, Fraction]:
+    constants: dict[str, Rat], command: Command
+) -> dict[str, Rat]:
     result = dict(constants)
     if isinstance(command, Assign):
         value = _evaluate_constant(command.expr, constants)
@@ -140,7 +139,7 @@ def _propagate_constants(
     return result
 
 
-def _evaluate_constant(expr: LinExpr, constants: dict[str, Fraction]) -> Optional[Fraction]:
+def _evaluate_constant(expr: LinExpr, constants: dict[str, Rat]) -> Optional[Rat]:
     if expr.array_reads():
         return None
     total = expr.const

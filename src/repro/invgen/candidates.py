@@ -36,7 +36,7 @@ from ..logic.formulas import (
     le,
 )
 from ..logic.simplify import normalize_atom
-from ..logic.terms import ArrayRead, LinExpr, Var
+from ..logic.terms import ArrayRead, LinExpr, Var, exact_div
 from .postcond import make_range_forall
 
 __all__ = [
@@ -211,7 +211,7 @@ def _extract_body(atom: Atom, read: ArrayRead) -> Optional[tuple[str, LinExpr]]:
     rest = atom.expr - LinExpr.make({read: coeff})
     if rest.array_reads():
         return None
-    rhs = rest.scale(-1 / coeff)
+    rhs = rest.scale(exact_div(-1, coeff))
     rhs = _generalise_over_index(rhs, read.index)
     if atom.rel is Relation.EQ:
         return "eq", rhs

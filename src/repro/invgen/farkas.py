@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..lang.cfg import Location, Program
@@ -43,7 +42,7 @@ from ..logic.formulas import (
     conjoin,
     conjuncts,
 )
-from ..logic.terms import LinExpr, Var
+from ..logic.terms import LinExpr, Rat, Var
 from ..smt.linear import LinConstraint, tighten_integer
 from ..smt.lra import LraSolver
 from ..smt.ssa import ssa_translate, versioned
@@ -63,7 +62,7 @@ class _Hypothesis:
     is_equality: bool
     #: fixed multiplier value (template hypotheses in phase 1/2), or None for
     #: a fresh LP multiplier variable (concrete hypotheses).
-    fixed: Optional[Fraction]
+    fixed: Optional[Rat]
     #: when the multiplier is enumerated, the index of its slot
     slot: Optional[int] = None
 
@@ -202,17 +201,13 @@ class FarkasEngine:
         if not templates:
             return found
 
-        normalisations: list[tuple[LinearTemplate, Var]] = []
-        for _, template in templates:
-            for variable in template.variables:
-                normalisations.append((template, template.parameter(variable)))
-
-        solutions: list[dict[Var, Fraction]] = []
-        for template, parameter in normalisations:
-            constraints = self._equality_systems(obligations, eq_map)
-            if constraints is None:
-                continue
-            constraints = constraints + [Atom(LinExpr.make({parameter: 1}) - LinExpr.constant(1), Relation.EQ)]
+        # Each normalisation pins one template coefficient to 1.  The system
+        # does not depend on which, so it is built once for all of them.
+        pinned = [t.parameter(v) for _, t in templates for v in t.variables]
+        system = self._equality_systems(obligations, eq_map)
+        solutions: list[dict[Var, Rat]] = []
+        for parameter in pinned:
+            constraints = system + [Atom(LinExpr.make({parameter: 1}) - LinExpr.constant(1), Relation.EQ)]
             self.lp_calls += 1
             outcome = self.lp.check(constraints)
             if outcome.satisfiable and outcome.model is not None:
@@ -236,7 +231,7 @@ class FarkasEngine:
         self,
         obligations: Sequence[_Obligation],
         eq_map: dict[Location, list[LinearTemplate]],
-    ) -> Optional[list[Atom]]:
+    ) -> list[Atom]:
         """LP constraints for initiation/consecution of the equality templates."""
         constraints: list[Atom] = []
         counter = itertools.count()
@@ -249,7 +244,7 @@ class FarkasEngine:
             source_templates = eq_map.get(obligation.path.source, [])
             for variant in obligation.concrete_le_variants:
                 for target in targets:
-                    for direction in (Fraction(1), Fraction(-1)):
+                    for direction in (1, -1):
                         hypotheses = self._hypotheses(
                             obligation, variant, source_templates, [], direction
                         )
@@ -271,7 +266,7 @@ class FarkasEngine:
         equalities: dict[Location, list[Formula]],
     ) -> Optional[dict[Location, Formula]]:
         # Enumeration slots: one per (obligation variant, target, source LE template).
-        grids: list[tuple[Fraction, ...]] = []
+        grids: list[tuple[int, ...]] = []
         plans = []  # (obligation, variant, target_expr or None, slot indices per source template)
         counter = itertools.count()
 
@@ -289,11 +284,7 @@ class FarkasEngine:
                     slots = []
                     for _ in source_le:
                         slots.append(len(grids))
-                        grids.append(
-                            (Fraction(1), Fraction(0), Fraction(2), Fraction(3))
-                            if target is not None
-                            else (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
-                        )
+                        grids.append((1, 0, 2, 3) if target is not None else (0, 1, 2, 3))
                     plans.append((obligation, variant, target, source_le, slots))
 
         combos = itertools.product(*grids) if grids else iter([()])
@@ -314,7 +305,7 @@ class FarkasEngine:
                 # grid combination would solve the LP trivially and then
                 # fail re-verification.
                 hypotheses = self._hypotheses(
-                    obligation, variant, [], extra_eq, Fraction(1)
+                    obligation, variant, [], extra_eq, 1
                 )
                 for template, slot in zip(source_le, slots):
                     hypotheses.append(
@@ -354,7 +345,7 @@ class FarkasEngine:
         variant: Sequence[LinExpr],
         source_eq_templates: Sequence[LinearTemplate],
         extra_concrete_eq: Sequence[LinExpr],
-        direction: Fraction,
+        direction: Rat,
     ) -> list[_Hypothesis]:
         hypotheses: list[_Hypothesis] = []
         for expr in list(obligation.concrete_eq) + list(extra_concrete_eq):
@@ -445,7 +436,7 @@ def _product(multiplier: LinExpr, coefficient: LinExpr) -> LinExpr:
     raise ValueError("bilinear product of two symbolic factors")
 
 
-def _scale(expr: ParamExpr, factor: Fraction) -> ParamExpr:
+def _scale(expr: ParamExpr, factor: Rat) -> ParamExpr:
     return ParamExpr(
         {v: e.scale(factor) for v, e in expr.coeffs.items()}, expr.const.scale(factor)
     )

@@ -22,7 +22,6 @@ always an over-approximation of the exact strongest postcondition.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ..lang.commands import ArrayAssign, Assign, Assume, Command, Havoc, Skip
@@ -36,7 +35,7 @@ from ..logic.formulas import (
     conjoin,
     conjuncts,
 )
-from ..logic.terms import ArrayRead, LinExpr, Var
+from ..logic.terms import ArrayRead, LinExpr, Var, exact_div
 from ..smt.fourier_motzkin import project
 from ..smt.linear import LinConstraint
 
@@ -249,7 +248,7 @@ def _variable_bounds(
         rest = atom.expr - LinExpr.make({variable: coeff})
         if variable in rest.variables():
             continue
-        bound = rest.scale(Fraction(-1) / coeff)
+        bound = rest.scale(exact_div(-1, coeff))
         if atom.rel is Relation.EQ:
             lowers.append(bound)
             uppers.append(bound)

@@ -161,7 +161,9 @@ class PathInvariantSynthesizer:
         if not self.options.use_farkas or program.arrays or not cuts:
             return {}, False
         variables = [Var(name) for name in program.variables if not name.startswith("__")]
-        template_map = {cut: equality_template(variables) for cut in cuts}
+        template_map = {
+            cut: equality_template(variables, f"c{k}") for k, cut in enumerate(cuts)
+        }
         outcome = self.farkas.synthesize(program, template_map)
         if outcome.success:
             return outcome.assertions, True

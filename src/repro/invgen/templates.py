@@ -6,17 +6,22 @@ ones used in the paper's Section 5 experiments: an affine equality
 ``c_1 x_1 + ... + c_m x_m + c = 0`` over the program variables, optionally
 conjoined with an affine inequality (the paper's refinement step for
 FORWARD).  The Farkas engine of :mod:`repro.invgen.farkas` instantiates them.
+
+A template's parameters are the variables ``<name>$<variable>`` and
+``<name>$const``.  The caller names the templates, uniquely among those it
+hands to one :meth:`~repro.invgen.farkas.FarkasEngine.synthesize` call
+(``c0``, ``c1``, ... over the cut-points), so a rerun interns no new
+parameters and their order in a :class:`LinExpr` does not depend on what
+the process ran before.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..logic.formulas import Atom, Formula, Relation, conjoin
-from ..logic.terms import LinExpr, Var
+from ..logic.terms import LinExpr, Rat, Var
 
 __all__ = [
     "ParamExpr",
@@ -24,8 +29,6 @@ __all__ = [
     "TemplateConjunction",
     "equality_template",
 ]
-
-_param_counter = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,6 @@ class LinearTemplate:
     relation: Relation
     name: str
 
-    @staticmethod
-    def fresh(variables: Sequence[Var], relation: Relation, prefix: str) -> "LinearTemplate":
-        return LinearTemplate(tuple(variables), relation, f"{prefix}{next(_param_counter)}")
-
-    # ------------------------------------------------------------------
     def parameter(self, variable: Var | None) -> Var:
         suffix = variable.name if variable is not None else "const"
         return Var(f"{self.name}${suffix}")
@@ -85,17 +83,15 @@ class LinearTemplate:
             coeffs[target] = LinExpr.make({self.parameter(variable): 1})
         return ParamExpr(coeffs, LinExpr.make({self.parameter(None): 1}))
 
-    def instantiate(self, solution: Mapping[Var, Fraction]) -> Formula:
-        expr = LinExpr.constant(solution.get(self.parameter(None), Fraction(0)))
+    def instantiate(self, solution: Mapping[Var, Rat]) -> Formula:
+        expr = LinExpr.constant(solution.get(self.parameter(None), 0))
         for variable in self.variables:
-            coeff = solution.get(self.parameter(variable), Fraction(0))
+            coeff = solution.get(self.parameter(variable), 0)
             expr = expr + LinExpr.make({variable: coeff})
         return Atom(expr, self.relation)
 
-    def is_trivial(self, solution: Mapping[Var, Fraction]) -> bool:
-        return all(
-            solution.get(self.parameter(v), Fraction(0)) == 0 for v in self.variables
-        )
+    def is_trivial(self, solution: Mapping[Var, Rat]) -> bool:
+        return all(solution.get(self.parameter(v), 0) == 0 for v in self.variables)
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ class TemplateConjunction:
             params.extend(template.parameters())
         return params
 
-    def instantiate(self, solution: Mapping[Var, Fraction]) -> Formula:
+    def instantiate(self, solution: Mapping[Var, Rat]) -> Formula:
         parts = [
             template.instantiate(solution)
             for template in self.conjuncts
@@ -118,12 +114,14 @@ class TemplateConjunction:
         ]
         return conjoin(parts)
 
-    def with_extra_inequality(self, variables: Sequence[Var]) -> "TemplateConjunction":
+    def with_extra_inequality(
+        self, variables: Sequence[Var], name: str
+    ) -> "TemplateConjunction":
         """The paper's refinement step: conjoin one more inequality template."""
-        extra = LinearTemplate.fresh(variables, Relation.LE, "d")
+        extra = LinearTemplate(tuple(variables), Relation.LE, name)
         return TemplateConjunction(self.conjuncts + (extra,))
 
 
-def equality_template(variables: Sequence[Var]) -> TemplateConjunction:
+def equality_template(variables: Sequence[Var], name: str) -> TemplateConjunction:
     """A single affine-equality template (the paper's first FORWARD attempt)."""
-    return TemplateConjunction((LinearTemplate.fresh(variables, Relation.EQ, "c"),))
+    return TemplateConjunction((LinearTemplate(tuple(variables), Relation.EQ, name),))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ..logic.formulas import (

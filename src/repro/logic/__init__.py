@@ -1,6 +1,6 @@
 """Terms, formulas and normal forms used throughout the library."""
 
-from .terms import ArrayRead, Atomic, LinExpr, Rat, Var, as_fraction, const, read, var
+from .terms import ArrayRead, Atomic, LinExpr, Rat, Var, as_rat, const, exact_div, read, var
 from .terms import clear_intern_caches as _clear_term_intern_caches
 from .formulas import clear_formula_intern_caches as _clear_formula_intern_caches
 from .formulas import (
@@ -47,9 +47,10 @@ __all__ = [
     "LinExpr",
     "Rat",
     "Var",
-    "as_fraction",
+    "as_rat",
     "clear_intern_caches",
     "const",
+    "exact_div",
     "read",
     "var",
     "FALSE",

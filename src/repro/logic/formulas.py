@@ -22,7 +22,6 @@ sets, ART state subsumption, VC memo keys) cheap regardless of formula size.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .terms import INTERN_LOCK, ArrayRead, Atomic, LinExpr, Rat, Var, coerce_expr
@@ -62,7 +61,7 @@ class Relation(Enum):
     def negated(self) -> "Relation":
         return _NEGATIONS[self]
 
-    def holds(self, value: Fraction) -> bool:
+    def holds(self, value: Rat) -> bool:
         if self is Relation.LE:
             return value <= 0
         if self is Relation.LT:

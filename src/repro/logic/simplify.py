@@ -8,7 +8,6 @@ formula; semantic simplification is the job of the solvers in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .formulas import (
@@ -25,7 +24,7 @@ from .formulas import (
     conjoin,
     disjoin,
 )
-from .terms import LinExpr
+from .terms import LinExpr, exact_div
 
 __all__ = ["simplify", "normalize_atom", "simplify_conjunction"]
 
@@ -53,7 +52,7 @@ def normalize_atom(atom: Atom) -> Formula:
     lcm = denominators[0]
     for d in denominators[1:]:
         lcm = lcm * d // _gcd(lcm, d)
-    factor = Fraction(lcm, gcd)
+    factor = exact_div(lcm, gcd)
     if factor != 1:
         expr = expr.scale(factor)
     return Atom(expr, atom.rel)

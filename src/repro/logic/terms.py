@@ -16,9 +16,14 @@ re-traverse whole trees.  Interned tables grow with the set of distinct terms
 ever built; long-running services can call :func:`clear_intern_caches`
 between independent problems.
 
-All coefficients are :class:`fractions.Fraction`; no floating point arithmetic
-is used anywhere in the library, so soundness of verification results never
-depends on rounding.
+Coefficients, constants and the values the solvers compute are exact
+rationals in the canonical form of :func:`as_rat`: a plain ``int`` when
+integral, a :class:`fractions.Fraction` only when not.  Nearly every number a
+run touches is an integer, and ``int`` arithmetic is many times cheaper; an
+``int`` and the equal ``Fraction`` compare and hash alike, so the form never
+moves a dictionary slot, a set order or an answer.  No floating point is used
+anywhere in the library, so soundness never depends on rounding; because
+``int / int`` is a float, every true division goes through :func:`exact_div`.
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ __all__ = [
     "Atomic",
     "LinExpr",
     "Rat",
-    "as_fraction",
+    "as_rat",
+    "exact_div",
     "var",
     "const",
     "read",
@@ -55,17 +61,35 @@ __all__ = [
 Rat = Union[int, Fraction]
 
 
-def as_fraction(value: Rat) -> Fraction:
-    """Coerce an ``int`` or :class:`Fraction` into a :class:`Fraction`.
+def as_rat(value: Rat) -> Rat:
+    """The canonical form of an exact rational: ``int`` if integral, else
+    a :class:`Fraction` (whose denominator is then never 1).
 
     Floats are rejected on purpose: exact arithmetic is a soundness
     requirement for the solvers built on top of this module.
     """
-    if isinstance(value, Fraction):
+    if value.__class__ is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}: {value!r}")
+
+
+def exact_div(numerator: Rat, denominator: Rat) -> Rat:
+    """``numerator / denominator`` as an exact rational in canonical form.
+
+    The one true division of the logic, smt and invgen layers (a test keeps
+    ``/`` out of them): Python's ``int / int`` is a float, and a float in a
+    coefficient or in the simplex tableau would make answers depend on
+    rounding.  Dividing by zero raises :class:`ZeroDivisionError`.
+    """
+    if numerator.__class__ is int and denominator.__class__ is int:
+        quotient, remainder = divmod(numerator, denominator)
+        return Fraction(numerator, denominator) if remainder else quotient
+    quotient = Fraction(numerator, denominator)
+    return quotient.numerator if quotient.denominator == 1 else quotient
 
 
 class Var:
@@ -222,9 +246,7 @@ class LinExpr:
 
     _intern: dict[tuple, "LinExpr"] = {}
 
-    def __new__(
-        cls, terms: tuple[tuple[Atomic, Fraction], ...], const: Fraction
-    ) -> "LinExpr":
+    def __new__(cls, terms: tuple[tuple[Atomic, Rat], ...], const: Rat) -> "LinExpr":
         key = (terms, const)
         cached = cls._intern.get(key)
         if cached is not None:
@@ -261,14 +283,14 @@ class LinExpr:
     @staticmethod
     def make(coeffs: Mapping[Atomic, Rat] | None = None, constant: Rat = 0) -> "LinExpr":
         """Build a canonical linear expression from a coefficient mapping."""
-        items: list[tuple[Atomic, Fraction]] = []
+        items: list[tuple[Atomic, Rat]] = []
         if coeffs:
             for atom, coeff in coeffs.items():
-                frac = as_fraction(coeff)
-                if frac != 0:
-                    items.append((atom, frac))
+                coeff = as_rat(coeff)
+                if coeff != 0:
+                    items.append((atom, coeff))
         items.sort(key=lambda pair: _atomic_key(pair[0]))
-        return LinExpr(tuple(items), as_fraction(constant))
+        return LinExpr(tuple(items), as_rat(constant))
 
     @staticmethod
     def constant(value: Rat) -> "LinExpr":
@@ -294,12 +316,12 @@ class LinExpr:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def coeff(self, atom: Atomic) -> Fraction:
+    def coeff(self, atom: Atomic) -> Rat:
         """Coefficient of ``atom`` (zero if absent)."""
         for candidate, value in self.terms:
             if candidate == atom:
                 return value
-        return Fraction(0)
+        return 0
 
     def atoms(self) -> tuple[Atomic, ...]:
         return tuple(atom for atom, _ in self.terms)
@@ -336,7 +358,7 @@ class LinExpr:
     def is_constant(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rat:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant expression")
         return self.const
@@ -344,14 +366,14 @@ class LinExpr:
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
-    def _as_dict(self) -> dict[Atomic, Fraction]:
+    def _as_dict(self) -> dict[Atomic, Rat]:
         return {atom: coeff for atom, coeff in self.terms}
 
     def __add__(self, other: "LinExpr | Rat") -> "LinExpr":
         other = coerce_expr(other)
         coeffs = self._as_dict()
         for atom, coeff in other.terms:
-            coeffs[atom] = coeffs.get(atom, Fraction(0)) + coeff
+            coeffs[atom] = coeffs.get(atom, 0) + coeff
         return LinExpr.make(coeffs, self.const + other.const)
 
     def __radd__(self, other: "LinExpr | Rat") -> "LinExpr":
@@ -367,9 +389,9 @@ class LinExpr:
         return coerce_expr(other) - self
 
     def scale(self, factor: Rat) -> "LinExpr":
-        frac = as_fraction(factor)
-        coeffs = {atom: coeff * frac for atom, coeff in self.terms}
-        return LinExpr.make(coeffs, self.const * frac)
+        factor = as_rat(factor)
+        coeffs = {atom: coeff * factor for atom, coeff in self.terms}
+        return LinExpr.make(coeffs, self.const * factor)
 
     def __mul__(self, factor: Rat) -> "LinExpr":
         return self.scale(factor)
@@ -405,7 +427,7 @@ class LinExpr:
 
     def rename(self, renaming: Mapping[str, str]) -> "LinExpr":
         """Rename scalar variables and array symbols according to ``renaming``."""
-        coeffs: dict[Atomic, Fraction] = {}
+        coeffs: dict[Atomic, Rat] = {}
         for atom, coeff in self.terms:
             if isinstance(atom, Var):
                 new_atom: Atomic = Var(renaming.get(atom.name, atom.name))
@@ -413,7 +435,7 @@ class LinExpr:
                 new_atom = ArrayRead(
                     renaming.get(atom.array, atom.array), atom.index.rename(renaming)
                 )
-            coeffs[new_atom] = coeffs.get(new_atom, Fraction(0)) + coeff
+            coeffs[new_atom] = coeffs.get(new_atom, 0) + coeff
         return LinExpr.make(coeffs, self.const)
 
     def primed(self) -> "LinExpr":
@@ -424,22 +446,22 @@ class LinExpr:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, valuation: Mapping[Atomic, Rat]) -> Fraction:
+    def evaluate(self, valuation: Mapping[Atomic, Rat]) -> Rat:
         """Evaluate under a valuation of every atomic term appearing here."""
         total = self.const
         for atom, coeff in self.terms:
             if isinstance(atom, ArrayRead):
                 # Allow array reads to be looked up by their (array, index value).
                 if atom in valuation:
-                    value = as_fraction(valuation[atom])
+                    value = as_rat(valuation[atom])
                 else:
                     raise KeyError(f"no valuation for array read {atom}")
             else:
                 if atom not in valuation:
                     raise KeyError(f"no valuation for variable {atom}")
-                value = as_fraction(valuation[atom])
+                value = as_rat(valuation[atom])
             total += coeff * value
-        return total
+        return as_rat(total)
 
     # ------------------------------------------------------------------
     # Rendering
@@ -475,7 +497,7 @@ def coerce_expr(value: "LinExpr | Var | ArrayRead | Rat") -> LinExpr:
         return LinExpr.make({value: 1})
     if isinstance(value, ArrayRead):
         return LinExpr.make({value: 1})
-    return LinExpr.constant(as_fraction(value))
+    return LinExpr.constant(value)
 
 
 #: Extra caches (registered by higher layers) that key on interned terms and

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..logic.formulas import (
@@ -45,7 +44,7 @@ from ..logic.formulas import (
     eq,
     negate,
 )
-from ..logic.terms import ArrayRead, LinExpr, Var
+from ..logic.terms import ArrayRead, LinExpr, Rat, Var
 from ..logic.transform import FreshNames
 from .budget import BudgetExhausted
 from .lra import LraResult, LraSolver
@@ -262,17 +261,17 @@ def flatten_reads(
     return expr.substitute_reads(substitution)
 
 
-def _evaluate_flat(expr: LinExpr, model: dict[Var, Fraction]) -> Fraction:
+def _evaluate_flat(expr: LinExpr, model: dict[Var, Rat]) -> Rat:
     total = expr.const
     for atom, coeff in expr.terms:
         assert isinstance(atom, Var)
-        total += coeff * model.get(atom, Fraction(0))
+        total += coeff * model.get(atom, 0)
     return total
 
 
 def find_functionality_violation(
     reads: Sequence[tuple[Var, str, LinExpr]],
-    model: dict[Var, Fraction],
+    model: dict[Var, Rat],
     decided,
 ) -> Optional[tuple[Var, Var, LinExpr, LinExpr]]:
     """First pair of same-array reads whose model violates functionality.
@@ -292,8 +291,8 @@ def find_functionality_violation(
                 continue
             value_a = _evaluate_flat(index_a, model)
             value_b = _evaluate_flat(index_b, model)
-            if value_a == value_b and model.get(var_a, Fraction(0)) != model.get(
-                var_b, Fraction(0)
+            if value_a == value_b and model.get(var_a, 0) != model.get(
+                var_b, 0
             ):
                 return var_a, var_b, index_a, index_b
     return None

@@ -19,11 +19,10 @@ systems produced from path programs are small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ..logic.formulas import Relation
-from ..logic.terms import LinExpr, Var
+from ..logic.terms import LinExpr, Rat, Var, as_rat, exact_div
 from .linear import LinConstraint, is_trivial_false, is_trivial_true, normalize_constraint
 
 __all__ = ["satisfiable", "project", "EliminationStep", "eliminate_variable"]
@@ -69,7 +68,7 @@ def eliminate_variable(
         coeff = equality.expr.coeff(var)
         # coeff * var + rest = 0   =>   var = -rest / coeff
         rest = equality.expr - LinExpr.make({var: coeff})
-        definition = rest.scale(Fraction(-1, 1) / coeff)
+        definition = rest.scale(exact_div(-1, coeff))
         step = EliminationStep(var, definition, [], [])
         for constraint in with_var:
             if constraint is equality:
@@ -83,7 +82,7 @@ def eliminate_variable(
     for constraint in with_var:
         coeff = constraint.expr.coeff(var)
         rest = constraint.expr - LinExpr.make({var: coeff})
-        bound = rest.scale(Fraction(-1, 1) / coeff)
+        bound = rest.scale(exact_div(-1, coeff))
         strict = constraint.rel is Relation.LT
         if coeff > 0:
             # coeff*var + rest <= 0  =>  var <= -rest/coeff
@@ -146,7 +145,7 @@ def _prune(constraints: Iterable[LinConstraint]) -> Optional[list[LinConstraint]
 
 def satisfiable(
     constraints: Sequence[LinConstraint],
-) -> Optional[dict[Var, Fraction]]:
+) -> Optional[dict[Var, Rat]]:
     """Rational satisfiability with witness; ``None`` means unsatisfiable."""
     current = _prune(constraints)
     if current is None:
@@ -164,13 +163,13 @@ def satisfiable(
             return None
 
     # All remaining constraints are trivially true; rebuild a model.
-    model: dict[Var, Fraction] = {}
+    model: dict[Var, Rat] = {}
     for step in reversed(steps):
         model[step.var] = _reconstruct_value(step, model)
     return model
 
 
-def _reconstruct_value(step: EliminationStep, model: dict[Var, Fraction]) -> Fraction:
+def _reconstruct_value(step: EliminationStep, model: dict[Var, Rat]) -> Rat:
     if step.definition is not None:
         return _evaluate(step.definition, model)
     lowers = [(_evaluate(e, model), strict) for e, strict in step.lower]
@@ -178,7 +177,7 @@ def _reconstruct_value(step: EliminationStep, model: dict[Var, Fraction]) -> Fra
     low = max((v for v, _ in lowers), default=None)
     up = min((v for v, _ in uppers), default=None)
     if low is None and up is None:
-        return Fraction(0)
+        return 0
     if low is None:
         assert up is not None
         return up - 1
@@ -186,15 +185,15 @@ def _reconstruct_value(step: EliminationStep, model: dict[Var, Fraction]) -> Fra
         return low + 1
     if low == up:
         return low
-    return (low + up) / 2
+    return exact_div(low + up, 2)
 
 
-def _evaluate(expr: LinExpr, model: dict[Var, Fraction]) -> Fraction:
+def _evaluate(expr: LinExpr, model: dict[Var, Rat]) -> Rat:
     total = expr.const
     for atom, coeff in expr.terms:
         assert isinstance(atom, Var)
-        total += coeff * model.get(atom, Fraction(0))
-    return total
+        total += coeff * model.get(atom, 0)
+    return as_rat(total)
 
 
 def project(

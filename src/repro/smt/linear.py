@@ -10,10 +10,9 @@ eliminated by the layers above (:mod:`repro.smt.solver`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..logic.formulas import Relation
-from ..logic.terms import LinExpr, Var
+from ..logic.terms import LinExpr, Rat, Var, exact_div
 
 __all__ = [
     "LinConstraint",
@@ -60,7 +59,7 @@ def normalize_constraint(constraint: LinConstraint) -> LinConstraint:
     gcd = 0
     for value in scaled:
         gcd = _gcd(gcd, value.numerator)
-    factor = Fraction(lcm, gcd) if gcd else Fraction(lcm)
+    factor = exact_div(lcm, gcd) if gcd else lcm
     if factor == 1:
         return constraint
     return LinConstraint(expr.scale(factor), constraint.rel)
@@ -91,17 +90,17 @@ def tighten_integer(constraint: LinConstraint) -> LinConstraint:
     gcd = 0
     for _, coeff in expr.terms:
         gcd = _gcd(gcd, coeff.numerator)
-    bound = -expr.const / gcd
+    bound = exact_div(-expr.const, gcd)
     if constraint.rel is Relation.LT:
-        tightened_bound = bound - 1 if bound.denominator == 1 else Fraction(_floor(bound))
+        tightened_bound = bound - 1 if bound.denominator == 1 else _floor(bound)
     else:
-        tightened_bound = Fraction(_floor(bound))
-    new_terms = tuple((atom, coeff / gcd) for atom, coeff in expr.terms)
+        tightened_bound = _floor(bound)
+    new_terms = tuple((atom, exact_div(coeff, gcd)) for atom, coeff in expr.terms)
     new_expr = LinExpr(new_terms, -tightened_bound)
     return LinConstraint(new_expr, Relation.LE)
 
 
-def _floor(value: Fraction) -> int:
+def _floor(value: Rat) -> int:
     return value.numerator // value.denominator
 
 

@@ -25,11 +25,10 @@ case-split tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..logic.formulas import Atom, Relation
-from ..logic.terms import LinExpr, Var, register_intern_cache
+from ..logic.terms import LinExpr, Rat, Var, register_intern_cache
 from .linear import LinConstraint, normalize_constraint, tighten_integer
 from .simplex import IncrementalSimplex
 
@@ -41,7 +40,7 @@ class LraResult:
     """Outcome of a conjunction query."""
 
     satisfiable: bool
-    model: Optional[dict[Var, Fraction]] = None
+    model: Optional[dict[Var, Rat]] = None
     #: True when the answer required giving up (e.g. branch-and-bound budget
     #: exhausted); the reported answer is then the sound over-approximation
     #: "satisfiable".
@@ -98,9 +97,7 @@ def assert_atoms(
     return True
 
 
-def _fractional_variable(
-    model: dict[Var, Fraction]
-) -> Optional[tuple[Var, Fraction]]:
+def _fractional_variable(model: dict[Var, Rat]) -> Optional[tuple[Var, Rat]]:
     for variable, value in sorted(model.items()):
         if value.denominator != 1:
             return variable, value
@@ -129,7 +126,7 @@ def integer_feasible(
     if budget <= 0:
         return LraResult(True, model, approximate=True)
     variable, value = fractional
-    floor = Fraction(value.numerator // value.denominator)
+    floor = value.numerator // value.denominator
     branches = (
         LinExpr.variable(variable) - LinExpr.constant(floor),       # x <= floor
         LinExpr.constant(floor + 1) - LinExpr.variable(variable),   # x >= floor + 1

@@ -10,25 +10,32 @@ split share the whole tableau prefix and only flip a few bounds.  Strict
 inequalities are handled exactly with delta-rationals ``a + b*delta`` (an
 infinitesimal positive ``delta``), so no separate Fourier–Motzkin pass is
 needed for satisfiability.
+
+Every number in the engine (row coefficients, bounds, both halves of a
+delta-rational, the model) is an exact rational in the canonical form of
+:func:`~repro.logic.terms.as_rat`: an ``int`` when integral, a ``Fraction``
+only when not.  The verifier's tableaux are almost entirely integral, so
+pivots and the bound comparisons of :meth:`IncrementalSimplex.check` run on
+ints; the divisions (bounds, pivot ratios, the row inverse, the model's
+``delta``) go through :func:`~repro.logic.terms.exact_div`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from ..logic.formulas import Relation
-from ..logic.terms import LinExpr, Var
+from ..logic.terms import LinExpr, Rat, Var, as_rat, exact_div
 
 __all__ = ["IncrementalSimplex"]
 
 # ----------------------------------------------------------------------
 # Delta-rationals: pairs (a, b) denoting a + b*delta for an infinitesimal
 # positive delta.  Python's lexicographic tuple comparison implements the
-# right total order, so plain tuples are used for speed.
+# right total order, so plain tuples are used for speed.  Both halves are
+# canonical rationals, so an integral pair is a pair of ints.
 # ----------------------------------------------------------------------
-_ZERO = Fraction(0)
-_DZERO = (_ZERO, _ZERO)
+_DZERO = (0, 0)
 
 
 class IncrementalSimplex:
@@ -47,19 +54,19 @@ class IncrementalSimplex:
 
     def __init__(self) -> None:
         #: basic var -> {nonbasic var: coeff}; invariant basic = sum(row).
-        self._rows: dict[Var, dict[Var, Fraction]] = {}
+        self._rows: dict[Var, dict[Var, Rat]] = {}
         #: nonbasic var -> set of basic vars whose row mentions it.
         self._cols: dict[Var, set[Var]] = {}
         #: current assignment, as delta-rational pairs.
-        self._values: dict[Var, tuple[Fraction, Fraction]] = {}
-        self._lower: dict[Var, tuple[Fraction, Fraction]] = {}
-        self._upper: dict[Var, tuple[Fraction, Fraction]] = {}
+        self._values: dict[Var, tuple[Rat, Rat]] = {}
+        self._lower: dict[Var, tuple[Rat, Rat]] = {}
+        self._upper: dict[Var, tuple[Rat, Rat]] = {}
         #: canonical linear form -> its slack variable.
         self._slack_of_form: dict[tuple, Var] = {}
         #: Bland-rule total order on variables (creation order).
         self._var_ids: dict[Var, int] = {}
         #: undo log of bound changes: (which, var, old bound or None).
-        self._trail: list[tuple[str, Var, Optional[tuple[Fraction, Fraction]]]] = []
+        self._trail: list[tuple[str, Var, Optional[tuple[Rat, Rat]]]] = []
         self._marks: list[tuple[int, bool]] = []
         self._conflict = False
         self.num_checks = 0
@@ -110,27 +117,27 @@ class IncrementalSimplex:
 
         if len(terms) == 1:
             variable, coeff = terms[0]
-            bound = -const / coeff
+            bound = exact_div(-const, coeff)
             flip = coeff < 0
         else:
             lead = terms[0][1]
-            key = tuple((v, c / lead) for v, c in terms)
+            key = tuple((v, exact_div(c, lead)) for v, c in terms)
             variable = self._slack_of_form.get(key)
             if variable is None:
                 variable = self._new_slack(key)
             else:
                 self.num_slack_reuses += 1
-            bound = -const / lead
+            bound = exact_div(-const, lead)
             flip = lead < 0
 
         if rel is Relation.EQ:
-            ok = self._assert_upper(variable, (bound, _ZERO))
-            return self._assert_lower(variable, (bound, _ZERO)) and ok
+            ok = self._assert_upper(variable, (bound, 0))
+            return self._assert_lower(variable, (bound, 0)) and ok
         strict = rel is Relation.LT
         if flip:
             # coeff < 0:  c*x <= -const  ==>  x >= bound (strictly for LT).
-            return self._assert_lower(variable, (bound, Fraction(1) if strict else _ZERO))
-        return self._assert_upper(variable, (bound, Fraction(-1) if strict else _ZERO))
+            return self._assert_lower(variable, (bound, 1 if strict else 0))
+        return self._assert_upper(variable, (bound, -1 if strict else 0))
 
     def _register(self, variable: Var) -> None:
         if variable not in self._var_ids:
@@ -143,30 +150,30 @@ class IncrementalSimplex:
         slack = Var(f"slk#{self.num_slack_vars}")
         # Define slack = sum(form), substituting currently-basic variables by
         # their rows so the new row mentions only nonbasic variables.
-        row: dict[Var, Fraction] = {}
-        value_a = _ZERO
-        value_b = _ZERO
+        row: dict[Var, Rat] = {}
+        value_a = 0
+        value_b = 0
         for variable, coeff in form:
             self._register(variable)
             basic_row = self._rows.get(variable)
             if basic_row is None:
-                row[variable] = row.get(variable, _ZERO) + coeff
+                row[variable] = row.get(variable, 0) + coeff
             else:
                 for inner, inner_coeff in basic_row.items():
-                    row[inner] = row.get(inner, _ZERO) + coeff * inner_coeff
+                    row[inner] = row.get(inner, 0) + coeff * inner_coeff
             va, vb = self._values[variable]
             value_a += coeff * va
             value_b += coeff * vb
-        row = {v: c for v, c in row.items() if c != 0}
+        row = {v: as_rat(c) for v, c in row.items() if c != 0}
         self._var_ids[slack] = len(self._var_ids)
-        self._values[slack] = (value_a, value_b)
+        self._values[slack] = (as_rat(value_a), as_rat(value_b))
         self._rows[slack] = row
         for variable in row:
             self._cols.setdefault(variable, set()).add(slack)
         self._slack_of_form[form] = slack
         return slack
 
-    def _assert_lower(self, variable: Var, bound: tuple[Fraction, Fraction]) -> bool:
+    def _assert_lower(self, variable: Var, bound: tuple[Rat, Rat]) -> bool:
         self._register(variable)
         old = self._lower.get(variable)
         if old is not None and old >= bound:
@@ -182,7 +189,7 @@ class IncrementalSimplex:
             self._update_nonbasic(variable, bound)
         return not self._conflict
 
-    def _assert_upper(self, variable: Var, bound: tuple[Fraction, Fraction]) -> bool:
+    def _assert_upper(self, variable: Var, bound: tuple[Rat, Rat]) -> bool:
         self._register(variable)
         old = self._upper.get(variable)
         if old is not None and old <= bound:
@@ -198,7 +205,7 @@ class IncrementalSimplex:
             self._update_nonbasic(variable, bound)
         return not self._conflict
 
-    def _update_nonbasic(self, variable: Var, value: tuple[Fraction, Fraction]) -> None:
+    def _update_nonbasic(self, variable: Var, value: tuple[Rat, Rat]) -> None:
         old_a, old_b = self._values[variable]
         delta_a = value[0] - old_a
         delta_b = value[1] - old_b
@@ -210,7 +217,7 @@ class IncrementalSimplex:
             if coeff is None:
                 continue
             va, vb = values[basic]
-            values[basic] = (va + coeff * delta_a, vb + coeff * delta_b)
+            values[basic] = (as_rat(va + coeff * delta_a), as_rat(vb + coeff * delta_b))
 
     # ------------------------------------------------------------------
     # Feasibility
@@ -263,7 +270,7 @@ class IncrementalSimplex:
             self._pivot_and_update(candidate, entering, target)
 
     def _pivot_and_update(
-        self, basic: Var, entering: Var, target: tuple[Fraction, Fraction]
+        self, basic: Var, entering: Var, target: tuple[Rat, Rat]
     ) -> None:
         self.num_pivots += 1
         rows = self._rows
@@ -271,10 +278,10 @@ class IncrementalSimplex:
         row = rows.pop(basic)
         coeff = row.pop(entering)
         va, vb = values[basic]
-        theta = ((target[0] - va) / coeff, (target[1] - vb) / coeff)
+        theta = (exact_div(target[0] - va, coeff), exact_div(target[1] - vb, coeff))
         values[basic] = target
         ea, eb = values[entering]
-        values[entering] = (ea + theta[0], eb + theta[1])
+        values[entering] = (as_rat(ea + theta[0]), as_rat(eb + theta[1]))
         for other in self._cols[entering]:
             if other is basic or other not in rows:
                 continue
@@ -282,13 +289,15 @@ class IncrementalSimplex:
             if other_coeff is None:
                 continue
             oa, ob = values[other]
-            values[other] = (oa + other_coeff * theta[0], ob + other_coeff * theta[1])
+            values[other] = (
+                as_rat(oa + other_coeff * theta[0]), as_rat(ob + other_coeff * theta[1])
+            )
 
         # Row for the entering variable: entering = (basic - sum(rest)) / coeff.
-        inv = Fraction(1) / coeff
-        new_row: dict[Var, Fraction] = {basic: inv}
+        inv = exact_div(1, coeff)
+        new_row: dict[Var, Rat] = {basic: inv}
         for variable, c in row.items():
-            new_row[variable] = -c * inv
+            new_row[variable] = as_rat(-c * inv)
             self._cols[variable].discard(basic)
         cols = self._cols
         cols.setdefault(basic, set())
@@ -302,13 +311,13 @@ class IncrementalSimplex:
             if factor is None:
                 continue
             for variable, c in new_row.items():
-                merged = other_row.get(variable, _ZERO) + factor * c
+                merged = other_row.get(variable, 0) + factor * c
                 if merged == 0:
                     if variable in other_row:
                         del other_row[variable]
                         cols[variable].discard(other)
                 else:
-                    other_row[variable] = merged
+                    other_row[variable] = as_rat(merged)
                     cols.setdefault(variable, set()).add(other)
 
         rows[entering] = new_row
@@ -319,7 +328,7 @@ class IncrementalSimplex:
     # ------------------------------------------------------------------
     # Models
     # ------------------------------------------------------------------
-    def model(self) -> dict[Var, Fraction]:
+    def model(self) -> dict[Var, Rat]:
         """A concrete rational witness for the current (feasible) bounds.
 
         Delta-rational values are concretised by choosing a rational
@@ -330,18 +339,18 @@ class IncrementalSimplex:
         value is valid for them, and handing out fractional leftovers would
         send integer branch-and-bound chasing variables that do not matter.
         """
-        delta = Fraction(1)
+        delta: Rat = 1
         values = self._values
         lower = self._lower
         upper = self._upper
         for variable, (ba, bb) in lower.items():
             va, vb = values[variable]
             if ba < va and bb > vb:
-                delta = min(delta, (va - ba) / (bb - vb))
+                delta = min(delta, exact_div(va - ba, bb - vb))
         for variable, (ba, bb) in upper.items():
             va, vb = values[variable]
             if va < ba and vb > bb:
-                delta = min(delta, (ba - va) / (vb - bb))
+                delta = min(delta, exact_div(ba - va, vb - bb))
         relevant: set[Var] = set()
         for form, slack in self._slack_of_form.items():
             if slack in lower or slack in upper:
@@ -351,12 +360,12 @@ class IncrementalSimplex:
             for variable in bounds:
                 if not variable.name.startswith("slk#"):
                     relevant.add(variable)
-        model: dict[Var, Fraction] = {}
+        model: dict[Var, Rat] = {}
         for variable, (a, b) in values.items():
             if variable.name.startswith("slk#"):
                 continue
             if variable in relevant:
-                model[variable] = a + b * delta
+                model[variable] = as_rat(a + b * delta)
             else:
-                model[variable] = Fraction(a.numerator // a.denominator)
+                model[variable] = a.numerator // a.denominator
         return model

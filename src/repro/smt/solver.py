@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..logic.formulas import (
@@ -59,7 +58,7 @@ from ..logic.formulas import (
     eq,
     negate,
 )
-from ..logic.terms import ArrayRead, LinExpr, Var
+from ..logic.terms import ArrayRead, LinExpr, Rat, Var
 from ..logic.transform import FreshNames, dnf_cubes, quantifier_free, to_nnf
 from ..logic.simplify import simplify
 from .arrays import CubeSolver, find_functionality_violation, flatten_reads
@@ -75,7 +74,7 @@ class SatResult:
     """Outcome of a satisfiability query."""
 
     satisfiable: bool
-    model: Optional[dict[Var, Fraction]] = None
+    model: Optional[dict[Var, Rat]] = None
     approximate: bool = False
 
 
@@ -634,7 +633,7 @@ class SmtSolver:
     def is_unsat(self, formula: Formula) -> bool:
         return not self.is_sat(formula)
 
-    def get_model(self, formula: Formula) -> Optional[dict[Var, Fraction]]:
+    def get_model(self, formula: Formula) -> Optional[dict[Var, Rat]]:
         result = self.check_sat(formula)
         return result.model if result.satisfiable else None
 

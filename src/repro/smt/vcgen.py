@@ -71,12 +71,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..lang.commands import Command
 from ..logic.formulas import FALSE, Forall, Formula, TRUE, conjoin, negate
-from ..logic.terms import LinExpr, Var
+from ..logic.terms import LinExpr, Rat, Var
 from ..logic.transform import FreshNames, quantifier_free
 from .arrays import resolve_stores
 from .budget import BudgetExhausted
@@ -97,7 +96,7 @@ class PathFeasibility:
     """Outcome of a path-feasibility query."""
 
     feasible: bool
-    model: Optional[dict[Var, Fraction]] = None
+    model: Optional[dict[Var, Rat]] = None
     approximate: bool = False
 
 

@@ -198,7 +198,10 @@ class TestFarkasEngine:
         path_program = self._path_program()
         engine = FarkasEngine()
         variables = [Var(n) for n in ("a", "b", "i", "n")]
-        template = {cut: equality_template(variables) for cut in cutpoints(path_program)}
+        template = {
+            cut: equality_template(variables, f"c{k}")
+            for k, cut in enumerate(sorted(cutpoints(path_program)))
+        }
         result = engine.synthesize(path_program, template)
         assert not result.success
 
@@ -207,14 +210,59 @@ class TestFarkasEngine:
         engine = FarkasEngine()
         variables = [Var(n) for n in ("a", "b", "i", "n")]
         template = {
-            cut: equality_template(variables).with_extra_inequality(variables)
-            for cut in cutpoints(path_program)
+            cut: equality_template(variables, f"c{k}").with_extra_inequality(variables, f"d{k}")
+            for k, cut in enumerate(sorted(cutpoints(path_program)))
         }
         result = engine.synthesize(path_program, template)
         assert result.success
         checker = VcChecker()
         for cut, formula in result.assertions.items():
             assert checker.check_entailment(formula, eq(var("a") + var("b"), var("i") * 3))
+
+    def test_phase_one_builds_its_lp_system_once(self, monkeypatch):
+        # Phase one solves one LP per normalisation (here one per variable
+        # of the template), all over the same initiation/consecution system.
+        path_program = self._path_program()
+        builds = []
+        build = FarkasEngine._equality_systems
+
+        def counting_build(engine, obligations, eq_map):
+            builds.append(eq_map)
+            return build(engine, obligations, eq_map)
+
+        monkeypatch.setattr(FarkasEngine, "_equality_systems", counting_build)
+        variables = [Var(n) for n in ("a", "b", "i", "n")]
+        template = {
+            cut: equality_template(variables, f"c{k}")
+            for k, cut in enumerate(sorted(cutpoints(path_program)))
+        }
+        result = FarkasEngine().synthesize(path_program, template)
+        assert result.lp_calls == len(variables) * len(template)
+        assert len(builds) == 1
+
+
+class TestTemplateNames:
+    def test_second_run_interns_no_new_terms(self):
+        # Template parameters are named per synthesis (c0, c1, ...), so a
+        # rerun builds only terms the first run already interned.
+        from repro import Session
+        from repro.lang.programs import PROGRAMS
+        from repro.logic.terms import LinExpr
+
+        source = PROGRAMS["forward"].source
+        Session().run(source, name="forward")
+        before = (len(Var._intern), len(LinExpr._intern))
+        result = Session().run(source, name="forward")
+        assert result.is_safe
+        assert (len(Var._intern), len(LinExpr._intern)) == before
+
+    def test_template_names_are_the_callers(self):
+        variables = [Var("x"), Var("y")]
+        template = equality_template(variables, "c0").with_extra_inequality(variables, "d0")
+        assert [t.name for t in template.conjuncts] == ["c0", "d0"]
+        assert template.parameters() == [
+            Var("c0$x"), Var("c0$y"), Var("c0$const"), Var("d0$x"), Var("d0$y"), Var("d0$const")
+        ]
 
 
 class TestSynthesizer:

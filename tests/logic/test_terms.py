@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.terms import ArrayRead, LinExpr, Var, as_fraction, const, read, var
+from repro.logic.terms import (
+    ArrayRead,
+    LinExpr,
+    Var,
+    as_rat,
+    const,
+    exact_div,
+    read,
+    var,
+)
 
 
 class TestConstruction:
@@ -24,9 +33,36 @@ class TestConstruction:
         expr = LinExpr.make({Var("x"): 0, Var("y"): 2})
         assert expr.atoms() == (Var("y"),)
 
-    def test_as_fraction_rejects_floats(self):
+    def test_as_rat_rejects_floats(self):
         with pytest.raises(TypeError):
-            as_fraction(1.5)
+            as_rat(1.5)
+
+    def test_as_rat_makes_integral_values_ints(self):
+        assert type(as_rat(Fraction(6, 3))) is int and as_rat(Fraction(6, 3)) == 2
+        assert type(as_rat(True)) is int
+        assert as_rat(Fraction(1, 3)) == Fraction(1, 3)
+
+    def test_make_yields_int_coefficients_for_integral_input(self):
+        expr = LinExpr.make({Var("x"): Fraction(4, 2), Var("y"): 3}, Fraction(10, 5))
+        assert [type(c) for _, c in expr.terms] == [int, int]
+        assert type(expr.const) is int and expr.const == 2
+        half = LinExpr.make({Var("x"): Fraction(1, 2)}).scale(4)
+        assert type(half.coeff(Var("x"))) is int
+
+    def test_exact_div_is_an_int_when_integral(self):
+        assert type(exact_div(6, 3)) is int and exact_div(6, 3) == 2
+        assert type(exact_div(-7, 7)) is int
+        assert type(exact_div(Fraction(1, 2), Fraction(1, 4))) is int
+        assert exact_div(1, -2) == Fraction(-1, 2)
+        assert exact_div(Fraction(3, 2), 3) == Fraction(1, 2)
+
+    def test_exact_div_rejects_floats_and_zero(self):
+        with pytest.raises(TypeError):
+            exact_div(1.5, 3)
+        with pytest.raises(ZeroDivisionError):
+            exact_div(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            exact_div(Fraction(1, 2), 0)
 
     def test_array_read_shorthand(self):
         expr = read("a", "i")

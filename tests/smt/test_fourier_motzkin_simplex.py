@@ -35,6 +35,12 @@ def feasible(constraints):
     return simplex.model() if simplex.check() else None
 
 
+def canonical(value):
+    """An exact rational in canonical form: an int, or a non-integral
+    Fraction, never a float."""
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+
 def satisfied(constraint, model):
     value = sum(
         coeff * model.get(v, Fraction(0)) for v, coeff in constraint.expr.terms
@@ -170,18 +176,26 @@ class TestSimplex:
 
 # ----------------------------------------------------------------------
 # Property: Fourier–Motzkin and the incremental simplex agree on
-# feasibility, and every simplex model is a real witness.
+# feasibility, every simplex model is a real witness, and no number the
+# engines hand out is a float or an integral Fraction.  Coefficients and
+# constants include non-integral fractions, so the simplex sees non-unit
+# pivots and fractional bounds.
 # ----------------------------------------------------------------------
 var_names = st.sampled_from(["x", "y", "z"])
+
+
+def rationals(bound):
+    fractions = st.builds(Fraction, st.integers(-2 * bound, 2 * bound), st.integers(2, 3))
+    return st.one_of(st.integers(-bound, bound), fractions)
 
 
 @st.composite
 def random_constraints(draw):
     constraints = []
     for _ in range(draw(st.integers(1, 6))):
-        expr = const(draw(st.integers(-6, 6)))
+        expr = const(draw(rationals(6)))
         for name in ["x", "y", "z"]:
-            expr = expr + var(name) * draw(st.integers(-3, 3))
+            expr = expr + var(name) * draw(rationals(3))
         rel = draw(st.sampled_from([Relation.LE, Relation.LT, Relation.EQ]))
         constraints.append(LinConstraint(expr, rel))
     return constraints
@@ -195,6 +209,11 @@ def test_fm_and_simplex_agree(constraints):
     assert (fm_model is None) == (simplex_model is None)
     if simplex_model is not None:
         assert all(satisfied(constraint, simplex_model) for constraint in constraints)
+        assert all(canonical(value) for value in simplex_model.values())
+    for constraint in constraints:
+        normal = normalize_constraint(constraint).expr
+        assert all(canonical(coeff) for _, coeff in normal.terms)
+        assert canonical(normal.const)
 
 
 @given(random_constraints())
