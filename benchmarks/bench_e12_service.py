@@ -49,7 +49,7 @@ def test_warm_second_submission_strictly_fewer_posts(benchmark, service, name):
         cold_posts=cold["post_decisions"],
         warm_posts=warm["post_decisions"],
         reduction=round(1 - warm["post_decisions"] / cold["post_decisions"], 4),
-        warm_hits=service.warm_hits,
+        warm_hits=service.statistics()["service"]["warm_hits"],
     )
     assert cold["verdict"] == warm["verdict"]
     assert cold["verdict"] in ("safe", "unsafe")

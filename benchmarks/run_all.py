@@ -356,7 +356,8 @@ def run_supervision_section() -> dict:
     from repro.core.faults import FaultPlan, FaultSpec, installed
 
     budgets = dict(ENGINE_PROGRAMS)
-    base = VerifierOptions(task_timeout=120.0, task_retries=2)
+    # The worker kill sits KILL_GRACE_S (2 s) past max_seconds: 120 s.
+    base = VerifierOptions(max_seconds=118.0, task_retries=2)
 
     def suite_tasks(session: Session) -> list:
         return [

@@ -97,7 +97,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-seconds", type=float, default=None, metavar="S",
         help="wall-clock budget per task, enforced in every layer of the "
-        "run (default: none)",
+        "run; a worker process still running a fixed grace past its batch's "
+        "largest budget is killed and the task retried (default: none)",
     )
     parser.add_argument(
         "--max-predicates-per-location", type=int, default=None, metavar="N",
@@ -117,11 +118,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "concurrent ones",
     )
     parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="supervised batch pools: per-task wall-clock bound — a worker "
-        "exceeding it is killed and the task retried (default: none)",
-    )
-    parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="supervised batch pools: retries granted per task after a "
         "worker crash/hang/error before it settles as a structured "
@@ -137,7 +133,6 @@ _FLAG_FIELDS = {
     "max_nodes": "max_nodes",
     "max_seconds": "max_seconds",
     "max_predicates_per_location": "max_predicates_per_location",
-    "task_timeout": "task_timeout",
     "retries": "task_retries",
 }
 

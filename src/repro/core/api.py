@@ -48,6 +48,7 @@ import hashlib
 import json
 import os
 import pickle
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,7 +64,7 @@ from ..lang.cfg import Program, build_program, program_from_source
 from ..logic.formulas import Formula
 from ..smt.vcgen import VcChecker
 from . import faults as _faults
-from .supervision import RetryPolicy, Supervisor
+from .supervision import KILL_GRACE_S, RetryPolicy, Supervisor, WorkerSlot
 from .engine import (
     RESULT_SCHEMA_VERSION,
     Budget,
@@ -150,18 +151,11 @@ class VerifierOptions:
     #: refine the abstraction); it removes refinement rounds already paid
     #: for.
     warm_start: bool = True
-    #: Cap on entries of the shared :class:`~repro.smt.vcgen.VcChecker`'s
-    #: memo tables (triple/edge/post verdicts and prepared solver contexts),
-    #: evicted least-recently-used.  ``None`` (the default) keeps the
-    #: historical unbounded growth; set it for long-lived service sessions.
-    max_cache_entries: Optional[int] = None
-    #: Per-task wall-clock bound for supervised worker batches: a worker
-    #: that exceeds it is declared hung and killed, and the task is retried
-    #: (``None`` = no supervision timeout).
-    task_timeout: Optional[float] = None
     #: How many times a supervised task is retried after a failure (worker
     #: crash / hang / worker exception) before it settles as verdict
-    #: ``unknown`` with a structured ``failure`` record.
+    #: ``unknown`` with a structured ``failure`` record.  A worker is killed
+    #: as hung :data:`~repro.core.supervision.KILL_GRACE_S` past its
+    #: batch's largest ``max_seconds`` (see :meth:`Session.supervise`).
     task_retries: int = 2
 
     def __post_init__(self) -> None:
@@ -193,14 +187,6 @@ class VerifierOptions:
             raise ValueError(
                 "max_predicates_per_location must be >= 1 or None, "
                 f"got {self.max_predicates_per_location}"
-            )
-        if self.max_cache_entries is not None and self.max_cache_entries < 1:
-            raise ValueError(
-                f"max_cache_entries must be >= 1 or None, got {self.max_cache_entries}"
-            )
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError(
-                f"task_timeout must be > 0 or None, got {self.task_timeout}"
             )
         if self.task_retries < 0:
             raise ValueError(f"task_retries must be >= 0, got {self.task_retries}")
@@ -639,10 +625,15 @@ class Session:
       same program **warm-start** from them (strictly fewer abstract-post
       decisions on reruns; a seed can never flip a decided verdict);
     * the scheduler — :meth:`run` executes one task in-process,
-      :meth:`run_many` a corpus, sequentially or on a process pool.  Pool
-      workers receive warm-start seeds and ship their discovered precisions
-      back (predicates pickle and re-intern), so the bank grows even when
-      the work happened in another process.
+      :meth:`supervise` runs tasks on worker processes (the pool of
+      :meth:`run_many` and the daemon's borrowed workers alike).  Workers
+      receive warm-start seeds and ship their discovered precisions back
+      (predicates pickle and re-intern), so the bank grows even when the
+      work happened in another process.
+
+    Every run is settled the same way (:meth:`_settle`), under one session
+    lock that also guards every read of the store, so threads supervising
+    runs at once (the daemon's executor threads) see a coherent bank.
     """
 
     def __init__(
@@ -653,14 +644,7 @@ class Session:
         store_path: Optional[Union[str, Path]] = None,
     ) -> None:
         self.options = options or VerifierOptions()
-        if checker is None:
-            checker = VcChecker(max_cache_entries=self.options.max_cache_entries)
-        elif self.options.max_cache_entries is not None:
-            # An explicitly set cap applies to a caller-supplied checker too
-            # (matching the pool-worker path); an unset option leaves an
-            # externally configured cap alone.
-            checker.max_cache_entries = self.options.max_cache_entries
-        self.checker = checker
+        self.checker = checker if checker is not None else VcChecker()
         if store is not None and store_path is not None:
             raise ValueError("pass either store= or store_path=, not both")
         #: With ``store_path`` the precision bank is disk-backed: existing
@@ -668,6 +652,8 @@ class Session:
         #: predicate triggers an atomic re-save, so warm starts survive a
         #: process restart (see :class:`PrecisionStore`).
         self.store = store if store is not None else PrecisionStore(path=store_path)
+        #: Held while a run is settled and while the store is read.
+        self._lock = threading.Lock()
         #: Scheduler counters: tasks run, warm starts granted, precisions
         #: banked (see :meth:`statistics`).
         self.tasks_run = 0
@@ -718,53 +704,121 @@ class Session:
         task = self.task(task, **task_kwargs)
         opts = task.options or self.options
         program = task.resolved()
-        fingerprint = task.fingerprint
         seed = task.initial_precision
         warm = False
         if seed is None and opts.warm_start:
-            seed = self.store.seed_for(
-                fingerprint, program, opts.max_predicates_per_location
-            )
+            with self._lock:
+                seed = self.store.seed_for(
+                    task.fingerprint, program, opts.max_predicates_per_location
+                )
             warm = seed is not None
         result = run_engine(program, opts, self.checker, seed, refiner=task.refiner)
-        self.tasks_run += 1
-        if warm:
-            self.warm_starts += 1
-        self._bank_decided(
-            fingerprint,
-            result.verdict,
-            result.precision.by_location_name() if result.precision else None,
-        )
-        if result.engine_stats is not None:
-            result.engine_stats["session"] = self._provenance(
-                fingerprint, warm, seed.total_predicates() if seed else 0
+        with self._lock:
+            self._settle(
+                task.fingerprint,
+                warm,
+                seed.total_predicates() if seed else 0,
+                result.verdict,
+                result.precision.by_location_name() if result.precision else None,
+                result.engine_stats,
             )
         return result
 
-    def _bank_decided(
+    def supervise(
+        self,
+        tasks: Sequence[VerificationTask],
+        jobs: int = 1,
+        slot: Optional[WorkerSlot] = None,
+    ) -> tuple[list[dict[str, Any]], list[Optional[dict]], Supervisor]:
+        """Run resolved source ``tasks`` on worker processes and settle them.
+
+        The one out-of-process task path: :meth:`run_many`'s pool and the
+        daemon both run their tasks here.  Each task is seeded from the
+        store when its options allow warm start, shipped as an
+        :func:`~repro.core.engine.task_payload` and run by one
+        :class:`~repro.core.supervision.Supervisor`, on ``jobs`` worker
+        slots of its own or on the borrowed ``slot``.  The supervisor kills
+        a worker as hung :data:`~repro.core.supervision.KILL_GRACE_S` past
+        the batch's largest ``max_seconds`` (never, when a task has none:
+        the engine already ends every run at its own budget) and grants the
+        batch's largest ``task_retries``.  Each document is then settled
+        like :meth:`run` settles a result.
+
+        Returns the documents (input order), each decided run's discovered
+        precision as a location-name payload (``None`` for the others), and
+        the supervisor, whose counters describe the batch.
+        """
+        options = [task.options or self.options for task in tasks]
+        with self._lock:
+            seeds = [
+                self.store.payload(task.fingerprint) if opts.warm_start else None
+                for task, opts in zip(tasks, options)
+            ]
+        budgets = [opts.max_seconds for opts in options]
+        supervisor = Supervisor(
+            worker=_run_batch_task,
+            jobs=jobs,
+            task_timeout=(
+                None if None in budgets or not budgets else max(budgets) + KILL_GRACE_S
+            ),
+            retry=RetryPolicy(
+                max_retries=max((opts.task_retries for opts in options), default=0)
+            ),
+            slot=slot,
+        )
+        docs = supervisor.run_batch(
+            [
+                task_payload(task.name, task.source, opts, seed)
+                for task, opts, seed in zip(tasks, options, seeds)
+            ],
+            keys=[(task.fingerprint,) for task in tasks],
+        )
+        precisions = [doc.pop("_precision", None) for doc in docs]
+        with self._lock:
+            for task, seed, doc, precision in zip(tasks, seeds, docs, precisions):
+                # A worker that crashed or errored never ran warm: the run is
+                # only counted.
+                failed = doc.get("verdict") == "error" or doc.get("failure")
+                self._settle(
+                    task.fingerprint,
+                    bool(seed),
+                    sum(len(preds) for preds in (seed or {}).values()),
+                    doc.get("verdict"),
+                    precision,
+                    None if failed else doc.setdefault("engine", {}),
+                )
+        return docs, precisions, supervisor
+
+    def _settle(
         self,
         fingerprint: str,
+        warm: bool,
+        seeded: int,
         verdict: Optional[str],
-        payload: Optional[Mapping[str, Iterable[Formula]]],
+        precision: Optional[Mapping[str, Iterable[Formula]]],
+        engine: Optional[dict[str, Any]],
     ) -> None:
-        """Bank a run's predicates — decided verdicts only.
+        """Settle one finished run; the caller holds the session lock.
 
-        An undecided run's precision is dominated by whatever made it
-        diverge (e.g. the path-formula flood); seeding from it would make
-        later runs *slower*.  One definition shared by the in-process and
-        pool paths, so both bank under exactly the same rule.  A disk-backed
-        store is re-saved whenever banking actually added predicates.
+        Counts the run and its warm start, banks its precision and stamps
+        ``engine["session"]``; a run without ``engine`` (it failed before
+        deciding anything) is only counted.  Only decided runs bank: an
+        undecided run's precision is dominated by whatever made it diverge
+        (e.g. the path-formula flood), and seeding from it would make later
+        runs *slower*.  A disk-backed store is re-saved whenever banking
+        actually added predicates.
         """
-        if payload and verdict in (Verdict.SAFE, Verdict.UNSAFE):
-            added = self.store.merge(fingerprint, payload)
+        self.tasks_run += 1
+        if engine is None:
+            return
+        if warm:
+            self.warm_starts += 1
+        if precision and verdict in (Verdict.SAFE, Verdict.UNSAFE):
+            added = self.store.merge(fingerprint, precision)
             self.predicates_banked += added
             if added and self.store.path is not None:
                 self.store.bank(fingerprint)
-
-    @staticmethod
-    def _provenance(fingerprint: str, warm: bool, seeded: int) -> dict[str, Any]:
-        """The ``engine.session`` stamp both scheduling paths attach."""
-        return {
+        engine["session"] = {
             "fingerprint": fingerprint,
             "warm_started": warm,
             "seeded_predicates": seeded,
@@ -781,22 +835,23 @@ class Session:
         ``jobs=None`` picks ``min(len(tasks), cpu_count)``; ``1`` runs
         sequentially in-process (tasks later in the list then warm-start
         from earlier ones on the same program).  With ``jobs > 1`` the
-        tasks run on ``jobs`` worker processes; seeds reflect the store at
-        submit time and every worker ships its discovered precision back,
-        so the bank still grows.  Worker processes require every task to be
-        shippable — if *any* task lacks source text (pre-built program) or
-        pins an in-process refiner instance or seed precision, the **whole
-        batch** runs sequentially.
+        tasks run on ``jobs`` worker processes through :meth:`supervise`;
+        seeds reflect the store at submit time and every worker ships its
+        discovered precision back, so the bank still grows.  Worker
+        processes require every task to be shippable — if *any* task lacks
+        source text (pre-built program) or pins an in-process refiner
+        instance or seed precision, the **whole batch** runs sequentially.
 
         The worker path is **supervised** (see
         :class:`~repro.core.supervision.Supervisor`): each worker runs one
         task at a time, so a crash or hang is charged to exactly that task
-        and retried with backoff on a fresh worker
-        (``options.task_retries`` / ``options.task_timeout``); when worker
-        processes cannot start at all the batch runs in-process; and a task
-        that exhausts its retries yields verdict ``unknown`` with a
-        structured ``failure`` record — no exception ever escapes to the
-        caller, and one bad task never discards its siblings' results.
+        and retried with backoff on a fresh worker (``task_retries``; a
+        worker still running past its batch's largest ``max_seconds`` plus
+        a grace is killed as hung); when worker processes cannot start at
+        all the batch runs in-process; and a task that exhausts its retries
+        yields verdict ``unknown`` with a structured ``failure`` record — no
+        exception ever escapes to the caller, and one bad task never
+        discards its siblings' results.
         """
         normalised = [self._coerce(entry) for entry in tasks]
         if jobs is None:
@@ -807,77 +862,24 @@ class Session:
             for task in normalised
         )
         if poolable:
-            # (task, payload, error_doc) per input: a task whose source does
-            # not even parse becomes an error doc here instead of aborting
-            # the batch (the same isolation the workers give runtime errors).
-            prepared: list[tuple[VerificationTask, Optional[dict], Optional[dict]]] = []
+            # A task whose source does not even parse becomes an error doc
+            # here instead of aborting the batch (the same isolation the
+            # workers give runtime errors).
+            docs: list[Optional[dict[str, Any]]] = []
+            resolved = []
             for index, task in enumerate(normalised):
                 try:
-                    opts = task.options or self.options
-                    program = task.resolved()
-                    seed = (
-                        self.store.payload(task.fingerprint)
-                        if opts.warm_start
-                        else None
-                    )
-                    payload = task_payload(
-                        task.name or program.name, task.source, opts, seed
-                    )
-                    prepared.append((task, payload, None))
+                    task.resolved()
                 except Exception as error:
-                    prepared.append(
-                        (task, None, error_doc(task.name or f"task{index}", error))
-                    )
-            payloads = [payload for _, payload, _ in prepared if payload is not None]
-            keys = [
-                (task.fingerprint,)
-                for task, payload, _ in prepared
-                if payload is not None
-            ]
-            # The Supervisor owns every worker failure mode: one task per
-            # worker (a crash or hang is charged to that task alone),
-            # per-task timeouts, crash retries with backoff, and in-process
-            # execution when no worker can start.  It never raises for a
-            # task.
-            supervisor = Supervisor(
-                worker=_run_batch_task,
-                jobs=jobs,
-                task_timeout=self.options.task_timeout,
-                retry=RetryPolicy(max_retries=self.options.task_retries),
-            )
-            self.last_supervisor = supervisor
-            pool_docs = supervisor.run_batch(payloads, keys=keys)
-            results = iter(pool_docs)
-            docs = []
-            for task, payload, parse_error_doc in prepared:
-                self.tasks_run += 1
-                if payload is None:
-                    docs.append(parse_error_doc)
-                    continue
-                doc = next(results)
-                if doc.get("verdict") == "error" or doc.get("failure"):
-                    # The worker crashed/errored before running warm: keep
-                    # the counters honest and the doc's key set lean.
-                    doc.pop("_precision", None)
-                    docs.append(doc)
-                    continue
-                if payload["seed"]:
-                    self.warm_starts += 1
-                self._bank_decided(
-                    task.fingerprint, doc.get("verdict"), doc.pop("_precision", None)
-                )
-                doc.setdefault("engine", {})
-                if isinstance(doc["engine"], dict):
-                    doc["engine"]["session"] = self._provenance(
-                        task.fingerprint,
-                        bool(payload["seed"]),
-                        sum(
-                            len(preds)
-                            for preds in (payload["seed"] or {}).values()
-                        ),
-                    )
-                docs.append(doc)
-            return docs
+                    with self._lock:
+                        self.tasks_run += 1
+                    docs.append(error_doc(task.name or f"task{index}", error))
+                else:
+                    docs.append(None)
+                    resolved.append(task)
+            settled, _, self.last_supervisor = self.supervise(resolved, jobs=jobs)
+            results = iter(settled)
+            return [doc if doc is not None else next(results) for doc in docs]
         docs = []
         for index, task in enumerate(normalised):
             # Per-task isolation, matching the pool workers: one malformed
@@ -909,6 +911,26 @@ class Session:
         return self.task(entry)
 
     # ------------------------------------------------------------------
+    def store_summary(self) -> dict[str, Any]:
+        """The store's programs, predicates, sorted fingerprints and path,
+        read under the session lock."""
+        with self._lock:
+            fingerprints = self.store.fingerprints()
+            predicates = sum(self.store.total_predicates(fp) for fp in fingerprints)
+        return {
+            "programs": len(fingerprints),
+            "predicates": predicates,
+            "path": str(self.store.path) if self.store.path is not None else None,
+            "fingerprints": fingerprints,
+        }
+
+    def save_store(self) -> Path:
+        """:meth:`PrecisionStore.save` under the session lock: merge-on-write
+        folds other sessions' predicates into the bank, so it must not
+        overlap a settle or a store read."""
+        with self._lock:
+            return self.store.save()
+
     def statistics(self) -> dict[str, Any]:
         """Session-level counters: scheduler, store, checker and its caches."""
         stats = {

@@ -1035,7 +1035,6 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
     checker = warm.checker if warm is not None else VcChecker()
     try:
         options = VerifierOptions.from_dict(payload["options"])
-        checker.max_cache_entries = options.max_cache_entries
         program = program_from_source(payload["source"])
         seed = None
         if payload["seed"]:

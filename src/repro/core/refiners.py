@@ -170,14 +170,12 @@ class PathInvariantRefiner(Refiner):
         #: When synthesis fails, fall back to path-formula predicates so that
         #: the CEGAR loop still makes progress on the current counterexample.
         self.fallback = PathFormulaRefiner() if fallback else None
-        self.synthesis_results: list[SynthesisResult] = []
 
     def refine(
         self, program: Program, path: Sequence[Transition], precision: Precision
     ) -> RefinementOutcome:
         path_program = build_path_program(program, path)
         synthesis = self.synthesizer.synthesize(path_program.program)
-        self.synthesis_results.append(synthesis)
 
         if not synthesis.success or synthesis.invariant_map is None:
             if self.fallback is not None:

@@ -10,7 +10,11 @@ applies an explicit failure policy:
   exactly the task that worker was running; completed results are never
   discarded because a sibling failed;
 * **per-task wall-clock timeouts** — a task that exceeds ``task_timeout``
-  is declared hung and its worker is killed and replaced;
+  is declared hung and its worker is killed and replaced.  The engine
+  already ends every run at its own ``max_seconds`` budget, so
+  :meth:`repro.core.api.Session.supervise` sets the kill at the batch's
+  largest ``max_seconds`` plus :data:`KILL_GRACE_S`, and sets none when a
+  task has no wall-clock budget: only a wedged worker is ever killed;
 * **crash detection** — a dead worker settles its one task with a
   structured ``crash`` failure, and the slot starts a fresh worker;
 * **capped exponential backoff retries** — every crash, timeout and worker
@@ -43,6 +47,7 @@ from . import faults
 from .faults import FaultPlan
 
 __all__ = [
+    "KILL_GRACE_S",
     "RetryPolicy",
     "Supervisor",
     "WorkerLost",
@@ -55,6 +60,13 @@ __all__ = [
 
 #: Failure kinds a supervised task can accumulate.
 FAILURE_KINDS = ("crash", "timeout", "worker-error", "pool-lost")
+
+#: Seconds past a batch's largest ``max_seconds`` before a worker still
+#: running a task is killed as hung.  The engine stops at its budget, but
+#: the kill's clock starts first: the grace must cover the engine's
+#: overshoot plus the worker's parse and the round trip through the pipe, or
+#: it kills tasks that are merely using their budget.
+KILL_GRACE_S = 2.0
 
 
 @dataclass(frozen=True)

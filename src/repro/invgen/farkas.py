@@ -98,14 +98,20 @@ class FarkasEngine:
 
     def __init__(self, checker: Optional[VcChecker] = None) -> None:
         self.checker = checker or VcChecker()
-        self.lp = LraSolver(integer_mode=False)
         self.lp_calls = 0
 
     # ------------------------------------------------------------------
     def synthesize(
         self, program: Program, template_map: dict[Location, TemplateConjunction]
     ) -> FarkasResult:
-        """Instantiate the templates into an inductive, safe invariant map."""
+        """Instantiate the templates into an inductive, safe invariant map.
+
+        Each call solves its LPs on a fresh solver: the pivots a persistent
+        simplex kept from earlier calls would choose which of several
+        solutions a later LP returns, so the answer would depend on what
+        the engine solved before.
+        """
+        self.lp = LraSolver(integer_mode=False)
         self.lp_calls = 0
         try:
             obligations = self._obligations(program, template_map)

@@ -34,14 +34,13 @@ def options_key(options: VerifierOptions) -> str:
 class InFlight:
     """One running engine job and the requests attached to it."""
 
-    __slots__ = ("key", "future", "waiters")
+    __slots__ = ("key", "future")
 
     def __init__(self, key: tuple[str, str]):
         self.key = key
         #: Set by the creator in the same loop step as :meth:`Coalescer.attach`
         #: (no await between), so attachers always observe it.
         self.future: Optional[Any] = None
-        self.waiters = 1
 
 
 class Coalescer:
@@ -68,7 +67,6 @@ class Coalescer:
         """
         job = self._jobs.get(key)
         if job is not None:
-            job.waiters += 1
             self.coalesce_hits += 1
             return job, False
         job = InFlight(key)

@@ -19,12 +19,14 @@ The front accepts newline-delimited JSON (see :mod:`repro.serve.protocol`);
 each request line becomes its own asyncio task, so slow verifies never block
 ``stats``/``health`` probes — not even on the same connection.
 
-Every verify runs through a **single-task**
-:class:`~repro.core.supervision.Supervisor` inside a worker thread: the
-supervision machinery (per-task timeout, retry with backoff, structured
-failure docs) applies per request, and the ``task`` fault site fires inside
-the request — an injected worker crash mid-request becomes a retry or a
-structured ``failure`` doc, never a dropped connection.
+Every verify runs as a one-task batch of
+:meth:`Session.supervise <repro.core.api.Session.supervise>` inside an
+executor thread — the same seed, run, bank and stamp lifecycle as a
+``repro batch`` pool: the supervision machinery (hang kill, retry with
+backoff, structured failure docs) applies per request, and the ``task``
+fault site fires inside the request — an injected worker crash mid-request
+becomes a retry or a structured ``failure`` doc, never a dropped
+connection.
 
 No engine ever runs in the daemon's own process.  There is one **worker
 slot** (:class:`~repro.core.supervision.WorkerSlot`) per executor thread: a
@@ -50,9 +52,7 @@ warm), and the daemon side keeps no per-request state.  Each run's
 ``solver`` block counts from the run's own start, and its solver budget
 charges what a fresh checker would: a memo hit on an entry an earlier
 request left counts like the check it saves (``carried_hits``).  So a warm
-checker changes how fast a verdict comes, not which one (barring a
-request's own ``max_cache_entries`` LRU cap, which can evict differently on
-a warm checker).
+checker changes how fast a verdict comes, not which one.
 
 Between the transport and the workers sit three loop-confined robustness
 layers: the **durable request journal** (:mod:`repro.serve.journal` — an
@@ -68,16 +68,17 @@ What every worker shares — and what makes the daemon more than a loop
 around the CLI — is the session's :class:`~repro.core.api.PrecisionStore`:
 decided precisions are banked under the program fingerprint and seed later
 requests, so a repeat fingerprint does strictly fewer abstract posts
-(cross-request warm-starting, across workers).  Dict/set merges under the
-GIL plus one banking lock keep the store coherent across executor threads.
+(cross-request warm-starting, across workers).  The session settles every
+run and reads the store under its one lock, so executor threads banking at
+once and the loop thread summarising the store see a coherent bank.
 
 Budget isolation: every request gets its own
 :class:`~repro.core.engine.Budget` from its own options; the service-level
 ``request_timeout`` clamps each request's ``max_seconds``, which the engine
-enforces in every layer, and arms the supervisor's ``task_timeout`` at the
-clamp plus :data:`REQUEST_TIMEOUT_GRACE_S`, so one pathological program
-burns only its own budget while concurrent small requests proceed on the
-other workers.
+enforces in every layer, so the supervisor's kill sits at the clamp plus
+:data:`~repro.core.supervision.KILL_GRACE_S` like every batch's: one
+pathological program burns only its own budget while concurrent small
+requests proceed on the other workers.
 """
 
 from __future__ import annotations
@@ -94,28 +95,15 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from ..core import faults
-from ..core.api import Session, VerifierOptions
-from ..core.engine import (
-    _run_batch_task,
-    error_doc,
-    install_warm_checker,
-    task_payload,
-)
-from ..core.supervision import RetryPolicy, Supervisor, WorkerSlot
+from ..core.api import Session, VerificationTask, VerifierOptions
+from ..core.engine import error_doc, install_warm_checker
+from ..core.supervision import WorkerSlot
 from . import protocol
 from .coalesce import AdmissionControl, Coalescer, options_key
 from .journal import RequestJournal
 from .quota import CircuitBreaker, ClientQuota
 
 __all__ = ["ServiceConfig", "VerificationService"]
-
-#: Seconds past ``request_timeout`` before a request's worker is killed.  A
-#: request's engine stops at its clamped ``max_seconds``, but the kill's
-#: clock starts first: the grace must cover the engine's overshoot plus the
-#: worker's parse and the round trip through the pipe, or it kills
-#: requests that are merely using their budget.  Only a wedged worker
-#: should ever reach it.
-REQUEST_TIMEOUT_GRACE_S = 2.0
 
 #: Live services in this process; the last one to stop also stops the
 #: shared forkserver (see ``_main``).
@@ -145,9 +133,8 @@ class ServiceConfig:
     replaces them wholesale for that request.  ``request_timeout`` is the
     per-request isolation wall: it clamps the request's ``max_seconds``
     budget, so the engine ends the request with an UNKNOWN verdict and a
-    wall-clock reason, and it arms the supervisor's ``task_timeout`` at the
-    clamp plus :data:`REQUEST_TIMEOUT_GRACE_S`, which kills only a worker
-    that stopped answering.
+    wall-clock reason; the supervisor kills only a worker still running
+    :data:`~repro.core.supervision.KILL_GRACE_S` past that budget.
     """
 
     host: str = "127.0.0.1"
@@ -251,12 +238,9 @@ class VerificationService:
         self._idle_slots: "queue.LifoQueue[WorkerSlot]" = queue.LifoQueue()
         for slot in self._slots:
             self._idle_slots.put(slot)
-        self._bank_lock = threading.Lock()
-        # Counters (loop thread or under _bank_lock; reads are GIL-atomic).
+        # Counters (loop thread only).
         self.requests_total = 0
         self.verify_requests = 0
-        self.engine_runs = 0
-        self.warm_hits = 0
         self.posts_executed = 0
         self.connections_total = 0
         self.connections_dropped = 0
@@ -382,7 +366,7 @@ class VerificationService:
             pending = list(self._jobs) + list(self._request_tasks)
             await asyncio.wait(pending)
         if self.session.store.path is not None:
-            await self._loop.run_in_executor(None, self.session.store.save)
+            await self._loop.run_in_executor(None, self.session.save_store)
         if self.journal is not None:
             self.journal.close()
         for writer in list(self._connections):
@@ -537,7 +521,9 @@ class VerificationService:
                 await self._send(
                     writer,
                     write_lock,
-                    protocol.ok_response(request_id, "cache", cache=self._cache_doc()),
+                    protocol.ok_response(
+                        request_id, "cache", cache={"store": self.session.store_summary()}
+                    ),
                 )
             elif op == "health":
                 await self._send(
@@ -597,11 +583,7 @@ class VerificationService:
                 )
                 return
         try:
-            opts = (
-                VerifierOptions.from_dict(request["options"])
-                if request.get("options")
-                else self.config.options
-            )
+            opts = self._request_options(request.get("options"))
         except (ValueError, TypeError, KeyError) as error:
             await self._send(
                 writer,
@@ -612,9 +594,8 @@ class VerificationService:
         name = request.get("name")
         try:
             task = self.session.task(request["source"], name=name, options=opts)
-            program = task.resolved()
-            fingerprint = task.fingerprint
-            name = task.name or program.name
+            task.resolved()
+            name = task.name
         except Exception as error:
             # A source that does not parse is an engine-level failure, not a
             # protocol error: same isolation the batch path gives it.
@@ -623,7 +604,7 @@ class VerificationService:
                 coalesced=False, name=name,
             )
             return
-        key = (fingerprint, options_key(opts))
+        key = (task.fingerprint, options_key(opts))
         if self.breaker is not None:
             retry_after = self.breaker.check(key)
             if retry_after is not None:
@@ -633,45 +614,28 @@ class VerificationService:
                     protocol.error_response(
                         request_id,
                         "circuit-open",
-                        f"submissions for fingerprint {fingerprint[:12]}… keep "
+                        f"submissions for fingerprint {task.fingerprint[:12]}… keep "
                         f"crashing workers; circuit open for another "
                         f"{retry_after:.3f}s",
                         retry_after=retry_after,
                     ),
                 )
                 return
-        job, created = self.coalescer.attach(key)
-        if created:
-            if not self.admission.try_admit():
-                self.coalescer.abandon(key)
-                await self._send(
-                    writer,
-                    write_lock,
-                    protocol.error_response(
-                        request_id,
-                        "overloaded",
-                        f"{self.admission.pending} jobs pending "
-                        f"(capacity {self.admission.capacity}); retry later",
-                    ),
-                )
-                return
-            # Accepted: journal it *before* execution starts (WAL), so a
-            # daemon crash from here on cannot silently forget the request.
-            seq = self._journal_accept(
-                name, task.source, request.get("options"), fingerprint, client_id
+        job, created = self._launch(key, task, request.get("options"), client_id)
+        if job is None:
+            await self._send(
+                writer,
+                write_lock,
+                protocol.error_response(
+                    request_id,
+                    "overloaded",
+                    f"{self.admission.pending} jobs pending "
+                    f"(capacity {self.admission.capacity}); retry later",
+                ),
             )
-            # No await between attach() and setting job.future: attachers on
-            # this single-threaded loop always observe a populated future.
-            future = self._loop.run_in_executor(
-                self._executor, self._execute, task.source, name, fingerprint, opts
-            )
-            job.future = future
-            self._jobs.add(future)
-            future.add_done_callback(
-                lambda fut, key=key, seq=seq: self._job_done(fut, key, seq)
-            )
+            return
         try:
-            doc, rendered_precision = await job.future
+            doc, precision, _ = await job.future
         except Exception as error:  # pragma: no cover - bug backstop
             await self._send(
                 writer,
@@ -681,43 +645,78 @@ class VerificationService:
             return
         doc = dict(doc)
         if request.get("include_precision"):
-            doc["precision"] = rendered_precision
+            doc["precision"] = {
+                location: sorted(str(predicate) for predicate in predicates)
+                for location, predicates in sorted((precision or {}).items())
+            }
         await self._send_result(
             writer, write_lock, request_id, doc, coalesced=not created, name=name
         )
 
-    def _journal_accept(
-        self,
-        name: str,
-        source: str,
-        options: Optional[dict[str, Any]],
-        fingerprint: str,
-        client_id: Optional[str],
-    ) -> Optional[int]:
-        """WAL-log one admitted request (loop thread; fsync is microseconds).
+    def _request_options(self, raw: Optional[dict[str, Any]]) -> VerifierOptions:
+        """A request's options — its own ``options`` (any subset of the
+        keys) or the daemon's defaults — with ``max_seconds`` clamped to
+        ``request_timeout``.  Raises on keys or values that do not validate."""
+        opts = VerifierOptions.from_dict(raw) if raw else self.config.options
+        timeout = self.config.request_timeout
+        if timeout is not None and (
+            opts.max_seconds is None or opts.max_seconds > timeout
+        ):
+            opts = opts.replace(max_seconds=timeout)
+        return opts
 
-        Journal trouble (disk full, torn write) must never take down
-        serving: the request still runs, it just loses durability.
+    def _launch(
+        self,
+        key: tuple[str, str],
+        task: VerificationTask,
+        raw_options: Optional[dict[str, Any]] = None,
+        client_id: Optional[str] = None,
+        seq: Optional[int] = None,
+    ) -> tuple[Optional[Any], bool]:
+        """Attach to ``key``'s in-flight run, or admit, journal and start one.
+
+        The one start path of new and of journal-recovered requests (a
+        recovered request passes its ``seq``: it is in the journal
+        already).  Returns ``(job, created)``; ``job`` is ``None`` when
+        admission control refused a new run.
         """
-        if self.journal is None:
-            return None
-        try:
-            return self.journal.accept(
-                name, source, options, fingerprint, client_id=client_id
-            )
-        except Exception:  # pragma: no cover - disk-level defensive
-            return None
+        job, created = self.coalescer.attach(key)
+        if not created:
+            return job, False
+        if not self.admission.try_admit():
+            self.coalescer.abandon(key)
+            return None, True
+        if seq is not None:
+            self.recovery_runs += 1
+        elif self.journal is not None:
+            # Accepted: journal it *before* execution starts (WAL), so a
+            # daemon crash from here on cannot silently forget the request.
+            # Journal trouble (disk full, torn write) must never take down
+            # serving: the request still runs, it just loses durability.
+            try:
+                seq = self.journal.accept(
+                    task.name, task.source, raw_options, key[0], client_id=client_id
+                )
+            except Exception:  # pragma: no cover - disk-level defensive
+                pass
+        # No await between attach() and setting job.future: attachers on this
+        # single-threaded loop always observe a populated future.
+        job.future = self._loop.run_in_executor(self._executor, self._execute, task)
+        self._jobs.add(job.future)
+        job.future.add_done_callback(lambda fut: self._job_done(fut, key, seq))
+        return job, True
 
     def _job_done(
         self, future: Any, key: tuple[str, str], seq: Optional[int] = None
     ) -> None:
         """Loop-thread callback when an engine run resolves.
 
-        Beyond releasing coalescing/admission state, this is where the
-        run's outcome feeds the circuit breaker (a *crash-kind* failure —
-        hard death, timeout — is a strike; an engine-level ``error``
-        verdict is a perfectly good answer and closes the circuit) and where
-        the journal marks the request answered.
+        Beyond releasing coalescing/admission state and adding the run to
+        the service counters, this is where the run's outcome feeds the
+        circuit breaker (a *crash-kind* failure — hard death, timeout — is a
+        strike; an engine-level ``error`` verdict is a perfectly good answer
+        and closes the circuit) and where the journal marks the request
+        answered.
         """
         self._jobs.discard(future)
         self.coalescer.finish(key)
@@ -725,12 +724,15 @@ class VerificationService:
         verdict: Optional[str] = None
         crashed = False
         try:
-            doc, _ = future.result()
+            doc, _, supervision = future.result()
             verdict = doc.get("verdict")
             failure = doc.get("failure") or {}
             crashed = verdict == "unknown" and failure.get("kind") in (
                 "crash", "timeout", "pool-lost"
             )
+            self.posts_executed += doc.get("post_decisions") or 0
+            for counter in self.supervision_totals:
+                self.supervision_totals[counter] += supervision.get(counter, 0)
         except Exception:  # pragma: no cover - bug backstop
             crashed = True
         if self.breaker is not None:
@@ -756,63 +758,37 @@ class VerificationService:
         for record in list(self.journal.recovered):
             if self._draining:
                 return
-            seq = record.get("seq")
+            seq = record["seq"]
             try:
-                raw_options = record.get("options")
-                opts = (
-                    VerifierOptions.from_dict(raw_options)
-                    if raw_options
-                    else self.config.options
-                )
+                opts = self._request_options(record.get("options"))
                 task = self.session.task(
                     record["source"], name=record.get("name"), options=opts
                 )
-                fingerprint = task.fingerprint
-                name = task.name or task.resolved().name
+                task.resolved()
             except Exception:
                 # Unparseable record (or source): answer it 'error' so the
                 # journal does not carry it forever.
-                if seq is not None:
-                    self.journal.answer(seq, "error")
+                self.journal.answer(seq, "error")
                 continue
-            key = (fingerprint, options_key(opts))
+            key = (task.fingerprint, options_key(opts))
             while True:
-                job, created = self.coalescer.attach(key)
-                if not created:
-                    # An identical run is already in flight (e.g. the client
-                    # already resubmitted): ride it, just mark this record.
-                    job.future.add_done_callback(
-                        lambda fut, seq=seq: self._recovery_done(fut, seq)
-                    )
+                job, created = self._launch(key, task, seq=seq)
+                if job is not None:
                     break
-                if self.admission.try_admit():
-                    self.recovery_runs += 1
-                    future = self._loop.run_in_executor(
-                        self._executor,
-                        self._execute,
-                        task.source,
-                        name,
-                        fingerprint,
-                        opts,
-                    )
-                    job.future = future
-                    self._jobs.add(future)
-                    future.add_done_callback(
-                        lambda fut, key=key, seq=seq: self._job_done(fut, key, seq)
-                    )
-                    break
-                self.coalescer.abandon(key)
                 await asyncio.sleep(0.05)
                 if self._draining:
                     return
+            if not created:
+                # An identical run is already in flight (e.g. the client
+                # already resubmitted): ride it, just mark this record.
+                job.future.add_done_callback(
+                    lambda fut, seq=seq: self._recovery_done(fut, seq)
+                )
 
-    def _recovery_done(self, future: Any, seq: Optional[int]) -> None:
+    def _recovery_done(self, future: Any, seq: int) -> None:
         """Mark a recovered record answered off someone else's run."""
-        if self.journal is None or seq is None:
-            return
         try:
-            doc, _ = future.result()
-            verdict = doc.get("verdict")
+            verdict = future.result()[0].get("verdict")
         except Exception:  # pragma: no cover - bug backstop
             verdict = None
         try:
@@ -848,76 +824,29 @@ class VerificationService:
     # The engine run (worker thread)
     # ------------------------------------------------------------------
     def _execute(
-        self,
-        source: str,
-        name: str,
-        fingerprint: str,
-        opts: VerifierOptions,
-    ) -> tuple[dict[str, Any], dict[str, list[str]]]:
-        """One supervised engine run; returns (result doc, rendered bank).
+        self, task: VerificationTask
+    ) -> tuple[dict[str, Any], Optional[dict], dict[str, Any]]:
+        """One supervised, settled engine run on a borrowed worker slot.
 
-        Runs on an executor thread.  Must never raise: every failure mode is
-        the supervisor's to structure, and anything past it is a bug caught
-        by the outer ``except`` below.
+        Runs on an executor thread and returns the result doc, the run's
+        discovered precision (when decided) and the supervision counters.
+        Must never raise: every failure mode is the supervisor's to
+        structure, and anything past it is a bug caught by the outer
+        ``except`` below.
         """
         try:
-            timeout = self.config.request_timeout
-            if timeout is not None and (
-                opts.max_seconds is None or opts.max_seconds > timeout
-            ):
-                opts = opts.replace(max_seconds=timeout)
-            seed = (
-                self.session.store.payload(fingerprint) if opts.warm_start else None
-            )
-            payload = task_payload(name, source, opts, seed)
             # The request borrows an idle slot's worker *process* — a hard
             # death takes only that worker (the slot rebuilds it), never the
             # daemon.  There are as many slots as executor threads, so one
             # is always idle here.
             slot = self._idle_slots.get()
             try:
-                supervisor = Supervisor(
-                    worker=_run_batch_task,
-                    task_timeout=(
-                        None if timeout is None else timeout + REQUEST_TIMEOUT_GRACE_S
-                    ),
-                    retry=RetryPolicy(max_retries=opts.task_retries),
-                    slot=slot,
-                )
-                doc = supervisor.run_batch([payload], keys=[(fingerprint, name)])[0]
+                docs, precisions, supervisor = self.session.supervise([task], slot=slot)
             finally:
                 self._idle_slots.put(slot)
-            precision_payload = doc.pop("_precision", None)
-            rendered = {
-                location: sorted(str(predicate) for predicate in predicates)
-                for location, predicates in sorted((precision_payload or {}).items())
-            }
-            failed = doc.get("verdict") == "error" or doc.get("failure")
-            with self._bank_lock:
-                self.engine_runs += 1
-                self.session.tasks_run += 1
-                self.posts_executed += doc.get("post_decisions") or 0
-                stats = supervisor.statistics()
-                for counter in self.supervision_totals:
-                    self.supervision_totals[counter] += stats.get(counter, 0)
-                if not failed:
-                    if seed:
-                        self.warm_hits += 1
-                        self.session.warm_starts += 1
-                    self.session._bank_decided(
-                        fingerprint, doc.get("verdict"), precision_payload
-                    )
-            if not failed:
-                doc.setdefault("engine", {})
-                if isinstance(doc["engine"], dict):
-                    doc["engine"]["session"] = Session._provenance(
-                        fingerprint,
-                        bool(seed),
-                        sum(len(preds) for preds in (seed or {}).values()),
-                    )
-            return doc, rendered
+            return docs[0], precisions[0], supervisor.statistics()
         except Exception as error:  # pragma: no cover - bug backstop
-            return error_doc(name, error), {}
+            return error_doc(task.name, error), None, {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -929,6 +858,8 @@ class VerificationService:
         # theirs), so its counters would only ever read 0.
         session_stats.pop("checker", None)
         session_stats.pop("checker_caches", None)
+        store = self.session.store_summary()
+        del store["fingerprints"]
         return {
             "service": {
                 "draining": self._draining,
@@ -937,9 +868,9 @@ class VerificationService:
                 "request_timeout": self.config.request_timeout,
                 "requests_total": self.requests_total,
                 "verify_requests": self.verify_requests,
-                "engine_runs": self.engine_runs,
+                "engine_runs": session_stats["tasks_run"],
                 "coalesce_hits": self.coalescer.coalesce_hits,
-                "warm_hits": self.warm_hits,
+                "warm_hits": session_stats["warm_starts"],
                 "rejections": self.admission.rejections,
                 "posts_executed": self.posts_executed,
                 "pending": self.admission.pending,
@@ -962,27 +893,7 @@ class VerificationService:
                 ),
             },
             "session": session_stats,
-            "store": self._store_doc(),
-        }
-
-    def _store_doc(self) -> dict[str, Any]:
-        store = self.session.store
-        return {
-            "programs": len(store),
-            "predicates": sum(
-                store.total_predicates(fingerprint)
-                for fingerprint in store.fingerprints()
-            ),
-            "path": str(store.path) if store.path is not None else None,
-        }
-
-    def _cache_doc(self) -> dict[str, Any]:
-        store = self.session.store
-        return {
-            "store": {
-                **self._store_doc(),
-                "fingerprints": sorted(store.fingerprints()),
-            },
+            "store": store,
         }
 
     def _health_doc(self) -> dict[str, Any]:

@@ -158,8 +158,6 @@ class LraSolver:
         self.bb_limit = bb_limit
         #: Number of conjunction feasibility queries answered.
         self.num_checks = 0
-        #: Underlying simplex feasibility checks (branch-and-bound included).
-        self.num_simplex_checks = 0
         self._simplex = IncrementalSimplex()
 
     # ------------------------------------------------------------------
@@ -173,14 +171,12 @@ class LraSolver:
         """
         self.num_checks += 1
         simplex = self._simplex
-        checks_before = simplex.num_checks
         simplex.push()
         try:
             if not assert_atoms(simplex, atoms, self.integer_mode):
                 return LraResult(False)
             return integer_feasible(simplex, self.bb_limit, self.integer_mode)
         finally:
-            self.num_simplex_checks += simplex.num_checks - checks_before
             simplex.pop()
 
     def entails(self, antecedent: Sequence[Atom], consequent: Atom) -> bool:

@@ -48,8 +48,8 @@ class IncrementalSimplex:
     ``pop`` — which is what sibling cubes of a case split do — costs a
     dictionary lookup instead of a tableau rebuild.
 
-    Statistics counters: ``num_checks`` (feasibility checks), ``num_pivots``,
-    ``num_pushes``, ``num_slack_vars``, ``num_slack_reuses``.
+    Statistics counters: ``num_checks`` (feasibility checks),
+    ``num_slack_vars``, ``num_slack_reuses``.
     """
 
     def __init__(self) -> None:
@@ -70,8 +70,6 @@ class IncrementalSimplex:
         self._marks: list[tuple[int, bool]] = []
         self._conflict = False
         self.num_checks = 0
-        self.num_pivots = 0
-        self.num_pushes = 0
         self.num_slack_vars = 0
         self.num_slack_reuses = 0
         #: conflicts decided at assertion time (crossing bounds), i.e.
@@ -83,7 +81,6 @@ class IncrementalSimplex:
     # ------------------------------------------------------------------
     def push(self) -> None:
         """Open a backtracking point (bounds only; the tableau persists)."""
-        self.num_pushes += 1
         self._marks.append((len(self._trail), self._conflict))
 
     def pop(self) -> None:
@@ -272,7 +269,6 @@ class IncrementalSimplex:
     def _pivot_and_update(
         self, basic: Var, entering: Var, target: tuple[Rat, Rat]
     ) -> None:
-        self.num_pivots += 1
         rows = self._rows
         values = self._values
         row = rows.pop(basic)

@@ -444,7 +444,6 @@ class SolverContext:
         #: tableau rows right after the base was asserted.
         self._base_rows = 0
         self._reset()
-        self.num_checks = 0
 
     def _reset(self) -> None:
         """Start over on an empty constraint store."""
@@ -490,7 +489,6 @@ class SolverContext:
 
     def check(self, assumption: Formula = TRUE) -> SatResult:
         """Satisfiability of ``base ∧ assumption`` (assumption scoped to this call)."""
-        self.num_checks += 1
         stats = self._solver.stats
         stats.context_checks += 1
         if self._base_failed:

@@ -120,35 +120,27 @@ class _PreparedCore:
 class VcChecker:
     """Checks Hoare triples, path feasibility, entailments and abstract posts.
 
-    ``max_cache_entries`` optionally bounds the checker-level memo tables
-    (triple, edge, post and prepared-edge caches) with least-recently-used
-    eviction, so a long-lived :class:`~repro.core.api.Session` sharing one
-    checker across many tasks cannot grow without bound.  ``None`` (the
-    default) keeps the verdict caches unbounded; the prepared-edge table is
-    *always* capped (at ``max_cache_entries`` when set, else
-    ``PREPARED_EDGE_CAP``) because each entry pins a live solver context —
-    a simplex tableau, not a boolean.
+    The verdict memo tables (triple, edge, post) are plain dicts: a
+    long-lived holder bounds them by recycling the whole checker
+    (:class:`~repro.core.engine.WarmChecker`).  The prepared-edge table is
+    always capped at :attr:`PREPARED_EDGE_CAP`, evicting least-recently-used,
+    because each entry pins a live solver context — a simplex tableau, not a
+    boolean.
     """
 
-    #: Default LRU bound of the prepared-edge table when ``max_cache_entries``
-    #: is unset.  Far above any single run's distinct-edge count (the default
-    #: node budget is 4000), so eviction only kicks in for long sessions.
+    #: LRU bound of the prepared-edge table.  Far above any single run's
+    #: distinct-edge count (the default node budget is 4000), so eviction
+    #: only kicks in for long sessions.
     PREPARED_EDGE_CAP = 2048
 
     def __init__(
         self,
         integer_mode: bool = True,
         bb_limit: int = 40,
-        max_cache_entries: Optional[int] = None,
         batched_posts: bool = True,
     ) -> None:
-        if max_cache_entries is not None and max_cache_entries < 1:
-            raise ValueError(
-                f"max_cache_entries must be >= 1 or None, got {max_cache_entries}"
-            )
         self.solver = SmtSolver(integer_mode=integer_mode, bb_limit=bb_limit)
         self._fresh = FreshNames("vc")
-        self.max_cache_entries = max_cache_entries
         #: Route batched queries through the shared solver context.
         #: ``False`` degrades :meth:`post_all_predicates` to one scalar
         #: :meth:`post_predicate_holds` per predicate, :meth:`edge_feasible`
@@ -191,9 +183,9 @@ class VcChecker:
         self._state_formulas: dict[frozenset, Formula] = {}
         #: Prepared cores of the batched oracle, keyed like the edge cache.
         #: Entries hold a live :class:`SolverContext` (a simplex tableau), so
-        #: this table is bounded even when the verdict caches are not: it
-        #: gets its own LRU cap, and eviction just means re-preparing the
-        #: edge if its batch ever recurs.
+        #: this table is bounded even though the verdict caches are not: an
+        #: LRU cap, and eviction just means re-preparing the edge if its
+        #: batch ever recurs.
         self._prepared_edges: dict[tuple, _PreparedCore] = {}
         self.num_edge_queries = 0
         self.edge_cache_hits = 0
@@ -215,36 +207,6 @@ class VcChecker:
         #: assert) vs per-post context checks.
         self.prepare_seconds = 0.0
         self.post_solve_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    # LRU plumbing (active only when a cap applies: max_cache_entries for
-    # the verdict caches, always for the prepared-edge table)
-    # ------------------------------------------------------------------
-    @property
-    def _prepared_edge_cap(self) -> int:
-        # Tracks max_cache_entries dynamically: pool workers set the
-        # attribute after construction.
-        if self.max_cache_entries is not None:
-            return self.max_cache_entries
-        return self.PREPARED_EDGE_CAP
-
-    def _cache_get(self, cache: dict, key, cap: Optional[int] = None):
-        value = cache.get(key)
-        if value is None:
-            return None
-        if (cap if cap is not None else self.max_cache_entries) is not None:
-            # Python dicts iterate in insertion order; re-inserting marks the
-            # entry most-recently-used so eviction drops the coldest one.
-            del cache[key]
-            cache[key] = value
-        return value
-
-    def _cache_put(self, cache: dict, key, value, cap: Optional[int] = None) -> None:
-        cache[key] = value
-        cap = cap if cap is not None else self.max_cache_entries
-        if cap is not None and len(cache) > cap:
-            del cache[next(iter(cache))]
-            self.cache_evictions += 1
 
     # ------------------------------------------------------------------
     def statistics(self) -> dict[str, float]:
@@ -292,8 +254,8 @@ class VcChecker:
         workers share one checker across many tasks; these sizes are the
         memory-side of that bargain and feed :meth:`Session.statistics` so a
         service can watch cache growth and decide when to recycle a checker.
-        ``evictions`` counts entries dropped by the LRU cap
-        (``max_cache_entries``); the solver's tables have no LRU.
+        ``evictions`` counts prepared edges dropped by their LRU cap
+        (:attr:`PREPARED_EDGE_CAP`); no other table has one.
         """
         return {
             "triple_cache": len(self._triple_cache),
@@ -349,8 +311,7 @@ class VcChecker:
         a carried hit, so ``max_solver_calls`` trips at the same point and a
         warm checker changes how fast a run goes, never where it stops.  The
         ledger this needs is only kept when the tables are already
-        populated.  (An LRU cap, ``max_cache_entries``, can still evict an
-        entry mid-run on one checker and not on the other.)
+        populated.
         """
         self._run_asked = set() if (self._edge_cache or self._post_cache) else None
         self._run_base = self.charged_checks
@@ -449,7 +410,7 @@ class VcChecker:
         if isinstance(post, type(TRUE)) and post == TRUE:
             return True
         key = (pre, tuple(commands), post)
-        cached = self._cache_get(self._triple_cache, key)
+        cached = self._triple_cache.get(key)
         if cached is not None:
             self.cache_hits += 1
             return cached
@@ -462,7 +423,7 @@ class VcChecker:
             [pre_ssa, translation.formula(), negate(post_ssa)]
         )
         verdict = self._is_unsat_obligation(obligation, translation)
-        self._cache_put(self._triple_cache, key, verdict)
+        self._triple_cache[key] = verdict
         return verdict
 
     def check_triples(
@@ -509,7 +470,7 @@ class VcChecker:
         """
         self.num_edge_queries += 1
         key = (state, transition)
-        cached = self._cache_get(self._edge_cache, key)
+        cached = self._edge_cache.get(key)
         if self._run_asked is not None:
             self._ask(key, cached is not None)
         if cached is not None:
@@ -524,7 +485,7 @@ class VcChecker:
             edge = self._prepare_edge(state, transition)
             (unsat,) = self._decide_posts(pre, transition.commands, (FALSE,), edge)
             verdict = not unsat
-        self._cache_put(self._edge_cache, key, verdict)
+        self._edge_cache[key] = verdict
         return verdict
 
     def post_predicate_holds(self, state: frozenset, transition, predicate: Formula) -> bool:
@@ -537,7 +498,7 @@ class VcChecker:
         """
         self.num_post_queries += 1
         key = (state, transition, predicate)
-        cached = self._cache_get(self._post_cache, key)
+        cached = self._post_cache.get(key)
         if self._run_asked is not None:
             self._ask(key, cached is not None)
         if cached is not None:
@@ -545,7 +506,7 @@ class VcChecker:
             return cached
         pre = self.state_formula(state)
         verdict = self.check_triple(pre, transition.commands, predicate)
-        self._cache_put(self._post_cache, key, verdict)
+        self._post_cache[key] = verdict
         return verdict
 
     def post_all_predicates(
@@ -565,7 +526,7 @@ class VcChecker:
         for predicate in predicates:
             self.num_post_queries += 1
             key = (state, transition, predicate)
-            cached = self._cache_get(self._post_cache, key)
+            cached = self._post_cache.get(key)
             if self._run_asked is not None:
                 self._ask(key, cached is not None)
             if cached is not None:
@@ -589,7 +550,7 @@ class VcChecker:
         pre = self.state_formula(state)
         decided = self._decide_posts(pre, transition.commands, remaining, edge)
         for predicate, verdict in zip(remaining, decided):
-            self._cache_put(self._post_cache, (state, transition, predicate), verdict)
+            self._post_cache[(state, transition, predicate)] = verdict
             verdicts[predicate] = verdict
         return verdicts
 
@@ -599,13 +560,21 @@ class VcChecker:
     def _prepare_edge(self, state: frozenset, transition) -> _PreparedCore:
         """The prepared core for ``(state, transition)`` (LRU-cached)."""
         key = (state, transition)
-        edge = self._cache_get(self._prepared_edges, key, cap=self._prepared_edge_cap)
+        edges = self._prepared_edges
+        edge = edges.pop(key, None)
         if edge is not None:
+            # Dicts iterate in insertion order: re-inserting marks the entry
+            # most-recently-used, so eviction drops the coldest one.
+            edges[key] = edge
             self.num_context_reuses += 1
             return edge
         self.num_prepare_calls += 1
-        edge = self._prepare_core(self.state_formula(state), transition.commands)
-        self._cache_put(self._prepared_edges, key, edge, cap=self._prepared_edge_cap)
+        edge = edges[key] = self._prepare_core(
+            self.state_formula(state), transition.commands
+        )
+        if len(edges) > self.PREPARED_EDGE_CAP:
+            del edges[next(iter(edges))]
+            self.cache_evictions += 1
         return edge
 
     def _prepare_core(
@@ -651,7 +620,7 @@ class VcChecker:
                 yield True
                 continue
             key = (pre, commands, post)
-            cached = self._cache_get(self._triple_cache, key)
+            cached = self._triple_cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
                 yield cached
@@ -659,7 +628,7 @@ class VcChecker:
             if core is None:
                 core = self._prepare_core(pre, commands)
             verdict = self._decide(core, post)
-            self._cache_put(self._triple_cache, key, verdict)
+            self._triple_cache[key] = verdict
             yield verdict
 
     def _decide(self, core: _PreparedCore, post: Formula) -> bool:

@@ -347,7 +347,7 @@ def _oracle_serve(function, options):
     hit on an earlier program's entry like the check a fresh checker would
     make (``VcChecker.begin_run``), so the budget trips at the same point on
     both sides.  :func:`fuzz_options` pins ``warm_start=False`` (no store
-    seeding), sets no LRU cap and rejects wall-clock budgets — both sides
+    seeding) and rejects wall-clock budgets — both sides
     run the same deterministic engine, one of them behind the wire on a
     warm checker.
     """

@@ -93,6 +93,9 @@ class TestVerifierOptions:
             {"slice_refinements": 1},
             {"monitor_window": 2},
             {"degrade_on_retry": True},
+            # The kill follows max_seconds; checkers recycle whole.
+            {"task_timeout": 20.0},
+            {"max_cache_entries": 16},
         ],
         ids=lambda data: ",".join(data),
     )
@@ -104,7 +107,7 @@ class TestVerifierOptions:
         assert [field.name for field in dataclasses.fields(VerifierOptions)] == [
             "refiner", "strategy", "max_refinements", "max_nodes", "max_seconds",
             "max_solver_calls", "max_predicates_per_location", "warm_start",
-            "max_cache_entries", "task_timeout", "task_retries",
+            "task_retries",
         ]
 
     def test_replace_validates(self):

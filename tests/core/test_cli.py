@@ -85,8 +85,10 @@ class TestVerifyCommand:
             # (``VerificationEngine(incremental=False)``), not a product knob.
             (["--restart"], "--restart"),
             (["--degrade-on-retry"], "--degrade-on-retry"),
+            # A hung worker is killed a fixed grace past --max-seconds.
+            (["--task-timeout", "60"], "--task-timeout 60"),
         ],
-        ids=["jobs", "portfolio-mode", "restart", "degrade-on-retry"],
+        ids=["jobs", "portfolio-mode", "restart", "degrade-on-retry", "task-timeout"],
     )
     def test_removed_flags_are_rejected(self, args, rejected, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -94,14 +96,25 @@ class TestVerifyCommand:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {rejected}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["batch", "serve", "submit"])
+    def test_task_timeout_is_rejected_on_every_subcommand(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([command, "--task-timeout", "60"])
+        assert excinfo.value.code == 2
+        # batch and submit take the 60 for a target.
+        assert "unrecognized arguments: --task-timeout" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key,text",
         [
             ("jobs", "jobs = 2\n"),
             ("portfolio_mode", 'refiner = "portfolio"\nportfolio_mode = "process"\n'),
             ("incremental", "incremental = false\n"),
+            ("task_timeout", "task_timeout = 60.0\n"),
+            ("max_cache_entries", "max_cache_entries = 64\n"),
         ],
-        ids=["jobs", "portfolio_mode", "incremental"],
+        ids=["jobs", "portfolio_mode", "incremental", "task_timeout",
+             "max_cache_entries"],
     )
     def test_options_file_removed_key_is_a_usage_error(self, tmp_path, capsys, key, text):
         opts = tmp_path / "opts.toml"
@@ -254,12 +267,13 @@ class TestBatchCommand:
         assert again["post_decisions"] == first["post_decisions"]
 
     def test_batch_supervision_flags_plumb_through(self, tmp_path):
-        """``--task-timeout``/``--retries`` reach the supervisor, whose
-        statistics land in the batch document's session block."""
+        """``--max-seconds``/``--retries`` reach the supervisor (its kill sits
+        KILL_GRACE_S past the budget), whose statistics land in the batch
+        document's session block."""
         out_file = tmp_path / "supervised.json"
         code = run_cli([
             "batch", "lock_step", "simple_safe", "--jobs", "2",
-            "--task-timeout", "60", "--retries", "1",
+            "--max-seconds", "58", "--retries", "1",
             "--output", str(out_file),
         ])
         assert code == 0

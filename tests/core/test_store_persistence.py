@@ -8,8 +8,9 @@ fingerprint a store is keyed by must therefore be stable across processes
 (the CFG builder emits transitions in a hash-seed-dependent order; the
 fingerprint sorts the renderings, and a subprocess test pins that).
 
-``VerifierOptions.max_cache_entries`` bounds the shared checker's memo
-tables with LRU eviction; capped runs must stay correct, just less memoised.
+The checker's prepared-edge table is LRU-bounded at
+``VcChecker.PREPARED_EDGE_CAP`` (each entry pins a live solver context);
+runs under a tiny cap must stay correct, just less memoised.
 """
 
 import pickle
@@ -159,25 +160,14 @@ class TestFingerprintStability:
 # Bounded memo tables
 # ----------------------------------------------------------------------
 class TestBoundedCaches:
-    def test_option_validation(self):
-        with pytest.raises(ValueError, match="max_cache_entries"):
-            VerifierOptions(max_cache_entries=0)
-        with pytest.raises(ValueError, match="max_cache_entries"):
-            VcChecker(max_cache_entries=0)
-
-    def test_capped_checker_stays_correct(self):
-        uncapped = Session(OPTIONS).run("forward")
-        capped_session = Session(OPTIONS.replace(max_cache_entries=16))
-        capped = capped_session.run("forward")
-        assert capped.verdict == uncapped.verdict == Verdict.SAFE
-        assert capped.precision.snapshot() == uncapped.precision.snapshot()
-        sizes = capped_session.checker.cache_sizes()
-        for table in ("triple_cache", "edge_cache", "post_cache", "prepared_edges"):
-            assert sizes[table] <= 16
-        assert sizes["evictions"] > 0
+    @staticmethod
+    def _capped_checker(cap):
+        checker = VcChecker()
+        checker.PREPARED_EDGE_CAP = cap
+        return checker
 
     def test_eviction_counter_reported_by_session(self):
-        session = Session(OPTIONS.replace(max_cache_entries=8))
+        session = Session(OPTIONS, checker=self._capped_checker(2))
         session.run("lock_step")
         stats = session.statistics()
         assert stats["checker_caches"]["evictions"] > 0
@@ -190,10 +180,9 @@ class TestBoundedCaches:
 
     def test_prepared_edges_are_always_bounded(self):
         """Each prepared edge pins a live solver context, so the table has
-        its own LRU cap even when the verdict caches are unbounded."""
-        checker = VcChecker()  # max_cache_entries=None
+        its own LRU cap although the verdict caches are unbounded."""
         cap = 3
-        checker.PREPARED_EDGE_CAP = cap
+        checker = self._capped_checker(cap)
         transitions = sorted(get_program("forward").transitions, key=str)
         for transition in transitions:
             checker.post_all_predicates(frozenset(), transition, [])
@@ -204,30 +193,21 @@ class TestBoundedCaches:
         # The verdict caches stayed unbounded.
         assert checker.cache_sizes()["edge_cache"] == len(transitions)
 
-    def test_explicit_checker_receives_session_cap(self):
-        checker = VcChecker()
-        Session(OPTIONS.replace(max_cache_entries=64), checker=checker)
-        assert checker.max_cache_entries == 64
-        # An unset option must not clobber an externally configured cap.
-        capped = VcChecker(max_cache_entries=8)
-        Session(OPTIONS, checker=capped)
-        assert capped.max_cache_entries == 8
-
     def test_lru_keeps_recently_used_entries(self):
-        checker = VcChecker(max_cache_entries=2)
-        checker._cache_put(checker._post_cache, "a", True)
-        checker._cache_put(checker._post_cache, "b", False)
-        assert checker._cache_get(checker._post_cache, "a") is True  # refresh a
-        checker._cache_put(checker._post_cache, "c", True)  # evicts b
-        assert checker._cache_get(checker._post_cache, "b") is None
-        assert checker._cache_get(checker._post_cache, "a") is True
+        checker = self._capped_checker(2)
+        a, b, c = sorted(get_program("forward").transitions, key=str)[:3]
+        first = checker._prepare_edge(frozenset(), a)
+        checker._prepare_edge(frozenset(), b)
+        assert checker._prepare_edge(frozenset(), a) is first  # refresh a
+        checker._prepare_edge(frozenset(), c)  # evicts b
+        assert set(checker._prepared_edges) == {(frozenset(), a), (frozenset(), c)}
         assert checker.cache_evictions == 1
 
     def test_churn_far_past_capacity_stays_correct(self):
-        """Drive the memo tables through well over 10x their capacity: a
-        multi-program session under a tiny cap must evict constantly yet
-        reproduce the uncapped verdicts, and the eviction counter must be
-        monotone across runs."""
+        """Drive the prepared-edge table through well over 10x its
+        capacity: a multi-program session under a tiny cap must evict
+        constantly yet reproduce the uncapped verdicts, and the eviction
+        counter must be monotone across runs."""
         programs = ["forward", "lock_step", "double_counter", "up_down",
                     "diamond_safe", "simple_safe", "simple_unsafe"]
         uncapped = Session(OPTIONS)
@@ -235,7 +215,7 @@ class TestBoundedCaches:
         assert uncapped.checker.cache_sizes()["evictions"] == 0
 
         cap = 4
-        session = Session(OPTIONS.replace(max_cache_entries=cap))
+        session = Session(OPTIONS, checker=self._capped_checker(cap))
         evictions_after = []
         verdicts = []
         for name in programs:
@@ -245,6 +225,4 @@ class TestBoundedCaches:
         # Monotone, and the churn really exceeded 10x the capacity.
         assert evictions_after == sorted(evictions_after)
         assert evictions_after[-1] > 10 * cap
-        for table in ("triple_cache", "edge_cache", "post_cache",
-                      "prepared_edges"):
-            assert session.checker.cache_sizes()[table] <= cap
+        assert session.checker.cache_sizes()["prepared_edges"] <= cap

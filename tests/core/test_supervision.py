@@ -20,7 +20,7 @@ import pytest
 
 from repro import Session, VerifierOptions
 from repro.core.faults import FaultPlan, FaultSpec, installed
-from repro.core.supervision import RetryPolicy, Supervisor, WorkerSlot
+from repro.core.supervision import KILL_GRACE_S, RetryPolicy, Supervisor, WorkerSlot
 
 #: The 12-program benchmark suite with its per-program refinement budgets
 #: (mirrors benchmarks/run_all.py — initcheck_buggy diverges past 5).
@@ -32,6 +32,11 @@ SUITE = [
 ]
 
 OPTIONS = VerifierOptions(max_refinements=8)
+
+#: A wall-clock budget every fault-free suite task finishes well inside: on
+#: four workers sharing two vCPUs the slowest (forward, initcheck_buggy)
+#: took 0.6-0.8 s.  A hung worker is killed this plus KILL_GRACE_S in.
+SUITE_MAX_SECONDS = 10.0
 
 
 def _suite_tasks(session, **extra):
@@ -77,8 +82,6 @@ class TestRetryPolicy:
         assert policy.delay(10) == pytest.approx(0.3)
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="task_timeout"):
-            VerifierOptions(task_timeout=0)
         with pytest.raises(ValueError, match="task_retries"):
             VerifierOptions(task_retries=-1)
 
@@ -321,8 +324,10 @@ class TestAcceptance:
         baseline_session = Session(OPTIONS)
         baseline = {
             doc["name"]: doc["verdict"]
-            for doc in baseline_session.run_many(_suite_tasks(baseline_session),
-                                                 jobs=4)
+            for doc in baseline_session.run_many(
+                _suite_tasks(baseline_session, max_seconds=SUITE_MAX_SECONDS),
+                jobs=4,
+            )
         }
         # initcheck_buggy legitimately exhausts its 5-refinement budget.
         assert set(baseline.values()) <= {"safe", "unsafe", "unknown"}
@@ -345,13 +350,14 @@ class TestAcceptance:
         with installed(plan):
             with pytest.warns(RuntimeWarning, match="quarantined"):
                 session = Session(
-                    OPTIONS.replace(task_timeout=20.0, task_retries=2),
-                    store_path=store_path,
+                    OPTIONS.replace(task_retries=2), store_path=store_path
                 )
             # The corrupted load was quarantined: the session started cold.
             assert session.store.quarantined
             assert len(session.store) == 0
-            docs = session.run_many(_suite_tasks(session), jobs=4)
+            docs = session.run_many(
+                _suite_tasks(session, max_seconds=SUITE_MAX_SECONDS), jobs=4
+            )
 
         verdicts = {doc["name"]: doc["verdict"] for doc in docs}
         assert verdicts == baseline  # faulted tasks converged, rest identical
@@ -364,9 +370,46 @@ class TestAcceptance:
         assert by_name["diamond_safe"]["attempts"] >= 2
         assert by_name["diamond_safe"]["failures"][0]["kind"] == "timeout"
         stats = session.last_supervisor.statistics()
+        assert stats["task_timeout"] == SUITE_MAX_SECONDS + KILL_GRACE_S
         assert stats["crashes"] >= 3
         assert stats["tasks_failed"] == 0
         assert stats["tasks_recovered"] >= 4
+
+    @pytest.mark.timeout(120)
+    def test_hang_is_killed_grace_past_the_largest_max_seconds(self):
+        """The kill follows the run budget: a hung worker is killed
+        KILL_GRACE_S past the batch's largest ``max_seconds`` with a
+        ``timeout`` failure, and the retry decides the task."""
+        plan = FaultPlan([FaultSpec(kind="hang", key="simple_safe", attempts=(0,),
+                                    seconds=60.0)])
+        session = Session(VerifierOptions(max_seconds=0.5))
+        with installed(plan):
+            docs = session.run_many(
+                ["simple_safe",
+                 session.task("lock_step", options=VerifierOptions(max_seconds=1.0))],
+                jobs=2,
+            )
+        by_name = {doc["name"]: doc for doc in docs}
+        assert by_name["lock_step"]["verdict"] == "safe"
+        assert by_name["lock_step"]["attempts"] == 1
+        hung = by_name["simple_safe"]
+        assert hung["verdict"] == "safe" and hung["attempts"] == 2
+        (failure,) = hung["failures"]
+        assert failure["kind"] == "timeout"
+        assert 1.0 + KILL_GRACE_S <= failure["elapsed_seconds"] < 1.0 + KILL_GRACE_S + 5
+        stats = session.last_supervisor.statistics()
+        assert stats["task_timeout"] == 1.0 + KILL_GRACE_S
+        assert stats["timeouts"] == 1
+
+    def test_no_kill_without_a_wall_clock_budget(self):
+        """One task without ``max_seconds`` leaves the whole batch unkilled:
+        the engine, not the supervisor, bounds its runs."""
+        session = Session(VerifierOptions(max_seconds=1.0))
+        session.run_many(
+            ["simple_safe", session.task("lock_step", options=VerifierOptions())],
+            jobs=2,
+        )
+        assert session.last_supervisor.statistics()["task_timeout"] is None
 
     @pytest.mark.timeout(240)
     def test_persistently_crashing_task_settles_as_failure_record(self):

@@ -219,6 +219,25 @@ class TestFarkasEngine:
         for cut, formula in result.assertions.items():
             assert checker.check_entailment(formula, eq(var("a") + var("b"), var("i") * 3))
 
+    def test_answer_does_not_depend_on_earlier_calls(self):
+        # Each synthesize solves on a fresh LP, so an engine that already
+        # solved the equality-only template answers the refined one exactly
+        # as a fresh engine does.
+        path_program = self._path_program()
+        variables = [Var(n) for n in ("a", "b", "i", "n")]
+        cuts = sorted(cutpoints(path_program))
+        equalities = {c: equality_template(variables, f"c{k}") for k, c in enumerate(cuts)}
+        refined = {
+            c: equality_template(variables, f"c{k}").with_extra_inequality(variables, f"d{k}")
+            for k, c in enumerate(cuts)
+        }
+        used = FarkasEngine()
+        used.synthesize(path_program, equalities)
+        again = used.synthesize(path_program, refined)
+        fresh = FarkasEngine().synthesize(path_program, refined)
+        assert again.success and fresh.success
+        assert again.assertions == fresh.assertions
+
     def test_phase_one_builds_its_lp_system_once(self, monkeypatch):
         # Phase one solves one LP per normalisation (here one per variable
         # of the template), all over the same initiation/consecution system.

@@ -1,6 +1,7 @@
 """Behavioural tests of the verification daemon: coalescing, warm-starting,
 admission, budget isolation, endpoints, and graceful drain."""
 
+import sys
 import threading
 import time
 
@@ -8,6 +9,8 @@ import pytest
 
 from repro.core.api import Session, VerifierOptions
 from repro.core.faults import FaultPlan, FaultSpec, installed
+from repro.logic.formulas import ge
+from repro.logic.terms import const, var
 from repro.serve import (
     ServiceClient,
     ServiceConfig,
@@ -77,6 +80,14 @@ def test_bad_options_rejected_as_structured_doc(service, client):
     assert doc["error"]["status"] == 400
 
 
+@pytest.mark.parametrize("key", ["task_timeout", "max_cache_entries"])
+def test_removed_option_keys_are_bad_requests(service, client, key):
+    doc = client.verify("simple_safe", options={key: 16})
+    assert doc["failure"]["kind"] == "bad-request"
+    assert doc["error"]["status"] == 400
+    assert f"unknown option keys ['{key}']" in doc["reason"]
+
+
 def test_unknown_op_is_a_protocol_error(service, client):
     response = client.request({"op": "frobnicate"})
     assert response["ok"] is False
@@ -106,6 +117,79 @@ def test_stats_and_cache_endpoints(service, client):
     # No request runs on the daemon session's checker: nothing to report.
     assert "checker_caches" not in cache
     assert "checker_caches" not in stats["session"]
+
+
+def test_banking_does_not_race_store_reads():
+    """Executor threads settle runs while another seeds its own and
+    summarises the store.  Settling and every store read hold the session
+    lock, so no read sees the bank change size mid-iteration (unlocked, a
+    seed read or a ``stats`` summary raised ``RuntimeError: dictionary
+    changed size during iteration`` within a few reads) and no count is
+    lost."""
+    service = VerificationService(ServiceConfig(workers=1))  # never started
+    session = service.session
+    task = session.task("simple_safe")
+    task.resolved()
+    predicate = ge(var("x"), const(0))
+    merges = 2_000
+
+    def bank(thread):
+        # What a settling executor thread does: merge new predicates.
+        for n in range(merges):
+            with session._lock:
+                session._settle(
+                    task.fingerprint, False, 0, "safe",
+                    {f"T{thread}L{n}": (predicate,)}, {},
+                )
+
+    # More threads than the two cores CI boxes have.
+    bankers = [threading.Thread(target=bank, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    reads = 0
+    try:
+        for banker in bankers:
+            banker.start()
+        while any(banker.is_alive() for banker in bankers):
+            # In-process supervision: seeds from the store being banked.
+            docs, _, _ = session.supervise([task])
+            assert docs[0]["verdict"] == "safe"
+            service.statistics()
+            reads += 1
+    finally:
+        sys.setswitchinterval(interval)
+        for banker in bankers:
+            banker.join(timeout=60)
+    assert not any(banker.is_alive() for banker in bankers)
+    assert reads > 0
+    assert session.tasks_run == 3 * merges + reads
+    store = service.statistics()["store"]
+    assert store["predicates"] == session.predicates_banked >= 3 * merges
+
+
+def test_daemon_settles_like_a_run_many_pool(service, client):
+    """One task lifecycle: the same two submissions of a two-program batch,
+    to the daemon and to a ``run_many`` pool, give the same
+    ``engine.session`` stamps, warm starts and banked predicates."""
+    batch = ["forward", "lock_step"]
+    served = [client.submit_many(batch) for _ in range(2)]
+    session = Session()
+    pooled = [session.run_many(batch, jobs=2) for _ in range(2)]
+
+    def stamps(rounds):
+        return [[doc["engine"]["session"] for doc in docs] for docs in rounds]
+
+    assert stamps(served) == stamps(pooled)
+    assert [s["warm_started"] for s in stamps(served)[1]] == [True, True]
+    stats = client.stats()
+    assert stats["session"]["warm_starts"] == session.warm_starts == 2
+    assert stats["service"]["warm_hits"] == 2
+    banked = service.session.store_summary()
+    assert banked == session.store_summary()
+    for fingerprint in banked["fingerprints"]:
+        assert service.session.store.payload(fingerprint) == session.store.payload(
+            fingerprint
+        )
 
 
 class TestCoalescing:

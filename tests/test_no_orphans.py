@@ -47,3 +47,32 @@ def test_every_definition_is_referenced():
         if not mentions[name] - {(path, line)}
     ]
     assert not orphans, "definitions nothing references:\n" + "\n".join(orphans)
+
+
+def test_every_stored_attribute_is_read():
+    """Every ``self.<attr>`` stored under ``src/repro`` (assigned, augmented
+    or annotated) is loaded as an attribute somewhere in the scanned trees;
+    a string read through ``getattr``/``hasattr`` counts as a load.  Like the
+    definition check it matches names only."""
+    stored = []
+    loaded = set()
+    for path in sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py")):
+        in_src = path.is_relative_to(ROOT / "src" / "repro")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                if not isinstance(node.ctx, ast.Store):
+                    loaded.add(node.attr)
+                elif in_src and getattr(node.value, "id", None) == "self":
+                    stored.append((node.attr, path, node.lineno))
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("getattr", "hasattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                loaded.add(node.args[1].value)
+    unread = sorted(
+        {f"{path.relative_to(ROOT)}:{line}: self.{name}"
+         for name, path, line in stored if name not in loaded}
+    )
+    assert not unread, "attributes stored but never read:\n" + "\n".join(unread)
