@@ -60,6 +60,8 @@ def run_suite(batched: bool) -> dict:
         "context_reuses": 0,
         "batched_posts": 0,
         "scalar_fallbacks": 0,
+        "frame_answers": 0,
+        "model_answers": 0,
     }
     per_program = {}
     for name in SUITE:
@@ -81,7 +83,8 @@ def run_suite(batched: bool) -> dict:
         }
         totals["seconds"] += seconds
         for key in ("ssa_translations", "prepare_calls", "context_reuses",
-                    "batched_posts", "scalar_fallbacks"):
+                    "batched_posts", "scalar_fallbacks", "frame_answers",
+                    "model_answers"):
             totals[key] += stats[key]
     totals["per_program"] = per_program
     return totals
@@ -110,8 +113,16 @@ def test_batched_oracle_halves_preparation_work(benchmark):
         context_reuses=batched["context_reuses"],
         batched_posts=batched["batched_posts"],
         scalar_fallbacks=batched["scalar_fallbacks"],
+        frame_answers=batched["frame_answers"],
+        model_answers=batched["model_answers"],
         batched_seconds=round(batched["seconds"], 3),
         scalar_seconds=round(scalar["seconds"], 3),
+    )
+    # Posts the batched oracle answered before any solver check.
+    print(
+        f"batched posts: {batched['batched_posts']} decided in a context, "
+        f"{batched['frame_answers']} by the frame rule, "
+        f"{batched['model_answers']} by the core's model"
     )
 
     # Acceptance bar: >= 2x fewer pipeline preparations than the scalar

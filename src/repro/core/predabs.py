@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..lang.cfg import Location, Program, Transition
-from ..lang.commands import command_writes
+from ..lang.commands import touched_names, written_names
 from ..logic.formulas import FALSE, Formula, TRUE
 from ..smt.budget import BudgetExhausted
 from ..smt.vcgen import VcChecker
@@ -414,11 +414,8 @@ def split_frame_predicates(
     for predicate in predicates:
         if predicate in state:
             if written is None:
-                written = set()
-                for command in transition.commands:
-                    written |= command_writes(command)
-            touched = {v.name for v in predicate.variables()} | predicate.arrays()
-            if not touched & written:
+                written = written_names(transition.commands)
+            if not touched_names(predicate) & written:
                 carried.append(predicate)
                 continue
         undecided.append(predicate)

@@ -12,7 +12,7 @@ over ``X`` and ``X'``) is recovered by :func:`relation_formula`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..logic.formulas import Atom, Formula, TRUE, conjoin, eq
 from ..logic.terms import ArrayRead, LinExpr, Var
@@ -24,7 +24,8 @@ __all__ = [
     "ArrayAssign",
     "Havoc",
     "Skip",
-    "command_writes",
+    "written_names",
+    "touched_names",
     "relation_formula",
 ]
 
@@ -84,15 +85,26 @@ class Skip(Command):
         return "skip"
 
 
-def command_writes(cmd: Command) -> set[str]:
-    """Names of scalar variables and arrays written by a command."""
-    if isinstance(cmd, Assign):
-        return {cmd.var}
-    if isinstance(cmd, ArrayAssign):
-        return {cmd.array}
-    if isinstance(cmd, Havoc):
-        return set(cmd.vars)
-    return set()
+def written_names(commands: Iterable[Command]) -> set[str]:
+    """Names of the scalar variables and arrays a command sequence writes.
+
+    With :func:`touched_names` this is the frame rule: a formula that holds
+    before the commands and touches none of these names holds after them.
+    """
+    written: set[str] = set()
+    for cmd in commands:
+        if isinstance(cmd, Assign):
+            written.add(cmd.var)
+        elif isinstance(cmd, ArrayAssign):
+            written.add(cmd.array)
+        elif isinstance(cmd, Havoc):
+            written.update(cmd.vars)
+    return written
+
+
+def touched_names(formula: Formula) -> set[str]:
+    """Names of the free scalar variables and the arrays ``formula`` mentions."""
+    return {v.name for v in formula.variables()} | formula.arrays()
 
 
 def relation_formula(cmd: Command, frame: Sequence[str] = ()) -> Formula:

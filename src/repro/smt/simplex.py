@@ -18,6 +18,15 @@ only when not.  The verifier's tableaux are almost entirely integral, so
 pivots and the bound comparisons of :meth:`IncrementalSimplex.check` run on
 ints; the divisions (bounds, pivot ratios, the row inverse, the model's
 ``delta``) go through :func:`~repro.logic.terms.exact_div`.
+
+:meth:`IncrementalSimplex.check` picks Bland's leaving variable — the
+smallest-id basic variable outside a bound — from a tracked set of the basic
+variables that may violate one, not from a scan of every row.  A basic
+variable can only come to violate a bound when its value moves (a nonbasic
+update or a pivot) or a bound on it tightens, and each of those adds it;
+``pop`` only loosens bounds.  Outside a sticky conflict (which fails every
+check until its ``pop``) the set holds every violator, so the pick, and
+every pivot, is the full scan's.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ class IncrementalSimplex:
     dictionary lookup instead of a tableau rebuild.
 
     Statistics counters: ``num_checks`` (feasibility checks),
-    ``num_slack_vars``, ``num_slack_reuses``.
+    ``num_slack_vars``, ``num_slack_reuses``, ``num_assert_conflicts``.
     """
 
     def __init__(self) -> None:
@@ -65,6 +74,11 @@ class IncrementalSimplex:
         self._slack_of_form: dict[tuple, Var] = {}
         #: Bland-rule total order on variables (creation order).
         self._var_ids: dict[Var, int] = {}
+        #: Basic variables that may violate a bound; outside a sticky
+        #: conflict every one that does is here.  Value updates, bound
+        #: assertions and pivots add to it; ``pop`` only loosens bounds, so
+        #: it never has to.
+        self._violated: set[Var] = set()
         #: undo log of bound changes: (which, var, old bound or None).
         self._trail: list[tuple[str, Var, Optional[tuple[Rat, Rat]]]] = []
         self._marks: list[tuple[int, bool]] = []
@@ -182,8 +196,11 @@ class IncrementalSimplex:
             self._conflict = True
             self.num_assert_conflicts += 1
             return False
-        if variable not in self._rows and self._values[variable] < bound:
-            self._update_nonbasic(variable, bound)
+        if self._values[variable] < bound:
+            if variable in self._rows:
+                self._violated.add(variable)
+            else:
+                self._update_nonbasic(variable, bound)
         return not self._conflict
 
     def _assert_upper(self, variable: Var, bound: tuple[Rat, Rat]) -> bool:
@@ -198,8 +215,11 @@ class IncrementalSimplex:
             self._conflict = True
             self.num_assert_conflicts += 1
             return False
-        if variable not in self._rows and self._values[variable] > bound:
-            self._update_nonbasic(variable, bound)
+        if self._values[variable] > bound:
+            if variable in self._rows:
+                self._violated.add(variable)
+            else:
+                self._update_nonbasic(variable, bound)
         return not self._conflict
 
     def _update_nonbasic(self, variable: Var, value: tuple[Rat, Rat]) -> None:
@@ -209,12 +229,14 @@ class IncrementalSimplex:
         self._values[variable] = value
         rows = self._rows
         values = self._values
+        violated = self._violated
         for basic in self._cols.get(variable, ()):
             coeff = rows[basic].get(variable)
             if coeff is None:
                 continue
             va, vb = values[basic]
             values[basic] = (as_rat(va + coeff * delta_a), as_rat(vb + coeff * delta_b))
+            violated.add(basic)
 
     # ------------------------------------------------------------------
     # Feasibility
@@ -229,12 +251,16 @@ class IncrementalSimplex:
         lower = self._lower
         upper = self._upper
         ids = self._var_ids
+        violated = self._violated
         while True:
-            # Bland's rule: smallest violating basic variable.
+            # Bland's rule: smallest violating basic variable.  Only the
+            # tracked rows can violate a bound; those found within theirs
+            # leave the set until a value or bound change adds them again.
             candidate: Optional[Var] = None
             candidate_id = -1
             need_raise = False
-            for basic in rows:
+            satisfied: list[Var] = []
+            for basic in violated:
                 value = values[basic]
                 low = lower.get(basic)
                 if low is not None and value < low:
@@ -245,6 +271,9 @@ class IncrementalSimplex:
                 if up is not None and value > up:
                     if candidate is None or ids[basic] < candidate_id:
                         candidate, candidate_id, need_raise = basic, ids[basic], False
+                    continue
+                satisfied.append(basic)
+            violated.difference_update(satisfied)
             if candidate is None:
                 return True
             row = rows[candidate]
@@ -271,13 +300,17 @@ class IncrementalSimplex:
     ) -> None:
         rows = self._rows
         values = self._values
+        violated = self._violated
         row = rows.pop(basic)
         coeff = row.pop(entering)
         va, vb = values[basic]
         theta = (exact_div(target[0] - va, coeff), exact_div(target[1] - vb, coeff))
+        # The leaving variable sits on its bound; the entering one may not.
         values[basic] = target
+        violated.discard(basic)
         ea, eb = values[entering]
         values[entering] = (as_rat(ea + theta[0]), as_rat(eb + theta[1]))
+        violated.add(entering)
         for other in self._cols[entering]:
             if other is basic or other not in rows:
                 continue
@@ -288,6 +321,7 @@ class IncrementalSimplex:
             values[other] = (
                 as_rat(oa + other_coeff * theta[0]), as_rat(ob + other_coeff * theta[1])
             )
+            violated.add(other)
 
         # Row for the entering variable: entering = (basic - sum(rest)) / coeff.
         inv = exact_div(1, coeff)

@@ -515,9 +515,6 @@ class SolverContext:
         model = dict(result.model) if result.model is not None else None
         return SatResult(result.satisfiable, model, result.approximate)
 
-    def is_unsat(self, assumption: Formula = TRUE) -> bool:
-        return not self.check(assumption).satisfiable
-
 
 class SmtSolver:
     """Quantifier-free LIA/LRA + array-read solver with statistics.

@@ -56,6 +56,22 @@ scalar pipeline (counted in ``scalar_fallbacks``): a quantifier nested in a
 hypothesis or under a disjunction or negation, or a post that stays
 quantified after skolemisation.
 
+Two answers need no solver check at all, and each is the verdict the
+solver would give:
+
+* **frame** (``frame_answers``): a post that is a conjunct of ``pre`` and
+  touches no variable or array the commands write is valid — ``¬p′`` is the
+  negation of a conjunct of the base, so the check could only be UNSAT.
+  Checked before the core is prepared, so a batch answered whole this way
+  prepares none.
+* **model** (``model_answers``): the core keeps the model of its latest
+  satisfiable, exact context check, which satisfies the base.  A renamed
+  post that is quantifier-free and read-free draws no instances (they come
+  from reads only), so its check would be exactly ``base ∧ ¬p′``; when the
+  model falsifies ``p′`` that is satisfiable and the post is invalid.  A
+  branch-and-bound approximation is never kept: its rational model need not
+  satisfy the base over the integers.
+
 An abstract-post core is memoised per ``(state, transition)`` in an
 LRU-bounded table, so the delta-recheck wave after a refinement — which
 re-asks the *same* edge about the newly added predicates — reuses the
@@ -73,8 +89,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ..lang.commands import Command
-from ..logic.formulas import FALSE, Forall, Formula, TRUE, conjoin, negate
+from ..lang.commands import Command, touched_names, written_names
+from ..logic.formulas import FALSE, Forall, Formula, TRUE, conjoin, conjuncts, negate
 from ..logic.terms import LinExpr, Rat, Var
 from ..logic.transform import FreshNames, quantifier_free
 from .arrays import resolve_stores
@@ -115,6 +131,10 @@ class _PreparedCore:
     #: (nested, or under a disjunction or negation), so that every post
     #: takes the scalar pipeline.
     context: Optional[SolverContext]
+    #: The model of the context's latest satisfiable check, kept only when
+    #: exact (never a branch-and-bound approximation): it satisfies the
+    #: base, so a read-free post it falsifies is invalid.
+    model: Optional[dict[Var, Rat]] = None
 
 
 class VcChecker:
@@ -199,6 +219,10 @@ class VcChecker:
         self.num_context_reuses = 0
         self.num_batched_posts = 0
         self.num_scalar_fallbacks = 0
+        #: Posts of a batch answered before any solver check: valid by the
+        #: frame rule, or invalid under the core's last exact model.
+        self.num_frame_answers = 0
+        self.num_model_answers = 0
         self.num_batch_calls = 0
         self.num_ssa_translations = 0
         self.cache_evictions = 0
@@ -217,7 +241,8 @@ class VcChecker:
         the abstract-post counters (``edge_queries``/``post_queries`` and
         their cache hits), the batched-oracle counters (``prepare_calls``,
         ``context_reuses``, ``batched_posts``, ``scalar_fallbacks``,
-        ``batch_calls``, ``ssa_translations``, ``cache_evictions``), the
+        ``frame_answers``, ``model_answers``, ``batch_calls``,
+        ``ssa_translations``, ``cache_evictions``), the
         per-phase timings (``prepare_seconds``, ``post_solve_seconds``) plus
         the solver counters (``sat_queries``, ``entailment_queries``) and the
         lazy-engine statistics from
@@ -236,6 +261,8 @@ class VcChecker:
             "context_reuses": self.num_context_reuses,
             "batched_posts": self.num_batched_posts,
             "scalar_fallbacks": self.num_scalar_fallbacks,
+            "frame_answers": self.num_frame_answers,
+            "model_answers": self.num_model_answers,
             "batch_calls": self.num_batch_calls,
             "ssa_translations": self.num_ssa_translations,
             "cache_evictions": self.cache_evictions,
@@ -611,7 +638,14 @@ class VcChecker:
         """Each post's verdict, with :meth:`check_triple`'s charge, shortcut
         and memo, decided against ``core`` (prepared here when the first post
         reaches the solver if not given).  Lazy: a caller's own bookkeeping
-        for one post happens before the next post is charged."""
+        for one post happens before the next post is charged.
+
+        A memo miss that is a conjunct of ``pre`` and touches no name the
+        commands write is valid by the frame rule and needs no core.
+        """
+        # Built at the first memo miss: pre's conjuncts, the written names.
+        framed: Optional[frozenset[Formula]] = None
+        written: set[str] = set()
         for post in posts:
             # Budget fidelity: every post is one Hoare-triple check, and
             # every path reads and writes the same triple memo.
@@ -625,9 +659,15 @@ class VcChecker:
                 self.cache_hits += 1
                 yield cached
                 continue
-            if core is None:
-                core = self._prepare_core(pre, commands)
-            verdict = self._decide(core, post)
+            if framed is None:
+                framed, written = frozenset(conjuncts(pre)), written_names(commands)
+            if post in framed and not touched_names(post) & written:
+                self.num_frame_answers += 1
+                verdict = True
+            else:
+                if core is None:
+                    core = self._prepare_core(pre, commands)
+                verdict = self._decide(core, post)
             self._triple_cache[key] = verdict
             yield verdict
 
@@ -640,18 +680,32 @@ class VcChecker:
         pipeline builds over the whole obligation.  Shapes the context
         cannot host — a core without a context, a post that stays
         quantified — take that scalar pipeline instead.
+
+        A renamed post that is quantifier-free and read-free adds no
+        instances, so the context would decide exactly ``base ∧ ¬post``;
+        when the core's last exact model falsifies it, that check is
+        satisfiable and the post is invalid without it.
         """
         translation = core.translation
-        negated = negate(
-            rename_to_versions(
-                post, translation.var_versions, translation.array_versions
-            )
+        renamed = rename_to_versions(
+            post, translation.var_versions, translation.array_versions
         )
+        negated = negate(renamed)
         context = core.context
         if context is not None:
             if context.base_failed:
                 # The commands cannot run from pre: the triple holds vacuously.
                 return True
+            model = core.model
+            if (
+                model is not None
+                and quantifier_free(renamed)
+                and not renamed.array_reads()
+                and model.keys() >= renamed.variables()
+                and not renamed.evaluate(model)
+            ):
+                self.num_model_answers += 1
+                return False
             assumption = resolve_stores(
                 skolemize_negative(negated, self._fresh),
                 translation.stores,
@@ -666,9 +720,11 @@ class VcChecker:
                 ]
                 started = time.perf_counter()
                 self.num_batched_posts += 1
-                verdict = context.is_unsat(conjoin([assumption, *instances]))
+                result = context.check(conjoin([assumption, *instances]))
                 self.post_solve_seconds += time.perf_counter() - started
-                return verdict
+                if result.satisfiable and not result.approximate:
+                    core.model = result.model
+                return not result.satisfiable
         self.num_scalar_fallbacks += 1
         obligation = conjoin([core.pre_ssa, translation.formula(), negated])
         return self._is_unsat_obligation(obligation, translation)

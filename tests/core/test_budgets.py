@@ -44,6 +44,14 @@ def _c(value):
 _PRE = le(_x(), _c(0))
 _COMMANDS = (Assign("x", _x() + _c(1)),)
 _POSTS = (le(_x(), _c(1)), le(_x(), _c(0)), le(_x(), _c(1)), le(_x(), _c(2)), TRUE)
+#: A batch whose first post holds by the frame rule (a conjunct of the
+#: pre-condition over an unwritten variable) and whose third is falsified by
+#: the model the second one's check leaves: both are answered before any
+#: solver check.
+_FRAMED_PRE = conjoin([le(_x(), _c(0)), eq(_x("y"), _c(5))])
+_SHORTCUT_POSTS = (
+    eq(_x("y"), _c(5)), le(_x(), _c(0)), le(_x(), _c(-1)), le(_x(), _c(1)), TRUE
+)
 
 
 def _tripped(cap, decide):
@@ -71,14 +79,22 @@ class TestCheckerBudget:
         assert checker.check_triple(TRUE, (), TRUE)
         # A batch trips on the same post as the per-post loop, and the memo
         # holds exactly the posts decided before the trip.
-        for cap in range(len(_POSTS)):
-            batch = _tripped(cap, lambda c: c.check_triples(_PRE, _COMMANDS, _POSTS))
-            loop = _tripped(
-                cap, lambda c: [c.check_triple(_PRE, _COMMANDS, p) for p in _POSTS]
-            )
-            decided = {(_PRE, _COMMANDS, p) for p in _POSTS[:cap] if p != TRUE}
-            assert set(batch._triple_cache) == decided
-            assert batch._triple_cache == loop._triple_cache
+        # Posts answered before the solver are charged like decided ones.
+        for pre, posts in ((_PRE, _POSTS), (_FRAMED_PRE, _SHORTCUT_POSTS)):
+            for cap in range(len(posts)):
+                batch = _tripped(cap, lambda c: c.check_triples(pre, _COMMANDS, posts))
+                loop = _tripped(
+                    cap, lambda c: [c.check_triple(pre, _COMMANDS, p) for p in posts]
+                )
+                decided = {(pre, _COMMANDS, p) for p in posts[:cap] if p != TRUE}
+                assert set(batch._triple_cache) == decided
+                assert batch._triple_cache == loop._triple_cache
+        checker = VcChecker()
+        assert checker.check_triples(_FRAMED_PRE, _COMMANDS, _SHORTCUT_POSTS) == [
+            True, False, False, True, True
+        ]
+        stats = checker.statistics()
+        assert (stats["frame_answers"], stats["model_answers"]) == (1, 1)
 
     def test_the_cap_counts_from_the_run_start(self):
         checker = VcChecker()

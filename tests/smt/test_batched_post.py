@@ -13,7 +13,8 @@ The corpus reuses the engine equivalence programs (scalar shapes, array
 shapes, unsafe shapes); a hypothesis property throws randomly assembled
 states and predicate families at both oracles.  A regression test pins the
 memo-hit fast path: a batch whose answers are all cached must never build or
-fetch a solver context.
+fetch a solver context.  Posts the frame rule or the core's last exact model
+answer before any solver check must get the scalar reference's verdicts.
 """
 
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.engine import VerificationEngine, PortfolioEngine, Budget
 from repro.core.predabs import Precision
 from repro.lang import get_program, get_source
-from repro.lang.commands import Assume
+from repro.lang.commands import ArrayAssign, Assign, Assume
 from repro.logic.formulas import (
     FALSE, TRUE, Forall, conjoin, disjoin, eq, ge, gt, le, lt, ne,
 )
@@ -102,40 +103,42 @@ class TestEngineEquivalence:
         )
 
 
-def _collect_queries(name, max_refinements=3):
-    """Real (state, transition, predicates) batches from an engine run."""
-    queries = []
-    checker = VcChecker()
-    original = checker.post_all_predicates
-
-    def recording(state, transition, predicates):
-        predicates = list(predicates)
-        queries.append((state, transition, tuple(predicates)))
-        return original(state, transition, predicates)
-
-    checker.post_all_predicates = recording
-    VerificationEngine(
-        get_program(name), checker=checker, budget=Budget(max_refinements=max_refinements)
-    ).run()
-    return queries
-
-
-def _collect_triple_batches(name, max_refinements=3):
-    """Real (pre, commands, posts) batches the synthesizer asked in a run."""
+def _collect_batches(name, max_refinements=3):
+    """Every Houdini and abstract-post batch a run asked, in call order, as
+    ``(method name, pre or state, commands or transition, posts)``."""
     batches = []
     checker = VcChecker()
-    original = checker.check_triples
+    for method in ("check_triples", "post_all_predicates"):
+        original = getattr(checker, method)
 
-    def recording(pre, commands, posts):
-        posts = list(posts)
-        batches.append((pre, tuple(commands), tuple(posts)))
-        return original(pre, commands, posts)
+        def recording(first, second, posts, method=method, original=original):
+            posts = tuple(posts)
+            batches.append((method, first, second, posts))
+            return original(first, second, posts)
 
-    checker.check_triples = recording
+        setattr(checker, method, recording)
     VerificationEngine(
         get_program(name), checker=checker, budget=Budget(max_refinements=max_refinements)
     ).run()
     return batches
+
+
+def _collect_queries(name, max_refinements=3):
+    """Real (state, transition, predicates) batches from an engine run."""
+    return [
+        batch[1:]
+        for batch in _collect_batches(name, max_refinements)
+        if batch[0] == "post_all_predicates"
+    ]
+
+
+def _collect_triple_batches(name, max_refinements=3):
+    """Real (pre, commands, posts) batches the synthesizer asked in a run."""
+    return [
+        batch[1:]
+        for batch in _collect_batches(name, max_refinements)
+        if batch[0] == "check_triples"
+    ]
 
 
 class TestOracleDifferential:
@@ -168,6 +171,21 @@ class TestOracleDifferential:
             assert batched.check_triples(pre, commands, posts) == expected
         assert batched.num_triple_checks == scalar.num_triple_checks
         assert batched.statistics()["batched_posts"] > 0
+
+    @pytest.mark.parametrize("name", ["forward", "initcheck", "array_init_nonneg"])
+    def test_recorded_batches_answer_posts_before_the_solver(self, name):
+        """Replay a run's Houdini and abstract-post batches in order: the
+        frame rule and the core's model answer posts, and every verdict and
+        charge is the scalar reference's."""
+        batched = VcChecker()
+        scalar = VcChecker(batched_posts=False)
+        for method, first, second, posts in _collect_batches(name):
+            expected = getattr(scalar, method)(first, second, posts)
+            assert getattr(batched, method)(first, second, posts) == expected
+        assert batched.num_triple_checks == scalar.num_triple_checks
+        stats = batched.statistics()
+        assert stats["frame_answers"] > 0
+        assert stats["model_answers"] > 0
 
     def test_edge_feasibility_agrees(self):
         queries = _collect_queries("forward")
@@ -256,6 +274,63 @@ def _range_forall(index, lower, upper, body):
     """forall index: lower <= index <= upper -> body."""
     k = var(index)
     return Forall(Var(index), disjoin([lt(k, lower), gt(k, upper), body]))
+
+
+class TestPreSolverAnswers:
+    """Posts a batch answers without a solver check: valid by the frame
+    rule, or invalid under the core's last exact model."""
+
+    def test_framed_post_needs_no_context_check(self):
+        x, i = var("x"), var("i")
+        nonneg = _range_forall("k", 0, var("n") - 1, ge(read("a", var("k")), 0))
+        pre = conjoin([ge(x, 0), nonneg])
+        checker = VcChecker()
+        assert checker.check_triples(pre, (Assign("i", i + 1),), [ge(x, 0), nonneg]) == [
+            True,
+            True,
+        ]
+        stats = checker.statistics()
+        assert stats["frame_answers"] == 2
+        assert stats["context_checks"] == stats["contexts_created"] == 0
+        # A conjunct of pre whose array the commands write is decided.
+        store = (ArrayAssign("a", i, var("x") - 1),)
+        reference = VcChecker(batched_posts=False).check_triple(pre, store, nonneg)
+        assert checker.check_triples(pre, store, [nonneg]) == [reference] == [False]
+        assert checker.statistics()["frame_answers"] == 2
+
+    def test_reads_and_quantifiers_never_use_the_model(self):
+        x = var("x")
+        commands = (Assign("x", x + 1),)
+        # The first post is invalid and leaves the model x@1 = 1, which
+        # falsifies every later post; only the read-free, quantifier-free
+        # one may be answered from it.
+        posts = [
+            le(x, 0),
+            le(x, -1),
+            le(read("a", x), x - 2),
+            Forall(Var("k"), le(var("k"), x - 2)),
+        ]
+        checker = VcChecker()
+        scalar = VcChecker(batched_posts=False)
+        expected = [scalar.check_triple(ge(x, 0), commands, post) for post in posts]
+        assert checker.check_triples(ge(x, 0), commands, posts) == expected
+        stats = checker.statistics()
+        assert stats["model_answers"] == 1
+        assert stats["batched_posts"] == 3
+
+    def test_approximate_model_is_never_kept(self):
+        # With no branch-and-bound budget, x + y = 1 /\ x = y is "satisfied"
+        # by the rational x = y = 1/2; that model falsifies x <= 0 \/ x >= 1,
+        # which holds for every integer x.
+        x, y = var("x"), var("y")
+        pre = eq(x + y, 1)
+        posts = [ne(x, y), disjoin([le(x, 0), ge(x, 1)])]
+        scalar = VcChecker(bb_limit=0, batched_posts=False)
+        expected = [scalar.check_triple(pre, (), post) for post in posts]
+        assert expected == [False, True]
+        checker = VcChecker(bb_limit=0)
+        assert checker.check_triples(pre, (), posts) == expected
+        assert checker.statistics()["model_answers"] == 0
 
 
 class TestQuantifiedCores:

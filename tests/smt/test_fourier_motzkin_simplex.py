@@ -4,7 +4,7 @@ incremental simplex)."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.logic.formulas import Relation
@@ -232,3 +232,93 @@ def test_fm_model_is_a_real_witness(constraints):
             assert value < 0
         else:
             assert value == 0
+
+
+# ----------------------------------------------------------------------
+# Property: the simplex tracks every basic variable that violates a bound,
+# so picking Bland's variable from the tracked set makes the pivots a scan
+# of every row makes.  The reference is the same sequence with the set
+# forced to all rows before each check.
+# ----------------------------------------------------------------------
+#: Forms a sequence re-asserts with other bounds: single variables (bounds
+#: on a nonbasic variable move its rows' values) and slack forms (after a
+#: pivot, bounds on a nonbasic slack do the same).
+FORMS = [
+    var("x"), var("y"), var("z"), var("x") + var("y"), var("x") - var("y"),
+    var("y") + 2 * var("z"), var("x") + var("y") + var("z"),
+]
+
+
+@st.composite
+def random_constraint(draw):
+    if draw(st.integers(0, 3)):
+        expr = draw(st.sampled_from(FORMS)) * draw(st.sampled_from([1, -1, 2, -3]))
+    else:
+        expr = const(0)
+        for name in ["x", "y", "z"]:
+            expr = expr + var(name) * draw(rationals(3))
+    expr = expr + const(draw(rationals(6)))
+    return LinConstraint(expr, draw(st.sampled_from([Relation.LE, Relation.LT, Relation.EQ])))
+
+
+simplex_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("assert"), random_constraint()),
+        st.just(("push",)),
+        st.just(("pop",)),
+        st.just(("check",)),
+    ),
+    max_size=30,
+)
+
+
+def violated_rows(simplex):
+    """Basic variables whose value is outside a bound, by a full scan."""
+    violated = set()
+    for basic in simplex._rows:
+        value = simplex._values[basic]
+        low, up = simplex._lower.get(basic), simplex._upper.get(basic)
+        if (low is not None and value < low) or (up is not None and value > up):
+            violated.add(basic)
+    return violated
+
+
+def _ops(*constraints):
+    return [("assert", constraint) for constraint in constraints]
+
+
+@given(simplex_operations)
+@settings(max_examples=200, deadline=None)
+# A bound that moves a nonbasic x moves the row x + y past its bound.
+@example(_ops(c_le(var("x") + var("y") - 3), c_le(const(5) - var("x"))))
+# Raising x + y to 5 pivots x in past its own bound x <= 1 ...
+@example(_ops(c_le(var("x") - 1), c_le(const(5) - var("x") - var("y"))))
+# ... or past the bound of another row mentioning it, x - y <= 0.
+@example(_ops(c_le(const(5) - var("x") - var("y")), c_le(var("x") - var("y"))))
+def test_tracked_violations_make_the_full_scan_pivots(operations):
+    tracked, reference = IncrementalSimplex(), IncrementalSimplex()
+    depth = 0
+    for operation in [*operations, ("check",)]:
+        if operation[0] == "assert":
+            expr, rel = operation[1].expr, operation[1].rel
+            assert tracked.assert_constraint(expr, rel) == reference.assert_constraint(
+                expr, rel
+            )
+        elif operation[0] == "push":
+            tracked.push()
+            reference.push()
+            depth += 1
+        elif operation[0] == "pop" and depth:
+            tracked.pop()
+            reference.pop()
+            depth -= 1
+        elif operation[0] == "check":
+            reference._violated = set(reference._rows)
+            verdict = tracked.check()
+            assert verdict == reference.check()
+            if verdict:
+                assert tracked.model() == reference.model()
+        # A sticky conflict fails every check until its pop restores the
+        # bounds, so the set has to be complete only outside one.
+        if not tracked._conflict:
+            assert violated_rows(tracked) <= tracked._violated
