@@ -634,7 +634,16 @@ class Session:
     Every run is settled the same way (:meth:`_settle`), under one session
     lock that also guards every read of the store, so threads supervising
     runs at once (the daemon's executor threads) see a coherent bank.
+
+    A long-lived session also remembers which fingerprint each recently
+    seen source text has (:meth:`identify`), so the daemon fingerprints a
+    resubmitted source without parsing it again.
     """
+
+    #: Source texts whose fingerprint and program name :meth:`identify`
+    #: remembers, least recently used dropped first; an entry is a 32-byte
+    #: digest plus two short strings (~300 bytes).
+    PARSED_SOURCES = 1024
 
     def __init__(
         self,
@@ -659,6 +668,12 @@ class Session:
         self.tasks_run = 0
         self.warm_starts = 0
         self.predicates_banked = 0
+        #: :meth:`identify`'s memo, source digest -> (fingerprint, program
+        #: name), least recently used first, and the lookups it answered.
+        #: Its own lock: the session lock is held across store writes.
+        self._parsed: dict[bytes, tuple[str, str]] = {}
+        self._parsed_lock = threading.Lock()
+        self.parse_hits = 0
         #: The :class:`~repro.core.supervision.Supervisor` of the most
         #: recent :meth:`run_many` pool batch (``None`` before the first) —
         #: its counters surface in :meth:`statistics` as ``supervision``.
@@ -677,6 +692,9 @@ class Session:
 
         A plain string is looked up among the built-in benchmark programs
         first (``session.run("forward")``), then treated as source text.
+        Nothing is parsed here: the task parses its program when first
+        resolved, and :meth:`identify` fingerprints a source text this
+        session has parsed before without parsing it again.
         """
         if isinstance(program, VerificationTask):
             return program
@@ -693,6 +711,38 @@ class Session:
             initial_precision=initial_precision,
             refiner=refiner,
         )
+
+    def identify(self, task: VerificationTask) -> str:
+        """``task.fingerprint``, parsing each source text once per session.
+
+        The daemon fingerprints every request's source here.  The first
+        time a source text comes by, the task resolves (parses) it and the
+        session remembers its fingerprint and program name under a digest
+        of the text; a later task on the same text takes both from that
+        memo with no front-end work and counts a ``parse_hits``.  A source
+        that does not parse raises and is never remembered.  The memo keeps
+        the :attr:`PARSED_SOURCES` most recently identified texts.  A task
+        built from a program or AST is fingerprinted as usual.
+        """
+        source = task.source
+        if source is None:
+            return task.fingerprint
+        key = hashlib.sha256(source.encode()).digest()
+        with self._parsed_lock:
+            known = self._parsed.pop(key, None)
+            if known is not None:
+                self.parse_hits += 1
+        if known is None:
+            known = (task.fingerprint, task.resolved().name)
+        else:
+            task._fingerprint = known[0]
+            if task.name is None:
+                task.name = known[1]
+        with self._parsed_lock:
+            self._parsed[key] = known
+            while len(self._parsed) > self.PARSED_SOURCES:
+                del self._parsed[next(iter(self._parsed))]
+        return known[0]
 
     # ------------------------------------------------------------------
     def run(
@@ -938,6 +988,8 @@ class Session:
             "warm_starts": self.warm_starts,
             "predicates_banked": self.predicates_banked,
             "programs_known": len(self.store),
+            "parse_hits": self.parse_hits,
+            "parsed_sources": len(self._parsed),
             "checker": self.checker.statistics(),
             "checker_caches": self.checker.cache_sizes(),
         }

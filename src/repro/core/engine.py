@@ -912,6 +912,14 @@ class WarmChecker:
     its speed does not swing with how long ago it last recycled.  Within one
     task the tables grow only as far as that task's budget lets them,
     exactly as on a fresh checker.
+
+    The holder also keeps the :class:`~repro.lang.cfg.Program` it built for
+    each of its :attr:`PROGRAMS` most recently run sources (:meth:`program`),
+    so a resubmitted source is not parsed again and its memo lookups find
+    the very same transition objects.  One program thus serves many runs:
+    nothing may mutate a :class:`~repro.lang.cfg.Program`.  A kept program
+    holds terms of the current hash-consing tables, so a recycle drops the
+    kept programs in the same step that clears those tables.
     """
 
     #: Memo-table entries a warm checker may carry from one task to the next
@@ -919,6 +927,9 @@ class WarmChecker:
     #: request, so it recycles about every 1,000 requests and peaks near
     #: 63 MB resident).
     CAP = 20_000
+    #: Programs kept for the most recently run distinct sources (a program
+    #: of the daemon benchmark's size costs ~5 KB beyond its source text).
+    PROGRAMS = 64
 
     def __init__(self) -> None:
         #: Times the holder started over with a fresh checker.
@@ -928,6 +939,19 @@ class WarmChecker:
         #: ``CAP // 2`` in all: what a recycle carries over.
         self._recent: deque[set] = deque()
         self._recent_keys = 0
+        #: Source text -> the program built from it, least recently run first.
+        self._programs: dict[str, Program] = {}
+
+    def program(self, source: str) -> Program:
+        """The program of ``source``: the one built for an earlier task while
+        ``source`` is among the :attr:`PROGRAMS` most recent, else a new one."""
+        program = self._programs.pop(source, None)
+        if program is None:
+            program = program_from_source(source)
+        self._programs[source] = program
+        if len(self._programs) > self.PROGRAMS:
+            del self._programs[next(iter(self._programs))]
+        return program
 
     def entries(self) -> int:
         """Entries across the checker's and its solver's memo tables."""
@@ -948,6 +972,7 @@ class WarmChecker:
 
             carried = self.checker.memo_verdicts(set().union(*self._recent))
             clear_intern_caches()
+            self._programs.clear()
             # The round trip re-interns the carried keys into the fresh
             # tables, so later tasks hit them by identity, not by structure.
             self.checker = VcChecker()
@@ -1026,8 +1051,10 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
 
     Module-level so it pickles; builds everything from primitives because
     Program/VcChecker instances do not cross process boundaries.  Runs on
-    the worker's warm checker when it has one, else on a fresh checker.
-    The doc carries the discovered precision home under ``_precision``.
+    the worker's warm checker when it has one, reusing the program it built
+    for an earlier task on the same source (:meth:`WarmChecker.program`),
+    else parses the source and runs on a fresh checker.  The doc carries
+    the discovered precision home under ``_precision``.
     """
     from .api import VerifierOptions
 
@@ -1035,7 +1062,10 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
     checker = warm.checker if warm is not None else VcChecker()
     try:
         options = VerifierOptions.from_dict(payload["options"])
-        program = program_from_source(payload["source"])
+        source = payload["source"]
+        program = (
+            warm.program(source) if warm is not None else program_from_source(source)
+        )
         seed = None
         if payload["seed"]:
             # Apply the cap while rebinding, like PrecisionStore.seed_for

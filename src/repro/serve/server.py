@@ -594,7 +594,7 @@ class VerificationService:
         name = request.get("name")
         try:
             task = self.session.task(request["source"], name=name, options=opts)
-            task.resolved()
+            self.session.identify(task)
             name = task.name
         except Exception as error:
             # A source that does not parse is an engine-level failure, not a
@@ -764,7 +764,7 @@ class VerificationService:
                 task = self.session.task(
                     record["source"], name=record.get("name"), options=opts
                 )
-                task.resolved()
+                self.session.identify(task)
             except Exception:
                 # Unparseable record (or source): answer it 'error' so the
                 # journal does not carry it forever.

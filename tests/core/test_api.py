@@ -35,6 +35,7 @@ from repro.core import (
     RESULT_SCHEMA_VERSION,
     Verdict,
 )
+from repro.core import api
 from repro.core.engine import _run_batch_task, task_payload
 from repro.lang import get_program, get_source
 from repro.logic.formulas import eq, le
@@ -179,6 +180,64 @@ class TestTaskAndFingerprint:
         assert raw.source is not None and raw.resolved().name == "f"
         task = VerificationTask(get_program("lock_step"))
         assert session.task(task) is task
+
+
+class TestIdentify:
+    """``Session.identify``: each source text is parsed once per session."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        real = api.program_from_source
+
+        def counting(source, *args, **kwargs):
+            calls.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(api, "program_from_source", counting)
+        return calls
+
+    def test_a_repeat_takes_fingerprint_and_name_from_the_memo(self, parses):
+        session = Session()
+        first = session.task("forward")
+        assert session.identify(first) == first.fingerprint
+        again = session.task(get_source("forward"))
+        assert session.identify(again) == first.fingerprint
+        assert again.fingerprint == first.fingerprint
+        assert again.name == "forward"  # the program's name, as resolved() sets it
+        named = session.task(get_source("forward"), name="custom")
+        session.identify(named)
+        assert named.name == "custom"
+        assert len(parses) == 1
+        stats = session.statistics()
+        assert stats["parse_hits"] == 2 and stats["parsed_sources"] == 1
+
+    def test_the_least_recently_identified_source_goes_first(self, monkeypatch, parses):
+        monkeypatch.setattr(Session, "PARSED_SOURCES", 2)
+        session = Session()
+        sources = {
+            k: f"void {k}(int x) {{ assume(x >= {n}); assert(x >= {n}); }}"
+            for n, k in enumerate("abc")
+        }
+        for k in "abac":  # c drops b, the least recently identified
+            session.identify(session.task(sources[k]))
+        assert parses == [sources["a"], sources["b"], sources["c"]]
+        session.identify(session.task(sources["a"]))
+        assert len(parses) == 3
+        session.identify(session.task(sources["b"]))
+        assert len(parses) == 4
+        assert session.statistics()["parsed_sources"] == 2
+
+    def test_built_programs_and_bad_sources_are_not_remembered(self, parses):
+        session = Session()
+        task = VerificationTask(get_program("lock_step"))
+        assert session.identify(task) == program_fingerprint(get_program("lock_step"))
+        for _ in range(2):
+            with pytest.raises(Exception):
+                session.identify(session.task("int main() { this is not mini-C }"))
+        assert len(parses) == 2
+        stats = session.statistics()
+        assert stats["parse_hits"] == 0 and stats["parsed_sources"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,15 @@ checker per task.
 import pytest
 
 from repro.core import engine
-from repro.core.api import VerifierOptions
-from repro.core.engine import WarmChecker, _run_batch_task, task_payload
+from repro.core.api import VerifierOptions, program_fingerprint
+from repro.core.engine import (
+    WarmChecker,
+    _run_batch_task,
+    install_warm_checker,
+    task_payload,
+)
 from repro.lang import get_source
+from repro.lang.cfg import program_from_source
 
 
 def _payload(name, source, **options):
@@ -32,6 +38,19 @@ def warm(monkeypatch):
     holder = WarmChecker()
     monkeypatch.setattr(engine, "_WARM_CHECKER", holder)
     return holder
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The sources this process's workers parsed."""
+    calls = []
+
+    def counting(source, *args, **kwargs):
+        calls.append(source)
+        return program_from_source(source, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "program_from_source", counting)
+    return calls
 
 
 def test_in_process_tasks_get_a_fresh_checker():
@@ -113,3 +132,50 @@ def test_recycled_holder_keeps_answering_correctly(warm, monkeypatch):
         assert doc["verdict"] == ("unsafe" if name == "simple_unsafe" else "safe")
     assert warm.recycles == 3
     assert warm.entries() == 0
+
+
+def test_a_warm_worker_parses_a_resubmitted_source_once(monkeypatch, parses):
+    monkeypatch.setattr(engine, "_WARM_CHECKER", None)
+    install_warm_checker()
+    payload = _payload("forward", get_source("forward"))
+    first = _run_batch_task(payload)
+    second = _run_batch_task(payload)
+    assert len(parses) == 1
+    assert first["verdict"] == "safe"
+    for key in ("verdict", "_precision", "post_decisions"):
+        assert second[key] == first[key], key
+    # Kept programs go with the intern tables: after a recycle the next
+    # task on the same source parses it again.
+    monkeypatch.setattr(WarmChecker, "CAP", 1)
+    _run_batch_task(payload)
+    assert engine._WARM_CHECKER.recycles == 1 and len(parses) == 1
+    third = _run_batch_task(payload)
+    assert len(parses) == 2
+    assert third["verdict"] == "safe" and third["_precision"] == first["_precision"]
+
+
+def test_the_holder_keeps_the_most_recent_programs(warm, monkeypatch, parses):
+    monkeypatch.setattr(WarmChecker, "PROGRAMS", 2)
+    for k in (0, 1, 0, 2, 0, 1):  # 2 drops 1, the least recently run
+        assert _run_batch_task(_payload(f"p{k}", _tiny(k)))["verdict"] == "safe"
+    assert parses == [_tiny(0), _tiny(1), _tiny(2), _tiny(1)]
+
+
+@pytest.mark.parametrize(
+    "name, refiner",
+    [
+        ("forward", "path-invariant"),
+        ("forward", "portfolio"),
+        ("initcheck", "path-formula"),
+        ("simple_unsafe", "path-invariant"),
+        ("array_copy", "path-invariant"),
+    ],
+)
+def test_a_run_never_mutates_a_kept_program(warm, parses, name, refiner):
+    source = get_source(name)
+    _run_batch_task(_payload(name, source, refiner=refiner))
+    kept = warm.program(source)
+    assert len(parses) == 1  # the program the run used
+    fresh = program_from_source(source)
+    assert program_fingerprint(kept) == program_fingerprint(fresh)
+    assert kept.locations == fresh.locations

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.core import api
 from repro.core.api import Session, VerifierOptions
 from repro.core.faults import FaultPlan, FaultSpec, installed
 from repro.logic.formulas import ge
@@ -235,6 +236,56 @@ class TestWarmStart:
         with ServiceClient(port=service.port) as second:
             warm = second.verify("forward")
         assert warm["engine"]["session"]["warm_started"]
+
+
+class TestParseMemo:
+    """The daemon fingerprints a source text it has seen without parsing it
+    again (``Session.identify``); the counters are in ``stats.session``."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The daemon process's front-end runs (workers are other processes)."""
+        calls = []
+        real = api.program_from_source
+
+        def counting(source, *args, **kwargs):
+            calls.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(api, "program_from_source", counting)
+        return calls
+
+    def test_a_repeat_source_is_parsed_once(self, service, client, parses):
+        docs = [
+            client.verify("forward", options={"warm_start": False}, include_precision=True)
+            for _ in range(3)
+        ]
+        assert len(parses) == 1
+        assert docs[0]["verdict"] == "safe" and docs[0]["precision"]
+        for doc in docs[1:]:
+            for key in ("verdict", "precision", "post_decisions"):
+                assert doc[key] == docs[0][key], key
+        session = client.stats()["session"]
+        assert session["parse_hits"] == 2 and session["parsed_sources"] == 1
+
+    def test_a_source_that_does_not_parse_is_never_remembered(
+        self, service, client, parses
+    ):
+        for _ in range(2):
+            doc = client.verify("int main() { this is not mini-C }", name="broken")
+            assert doc["verdict"] == "error"
+        assert len(parses) == 2
+        session = client.stats()["session"]
+        assert session["parse_hits"] == 0 and session["parsed_sources"] == 0
+
+    def test_the_memo_stays_at_its_cap(self, monkeypatch, service, client):
+        monkeypatch.setattr(Session, "PARSED_SOURCES", 3)
+        for k in range(5):
+            doc = client.verify(
+                f"void p{k}(int x) {{ assume(x >= {k}); assert(x >= {k}); }}"
+            )
+            assert doc["verdict"] == "safe"
+        assert client.stats()["session"]["parsed_sources"] == 3
 
 
 class TestIsolation:
