@@ -25,7 +25,6 @@ from .refiners import (
 from .engine import (
     PORTFOLIO_REFINERS,
     RESULT_SCHEMA_VERSION,
-    STRATEGY_NAMES,
     Budget,
     IterationRecord,
     PortfolioEngine,
@@ -60,7 +59,6 @@ __all__ = [
     "make_frontier",
     "Precision",
     "ReachabilityOutcome",
-    "STRATEGY_NAMES",
     "Budget",
     "VerificationEngine",
     "CounterexampleAnalysis",

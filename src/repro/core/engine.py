@@ -37,14 +37,7 @@ from ..logic.formulas import Formula
 from ..smt.budget import BudgetExhausted
 from ..smt.vcgen import VcChecker
 from .cex import CounterexampleAnalysis, analyze_counterexample
-from .predabs import (
-    FRONTIER_NAMES,
-    Art,
-    Frontier,
-    Precision,
-    ReachabilityOutcome,
-    make_frontier,
-)
+from .predabs import Art, Frontier, Precision, make_frontier
 from .refiners import PathInvariantRefiner, Refiner, RefinementOutcome
 
 if TYPE_CHECKING:
@@ -60,11 +53,7 @@ __all__ = [
     "PortfolioEngine",
     "PortfolioResult",
     "PORTFOLIO_REFINERS",
-    "STRATEGY_NAMES",
 ]
-
-#: The exploration strategies the engine accepts by name.
-STRATEGY_NAMES = FRONTIER_NAMES
 
 #: Version of the JSON document produced by :meth:`Result.to_json`.  Bump on
 #: any breaking change to the key set or value semantics; additive keys keep
@@ -113,7 +102,6 @@ class IterationRecord:
     """Statistics of one CEGAR iteration."""
 
     iteration: int
-    reachability: ReachabilityOutcome
     counterexample_length: int = 0
     counterexample_feasible: Optional[bool] = None
     refinement: Optional[RefinementOutcome] = None
@@ -429,7 +417,7 @@ class VerificationEngine:
                 self._origin = self.counters_origin
             else:
                 self.checker.begin_run()
-                self._origin = self.checker.snapshot()
+                self._origin = self.checker.statistics()
             self.art = self._fresh_art()
         precision = self._precision
         iterations = self._iterations
@@ -444,7 +432,7 @@ class VerificationEngine:
                 posts_before = self.art.post_decisions
                 created_before = self.art.nodes_created
                 outcome = self.art.explore(precision, self.budget.max_nodes)
-                record = IterationRecord(len(iterations), outcome)
+                record = IterationRecord(len(iterations))
                 iterations.append(record)
 
                 def seal(
@@ -721,7 +709,7 @@ class PortfolioEngine:
         # Every arm counts its solver budget and statistics from here: the
         # pools are portfolio totals, not per-arm or per-checker-lifetime.
         self.checker.begin_run()
-        origin = self.checker.snapshot()
+        origin = self.checker.statistics()
         arms = []
         for name, entry in zip(self.refiner_names, self.refiners):
             engine = VerificationEngine(

@@ -18,7 +18,7 @@ produces exactly the block structure and transition set printed in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..lang.cfg import Location, Program, Transition
 from ..lang.commands import Skip
@@ -51,7 +51,6 @@ class PathProgram:
     """The path program ``P[pi]`` together with its provenance."""
 
     program: Program
-    original: Program
     path: tuple[Transition, ...]
     blocks: tuple[Block, ...]
     #: Maps every path-program location back to the original location.
@@ -179,4 +178,4 @@ def build_path_program(program: Program, path: Sequence[Transition]) -> PathProg
         error=error,
         transitions=tuple(new_transitions),
     )
-    return PathProgram(pp, program, tuple(path), tuple(blocks), origin)
+    return PathProgram(pp, tuple(path), tuple(blocks), origin)

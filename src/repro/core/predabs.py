@@ -50,7 +50,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from ..lang.cfg import Location, Program, Transition
 from ..lang.commands import touched_names, written_names
@@ -240,8 +240,6 @@ class ReachabilityOutcome:
 
     #: None when the error location is unreachable in the abstraction.
     counterexample: Optional[list[Transition]]
-    nodes_expanded: int
-    nodes_created: int
     exhausted: bool = False  # True when a node/solver/time budget was hit
     #: Why the exploration was cut short (only set when ``exhausted``).
     exhausted_reason: str = ""
@@ -488,9 +486,6 @@ class Art:
         (:class:`~repro.smt.budget.BudgetExhausted`) before an expansion
         changes the tree.
         """
-        expanded_before = self.edges_expanded
-        created_before = self.nodes_created
-
         while True:
             entry = self.frontier.pop()
             if entry is None:
@@ -507,24 +502,12 @@ class Art:
                 # larger budget can resume exactly where this one stopped.
                 self.frontier.push(node, transition)
                 return ReachabilityOutcome(
-                    None,
-                    self.edges_expanded - expanded_before,
-                    self.nodes_created - created_before,
-                    exhausted=True,
-                    exhausted_reason=trip.reason,
+                    None, exhausted=True, exhausted_reason=trip.reason
                 )
             if child is not None and child.location == self.program.error:
                 self._error_node = child
-                return ReachabilityOutcome(
-                    child.path_from_root(),
-                    self.edges_expanded - expanded_before,
-                    self.nodes_created - created_before,
-                )
-        return ReachabilityOutcome(
-            None,
-            self.edges_expanded - expanded_before,
-            self.nodes_created - created_before,
-        )
+                return ReachabilityOutcome(child.path_from_root())
+        return ReachabilityOutcome(None)
 
     def _expand_edge(
         self, node: ArtNode, transition: Transition, precision: Precision

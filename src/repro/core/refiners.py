@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..lang.cfg import Location, Program, Transition
-from ..lang.commands import ArrayAssign, Assign, Assume, Command, Havoc, Skip
+from ..lang.commands import Assign, Assume, Command, Havoc
 from ..logic.formulas import Atom, Formula, Relation, conjuncts, eq
 from ..logic.terms import LinExpr, Rat, Var
-from ..invgen.synthesize import PathInvariantSynthesizer, SynthesisOptions, SynthesisResult
+from ..invgen.synthesize import PathInvariantSynthesizer, SynthesisResult
 from ..smt.vcgen import VcChecker
 from .pathprogram import PathProgram, build_path_program
 from .predabs import Precision
@@ -159,17 +159,9 @@ class PathInvariantRefiner(Refiner):
 
     name = "path-invariant"
 
-    def __init__(
-        self,
-        checker: Optional[VcChecker] = None,
-        options: Optional[SynthesisOptions] = None,
-        fallback: bool = True,
-    ) -> None:
+    def __init__(self, checker: Optional[VcChecker] = None) -> None:
         self.checker = checker or VcChecker()
-        self.synthesizer = PathInvariantSynthesizer(self.checker, options)
-        #: When synthesis fails, fall back to path-formula predicates so that
-        #: the CEGAR loop still makes progress on the current counterexample.
-        self.fallback = PathFormulaRefiner() if fallback else None
+        self.synthesizer = PathInvariantSynthesizer(self.checker)
 
     def refine(
         self, program: Program, path: Sequence[Transition], precision: Precision
@@ -178,21 +170,16 @@ class PathInvariantRefiner(Refiner):
         synthesis = self.synthesizer.synthesize(path_program.program)
 
         if not synthesis.success or synthesis.invariant_map is None:
-            if self.fallback is not None:
-                outcome = self.fallback.refine(program, path, precision)
-                outcome.description = (
-                    "path-invariant synthesis failed "
-                    f"({synthesis.reason}); fell back to path-formula predicates"
-                )
-                outcome.path_program = path_program
-                outcome.synthesis = synthesis
-                return outcome
-            return RefinementOutcome(
-                False,
-                description=f"path-invariant synthesis failed: {synthesis.reason}",
-                path_program=path_program,
-                synthesis=synthesis,
+            # Fall back to path-formula predicates, so that the CEGAR loop
+            # still makes progress on the current counterexample.
+            outcome = PathFormulaRefiner().refine(program, path, precision)
+            outcome.description = (
+                "path-invariant synthesis failed "
+                f"({synthesis.reason}); fell back to path-formula predicates"
             )
+            outcome.path_program = path_program
+            outcome.synthesis = synthesis
+            return outcome
 
         added = 0
         pivots: set[Location] = set()

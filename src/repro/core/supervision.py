@@ -58,9 +58,6 @@ __all__ = [
     "supervised_call",
 ]
 
-#: Failure kinds a supervised task can accumulate.
-FAILURE_KINDS = ("crash", "timeout", "worker-error", "pool-lost")
-
 #: Seconds past a batch's largest ``max_seconds`` before a worker still
 #: running a task is killed as hung.  The engine stops at its budget, but
 #: the kill's clock starts first: the grace must cover the engine's
@@ -104,7 +101,12 @@ class RetryPolicy:
 def failure_record(
     kind: str, message: str, attempt: int, elapsed: Optional[float] = None
 ) -> dict[str, Any]:
-    """One structured failure: what went wrong on which attempt."""
+    """One structured failure: what went wrong on which attempt.
+
+    A supervised task fails as ``crash``, ``timeout``, ``worker-error`` or
+    ``pool-lost``; the daemon client records its transport failures
+    (``connection-lost``, ``timeout``, ``bad-response``, ...) here too.
+    """
     record: dict[str, Any] = {"kind": kind, "message": message, "attempt": attempt}
     if elapsed is not None:
         record["elapsed_seconds"] = round(elapsed, 3)
@@ -372,7 +374,6 @@ class Supervisor:
         task_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        sleep: Callable[[float], None] = time.sleep,
         slot: Optional[WorkerSlot] = None,
     ) -> None:
         if worker is None:
@@ -391,7 +392,6 @@ class Supervisor:
         #: in this process, so ``with installed(plan):`` covers workers too).
         self.fault_plan = fault_plan if fault_plan is not None else faults.active_plan()
         self.slot = slot
-        self._sleep = sleep
         # Counters (see statistics()).
         self.tasks_supervised = 0
         self.retries = 0
@@ -508,7 +508,7 @@ class Supervisor:
                     if queue and not degraded:
                         # Everything is backing off: sleep to the nearest retry.
                         nearest = min(task.not_before for task in queue)
-                        self._sleep(max(nearest - time.monotonic(), 0.0))
+                        time.sleep(max(nearest - time.monotonic(), 0.0))
                     continue
                 for slot in finished_slots(busy, self.poll_seconds):
                     task = busy.pop(slot)
@@ -586,7 +586,7 @@ class Supervisor:
             task = queue.popleft()
             pause = task.not_before - time.monotonic()
             if pause > 0:
-                self._sleep(pause)
+                time.sleep(pause)
             task.attempts += 1
             task.started = time.monotonic()
             payload = self._decorate(task)

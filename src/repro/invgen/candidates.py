@@ -22,13 +22,12 @@ depends on the heuristics here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..lang.cfg import Program, Transition
-from ..lang.commands import ArrayAssign, Assign, Assume, Command
+from ..lang.cfg import Program
+from ..lang.commands import ArrayAssign, Assume
 from ..logic.formulas import (
     Atom,
-    Forall,
     Formula,
     Relation,
     eq,
@@ -48,12 +47,15 @@ __all__ = [
 
 #: Bound variable used in every quantified candidate.
 _INDEX = Var("__k")
+#: Caps on the linear and the quantified candidates mined from one program.
+MAX_LINEAR_CANDIDATES = 120
+MAX_QUANTIFIED_CANDIDATES = 400
 
 
 # ----------------------------------------------------------------------
 # Linear candidates
 # ----------------------------------------------------------------------
-def mine_linear_candidates(program: Program, max_candidates: int = 120) -> list[Formula]:
+def mine_linear_candidates(program: Program) -> list[Formula]:
     """Linear candidate assertions mined from the program text."""
     candidates: list[Atom] = []
     guard_atoms: list[Atom] = []
@@ -113,7 +115,7 @@ def mine_linear_candidates(program: Program, max_candidates: int = 120) -> list[
             continue
         seen.add(normalised)
         unique.append(normalised)
-        if len(unique) >= max_candidates:
+        if len(unique) >= MAX_LINEAR_CANDIDATES:
             break
     return unique
 
@@ -227,9 +229,7 @@ def _add_body_candidate(fact: ArrayFacts, rel: str, rhs: LinExpr) -> None:
         fact.body_candidates.append((rel, rhs))
 
 
-def quantified_candidates(
-    program: Program, wide: bool = False, max_candidates: int = 400
-) -> list[Formula]:
+def quantified_candidates(program: Program, wide: bool = False) -> list[Formula]:
     """Universally quantified candidate assertions for every array."""
     facts = collect_array_facts(program)
     candidates: list[Formula] = []
@@ -252,7 +252,7 @@ def quantified_candidates(
                         continue
                     seen.add(candidate)
                     candidates.append(candidate)
-                    if len(candidates) >= max_candidates:
+                    if len(candidates) >= MAX_QUANTIFIED_CANDIDATES:
                         return candidates
     return candidates
 

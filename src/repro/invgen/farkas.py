@@ -448,10 +448,11 @@ def _scale(expr: ParamExpr, factor: Rat) -> ParamExpr:
     )
 
 
-def _disequality_variants(disequalities: Sequence[LinExpr], limit: int = 3) -> list[list[LinExpr]]:
-    """Case-split hypotheses ``e != 0`` into ``e <= -1`` / ``e >= 1``."""
+def _disequality_variants(disequalities: Sequence[LinExpr]) -> list[list[LinExpr]]:
+    """Case-split hypotheses ``e != 0`` into ``e <= -1`` / ``e >= 1``; only
+    the first three split, so there are at most eight variants."""
     variants: list[list[LinExpr]] = [[]]
-    for expr in disequalities[:limit]:
+    for expr in disequalities[:3]:
         lower = expr + LinExpr.constant(1)   # e + 1 <= 0
         upper = -expr + LinExpr.constant(1)  # -e + 1 <= 0
         variants = [v + [lower] for v in variants] + [v + [upper] for v in variants]

@@ -17,9 +17,8 @@ produce an unsound refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
 
-from ..lang.cfg import Location, Program, Transition
+from ..lang.cfg import Location, Program
 from ..logic.formulas import FALSE, Formula, TRUE
 from ..smt.vcgen import VcChecker
 
@@ -60,17 +59,13 @@ class MapCheckResult:
         return self.ok
 
 
-def check_invariant_map(
-    invariant_map: InvariantMap,
-    checker: Optional[VcChecker] = None,
-    require_safety: bool = True,
-) -> MapCheckResult:
-    """Verify I0, I1 and I2 for the given map.
+def check_invariant_map(invariant_map: InvariantMap) -> MapCheckResult:
+    """Verify I0, I1 and I2 for the given map with a fresh exact checker.
 
     The error location is implicitly mapped to ``false``: I1 checks into the
     error location therefore require the corresponding path to be refuted.
     """
-    checker = checker or VcChecker()
+    checker = VcChecker()
     program = invariant_map.program
     failures: list[str] = []
 
@@ -80,11 +75,11 @@ def check_invariant_map(
     if initial != TRUE and not checker.holds_initially(initial):
         failures.append(f"I0: eta({program.initial}) = {initial} is not 'true'")
 
-    # I2: the error location must be mapped to false.  When ``require_safety``
-    # is set, the effective assertion at the error location is ``false`` and
-    # the corresponding obligations are checked as part of I1 below; an
-    # explicit, weaker assertion stored for the error location is an error.
-    if require_safety and program.error in invariant_map.assertions:
+    # I2: the error location must be mapped to false.  The effective
+    # assertion at the error location is ``false`` and the corresponding
+    # obligations are checked as part of I1 below; an explicit, weaker
+    # assertion stored for the error location is an error.
+    if program.error in invariant_map.assertions:
         error_formula = invariant_map.get(program.error)
         if error_formula != FALSE and not checker.check_entailment(error_formula, FALSE):
             failures.append(f"I2: eta({program.error}) = {error_formula} is not 'false'")
@@ -93,7 +88,7 @@ def check_invariant_map(
     for transition in program.transitions:
         pre = invariant_map.get(transition.source)
         if transition.target == program.error:
-            post: Formula = FALSE if require_safety else invariant_map.get(transition.target)
+            post = FALSE
         else:
             post = invariant_map.get(transition.target)
         if post == TRUE:

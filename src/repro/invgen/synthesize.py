@@ -28,12 +28,11 @@ failures can only lead to "no invariant found", never to unsoundness.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..lang.cfg import Location, Program
-from ..logic.formulas import FALSE, Formula, Relation, TRUE, conjoin, conjuncts
+from ..logic.formulas import FALSE, Formula, TRUE, conjoin, conjuncts
 from ..logic.terms import Var
 from ..smt.vcgen import VcChecker
 from .candidates import mine_linear_candidates, quantified_candidates
@@ -41,7 +40,7 @@ from .cutset import BasicPath, basic_paths, cutpoints
 from .farkas import FarkasEngine
 from .invariant_map import InvariantMap
 from .postcond import strongest_post_path
-from .templates import TemplateConjunction, equality_template
+from .templates import equality_template
 
 __all__ = ["SynthesisResult", "PathInvariantSynthesizer", "SynthesisOptions"]
 
@@ -70,8 +69,6 @@ class SynthesisResult:
     candidates_proposed: int = 0
     candidates_surviving: int = 0
     houdini_iterations: int = 0
-    farkas_used: bool = False
-    time_seconds: float = 0.0
 
 
 class PathInvariantSynthesizer:
@@ -89,7 +86,6 @@ class PathInvariantSynthesizer:
     # ------------------------------------------------------------------
     def synthesize(self, program: Program) -> SynthesisResult:
         """Compute a safe invariant map of ``program`` (a path program)."""
-        start = time.perf_counter()
         paths = basic_paths(program)
         cuts = sorted(cutpoints(program), key=lambda l: l.name)
 
@@ -98,7 +94,6 @@ class PathInvariantSynthesizer:
             wide_result = self._attempt(program, paths, cuts, wide=True)
             if wide_result.success:
                 result = wide_result
-        result.time_seconds = time.perf_counter() - start
         return result
 
     # ------------------------------------------------------------------
@@ -112,8 +107,7 @@ class PathInvariantSynthesizer:
         candidates = self._propose_candidates(program, cuts, wide)
         proposed = sum(len(v) for v in candidates.values())
 
-        farkas_assertions, farkas_used = self._farkas_candidates(program, cuts)
-        for location, formula in farkas_assertions.items():
+        for location, formula in self._farkas_candidates(program, cuts).items():
             for part in conjuncts(formula):
                 if part not in candidates.setdefault(location, []):
                     candidates[location].append(part)
@@ -129,7 +123,6 @@ class PathInvariantSynthesizer:
                 candidates_proposed=proposed,
                 candidates_surviving=sum(len(v) for v in surviving.values()),
                 houdini_iterations=iterations,
-                farkas_used=farkas_used,
             )
 
         invariant_map = self._fill_in(program, paths, assertions)
@@ -140,7 +133,6 @@ class PathInvariantSynthesizer:
             candidates_proposed=proposed,
             candidates_surviving=sum(len(v) for v in surviving.values()),
             houdini_iterations=iterations,
-            farkas_used=farkas_used,
         )
 
     # ------------------------------------------------------------------
@@ -156,18 +148,16 @@ class PathInvariantSynthesizer:
 
     def _farkas_candidates(
         self, program: Program, cuts: Sequence[Location]
-    ) -> tuple[dict[Location, Formula], bool]:
+    ) -> dict[Location, Formula]:
         """Equality invariants from the Farkas template engine (numeric only)."""
         if not self.options.use_farkas or program.arrays or not cuts:
-            return {}, False
+            return {}
         variables = [Var(name) for name in program.variables if not name.startswith("__")]
         template_map = {
             cut: equality_template(variables, f"c{k}") for k, cut in enumerate(cuts)
         }
         outcome = self.farkas.synthesize(program, template_map)
-        if outcome.success:
-            return outcome.assertions, True
-        return {}, False
+        return outcome.assertions if outcome.success else {}
 
     # ------------------------------------------------------------------
     # Houdini pruning

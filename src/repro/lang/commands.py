@@ -6,16 +6,16 @@ constraints over ``X`` and ``X'``) because every client — the path-formula
 builder, the verification-condition generator, the strongest-postcondition
 engine and the invariant synthesizer — needs to know *which* variable or array
 cell an edge updates.  The relational view of the paper (a constraint ``rho``
-over ``X`` and ``X'``) is recovered by :func:`relation_formula`.
+over ``X`` and ``X'``) is the SSA translation of :mod:`repro.smt.ssa`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ..logic.formulas import Atom, Formula, TRUE, conjoin, eq
-from ..logic.terms import ArrayRead, LinExpr, Var
+from ..logic.formulas import Formula
+from ..logic.terms import LinExpr
 
 __all__ = [
     "Command",
@@ -26,7 +26,6 @@ __all__ = [
     "Skip",
     "written_names",
     "touched_names",
-    "relation_formula",
 ]
 
 
@@ -106,33 +105,3 @@ def touched_names(formula: Formula) -> set[str]:
     """Names of the free scalar variables and the arrays ``formula`` mentions."""
     return {v.name for v in formula.variables()} | formula.arrays()
 
-
-def relation_formula(cmd: Command, frame: Sequence[str] = ()) -> Formula:
-    """The transition constraint ``rho`` over ``X`` and ``X'`` for one command.
-
-    Array assignments are *not* expressible as a finite formula in our logic
-    (they would need a ``store`` term); callers that need the relational view
-    of an array write must use the SSA machinery in :mod:`repro.smt.ssa`.
-    ``frame`` lists variables that should be explicitly framed (``x' = x``).
-    """
-    parts: list[Formula] = []
-    if isinstance(cmd, Assume):
-        parts.append(cmd.cond)
-        written: set[str] = set()
-    elif isinstance(cmd, Assign):
-        parts.append(eq(LinExpr.variable(Var(cmd.var).primed()), cmd.expr))
-        written = {cmd.var}
-    elif isinstance(cmd, Havoc):
-        written = set(cmd.vars)
-    elif isinstance(cmd, Skip):
-        written = set()
-    elif isinstance(cmd, ArrayAssign):
-        raise ValueError(
-            "array assignments have no finite relational formula; use repro.smt.ssa"
-        )
-    else:
-        raise TypeError(f"unexpected command {cmd!r}")
-    for name in frame:
-        if name not in written:
-            parts.append(eq(LinExpr.variable(Var(name).primed()), LinExpr.variable(name)))
-    return conjoin(parts)

@@ -274,7 +274,6 @@ class BenchmarkProgram:
     name: str
     source: str
     expected_safe: bool
-    needs_quantifiers: bool
     description: str
 
 
@@ -282,67 +281,67 @@ PROGRAMS: dict[str, BenchmarkProgram] = {
     program.name: program
     for program in [
         BenchmarkProgram(
-            "forward", FORWARD, True, False,
+            "forward", FORWARD, True,
             "Figure 1(a): counter/data coupling, invariant a+b = 3i",
         ),
         BenchmarkProgram(
-            "initcheck", INITCHECK, True, True,
+            "initcheck", INITCHECK, True,
             "Figure 2(a): initialise-then-check array, quantified invariant",
         ),
         BenchmarkProgram(
-            "partition", PARTITION, True, True,
+            "partition", PARTITION, True,
             "Figure 3: partition into non-negative/negative arrays",
         ),
         BenchmarkProgram(
-            "initcheck_buggy", INITCHECK_BUGGY, False, False,
+            "initcheck_buggy", INITCHECK_BUGGY, False,
             "Section 6: buggy variant of INITCHECK with a real error trace",
         ),
         BenchmarkProgram(
-            "forward_buggy", FORWARD_BUGGY, False, False,
+            "forward_buggy", FORWARD_BUGGY, False,
             "FORWARD with an off-by-one assertion (real bug)",
         ),
         BenchmarkProgram(
-            "double_counter", DOUBLE_COUNTER, True, False,
+            "double_counter", DOUBLE_COUNTER, True,
             "Single counter doubled each iteration, invariant a = 2i",
         ),
         BenchmarkProgram(
-            "up_down", UP_DOWN, True, False,
+            "up_down", UP_DOWN, True,
             "Two counters moving in opposite directions, invariant x+y = n",
         ),
         BenchmarkProgram(
-            "array_init_const", ARRAY_INIT_CONST, True, True,
+            "array_init_const", ARRAY_INIT_CONST, True,
             "INITCHECK with a non-zero constant",
         ),
         BenchmarkProgram(
-            "array_init_var", ARRAY_INIT_VAR, True, True,
+            "array_init_var", ARRAY_INIT_VAR, True,
             "INITCHECK with a symbolic fill value",
         ),
         BenchmarkProgram(
-            "array_init_nonneg", ARRAY_INIT_NONNEG, True, True,
+            "array_init_nonneg", ARRAY_INIT_NONNEG, True,
             "Array filled with the loop counter, inequality assertion",
         ),
         BenchmarkProgram(
-            "array_copy", ARRAY_COPY, True, True,
+            "array_copy", ARRAY_COPY, True,
             "Copy one array into another and check element-wise equality",
         ),
         BenchmarkProgram(
-            "array_init_buggy", ARRAY_INIT_BUGGY, False, False,
+            "array_init_buggy", ARRAY_INIT_BUGGY, False,
             "Initialise with 1 but assert 0 (real bug)",
         ),
         BenchmarkProgram(
-            "simple_safe", SIMPLE_SAFE, True, False,
+            "simple_safe", SIMPLE_SAFE, True,
             "Loop-free arithmetic, safe",
         ),
         BenchmarkProgram(
-            "simple_unsafe", SIMPLE_UNSAFE, False, False,
+            "simple_unsafe", SIMPLE_UNSAFE, False,
             "Loop-free arithmetic, unsafe (x = 0 violates the assertion)",
         ),
         BenchmarkProgram(
-            "diamond_safe", DIAMOND_SAFE, True, False,
+            "diamond_safe", DIAMOND_SAFE, True,
             "Branching absolute value, safe",
         ),
         BenchmarkProgram(
-            "lock_step", LOCK_STEP, True, False,
+            "lock_step", LOCK_STEP, True,
             "Two counters in lock step, invariant i = j",
         ),
     ]
@@ -354,9 +353,9 @@ def get_source(name: str) -> str:
     return PROGRAMS[name].source
 
 
-def get_program(name: str, do_compact: bool = True) -> Program:
+def get_program(name: str) -> Program:
     """The transition system of a built-in benchmark."""
-    return program_from_source(PROGRAMS[name].source, do_compact=do_compact)
+    return program_from_source(PROGRAMS[name].source)
 
 
 def list_programs() -> list[str]:

@@ -297,9 +297,9 @@ class LinExpr:
         return LinExpr.make({}, value)
 
     @staticmethod
-    def variable(name: str | Var, coeff: Rat = 1) -> "LinExpr":
+    def variable(name: str | Var) -> "LinExpr":
         atom = name if isinstance(name, Var) else Var(name)
-        return LinExpr.make({atom: coeff})
+        return LinExpr.make({atom: 1})
 
     @staticmethod
     def array_read(array: str, index: "LinExpr | str | Rat") -> "LinExpr":
@@ -531,9 +531,9 @@ def clear_intern_caches() -> None:
 # ----------------------------------------------------------------------
 # Small construction helpers used pervasively in tests and examples.
 # ----------------------------------------------------------------------
-def var(name: str, coeff: Rat = 1) -> LinExpr:
+def var(name: str) -> LinExpr:
     """Shorthand for a single-variable linear expression."""
-    return LinExpr.variable(name, coeff)
+    return LinExpr.variable(name)
 
 
 def const(value: Rat) -> LinExpr:

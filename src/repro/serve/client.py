@@ -42,12 +42,16 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from ..core import faults
 from ..core.api import VerifierOptions
+from ..core.supervision import RetryPolicy, failure_record
 from . import protocol
 
 __all__ = ["DEFAULT_PORT", "ServiceClient", "ServiceError", "wait_until_ready"]
 
 #: Default daemon port for `repro serve` / `repro submit`.
 DEFAULT_PORT = 8077
+
+#: Pause before reconnect attempt ``n``: 0.05 s, doubling, capped at 2 s.
+RECONNECT_BACKOFF = RetryPolicy(backoff_max=2.0)
 
 
 class ServiceError(RuntimeError):
@@ -64,9 +68,6 @@ class ServiceClient:
         timeout: float = 600.0,
         connect_timeout: float = 10.0,
         retries: int = 0,
-        backoff_base: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 2.0,
         client_id: Optional[str] = None,
     ):
         if retries < 0:
@@ -77,9 +78,6 @@ class ServiceClient:
         self.connect_timeout = connect_timeout
         #: Reconnect-and-resubmit budget for ``connection-lost`` mid-verify.
         self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_max = backoff_max
         #: Quota accounting identity sent with every verify request.
         self.client_id = client_id
         self._sock: Optional[socket.socket] = None
@@ -284,24 +282,13 @@ class ServiceClient:
                 # Reconnect-and-resubmit the unanswered remainder: safe
                 # because coalescing + banked precisions make an identical
                 # resubmission idempotent (see module docstring).
-                trail.append(
-                    {
-                        "kind": kind,
-                        "message": str(error) or kind,
-                        "attempt": attempt - 1,
-                    }
-                )
+                trail.append(failure_record(kind, str(error) or kind, attempt - 1))
                 retried_ids.update(
                     request["id"]
                     for request in prepared
                     if request["id"] not in docs
                 )
-                time.sleep(
-                    min(
-                        self.backoff_base * self.backoff_factor ** (attempt - 1),
-                        self.backoff_max,
-                    )
-                )
+                time.sleep(RECONNECT_BACKOFF.delay(attempt))
             except ServiceError as error:
                 self.close()
                 _fail_outstanding("bad-response", str(error))
@@ -361,10 +348,10 @@ def wait_until_ready(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
     timeout: float = 15.0,
-    interval: float = 0.05,
 ) -> dict[str, Any]:
-    """Poll the daemon's ``health`` op until it answers; returns the health
-    doc.  Raises :class:`ServiceError` when ``timeout`` elapses first."""
+    """Poll the daemon's ``health`` op every 50 ms until it answers; returns
+    the health doc.  Raises :class:`ServiceError` when ``timeout`` elapses
+    first."""
     deadline = time.monotonic() + timeout
     last_error: Optional[Exception] = None
     while time.monotonic() < deadline:
@@ -373,7 +360,7 @@ def wait_until_ready(
                 return client.health()
         except (ServiceError, ConnectionError, OSError) as error:
             last_error = error
-            time.sleep(interval)
+            time.sleep(0.05)
     raise ServiceError(
         f"daemon at {host}:{port} not ready after {timeout}s: {last_error}"
     )

@@ -221,10 +221,6 @@ class RequestJournal:
         """Accepted-but-unanswered count (including recovered records)."""
         return len(self._outstanding)
 
-    def outstanding(self) -> list[dict[str, Any]]:
-        """The unanswered accepted records, oldest first."""
-        return list(self._outstanding.values())
-
     def statistics(self) -> dict[str, Any]:
         return {
             "path": str(self.path),

@@ -70,6 +70,9 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Optional, Union
 
+from ..core.engine import RESULT_SCHEMA_VERSION
+from ..core.supervision import failure_record
+
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
@@ -250,16 +253,16 @@ def transport_failure_doc(
     message: str,
     error: Optional[Mapping[str, Any]] = None,
 ) -> dict[str, Any]:
-    """A schema-v2 result doc for a request that died in transit.
+    """A result doc for a request that died in transit.
 
     The client library returns these instead of raising, extending the
     supervisor's total contract (every task yields exactly one structured
     doc) across the network: a dropped connection, a timeout, or a
     protocol-level rejection all land here.
     """
-    record = {"kind": kind, "message": message, "attempt": 0}
+    record = failure_record(kind, message, 0)
     doc: dict[str, Any] = {
-        "schema_version": 2,
+        "schema_version": RESULT_SCHEMA_VERSION,
         "name": name or "request",
         "verdict": "unknown",
         "reason": f"service failure: {kind}: {message}",

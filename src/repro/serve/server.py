@@ -382,8 +382,9 @@ class VerificationService:
         finally:
             self._stopped.set()
 
-    def start(self, timeout: float = 15.0) -> "VerificationService":
-        """Run the daemon on a background thread; returns once listening."""
+    def start(self) -> "VerificationService":
+        """Run the daemon on a background thread; returns once listening,
+        and raises when it is not listening within 15 s."""
         if self._thread is not None:
             raise RuntimeError("service already started")
 
@@ -400,23 +401,24 @@ class VerificationService:
             target=_runner, name="repro-serve", daemon=True
         )
         self._thread.start()
-        if not self._started.wait(timeout):
-            raise RuntimeError(f"service did not start within {timeout}s")
+        if not self._started.wait(15.0):
+            raise RuntimeError("service did not start within 15.0s")
         if self._startup_error is not None:
             raise RuntimeError("service failed to start") from self._startup_error
         return self
 
-    def stop(self, timeout: float = 120.0) -> None:
-        """Drain gracefully and wait for the loop thread to exit."""
+    def stop(self) -> None:
+        """Drain gracefully and wait (up to 120 s) for the loop thread to
+        exit."""
         loop = self._loop
         if loop is not None and not loop.is_closed() and not self._stopped.is_set():
             try:
                 loop.call_soon_threadsafe(self._begin_drain)
             except RuntimeError:
                 pass  # loop already closed between the checks
-        self._stopped.wait(timeout)
+        self._stopped.wait(120.0)
         if self._thread is not None:
-            self._thread.join(timeout)
+            self._thread.join(120.0)
 
     @property
     def draining(self) -> bool:

@@ -110,24 +110,20 @@ def _base_name(array: str) -> str:
     return array.split("@", 1)[0]
 
 
-def instantiate_positive(
-    formula: Formula, context: Formula | None = None, rounds: int = 2
-) -> Formula:
+def instantiate_positive(formula: Formula) -> Formula:
     """Replace positive universal quantifiers by finite instantiations.
 
-    ``context`` (defaulting to ``formula`` itself) supplies the pool of array
-    reads from which instantiation terms are drawn.  The replacement weakens
-    the formula, so an UNSAT answer on the result carries over to the
-    original formula.
+    The array reads of ``formula`` supply the instantiation terms; a second
+    round instantiates at the reads the first one introduced.  The
+    replacement weakens the formula, so an UNSAT answer on the result
+    carries over to the original formula.
     """
-    pool = context if context is not None else formula
     current = formula
-    for _ in range(rounds):
-        replaced = _instantiate_once(current, pool)
+    for _ in range(2):
+        replaced = _instantiate_once(current, current)
         if replaced == current:
             return current
         current = replaced
-        pool = current
     return current
 
 

@@ -8,7 +8,7 @@ semantic questions about straight-line code:
   paper applied to a basic path), and ``check_triples(pre, commands,
   posts)`` — the same for many posts on one basic path (the synthesizer's
   candidates),
-* ``is_feasible(commands, pre)`` — satisfiability of the path formula, used
+* ``is_feasible(commands)`` — satisfiability of the path formula, used
   by the counterexample-analysis phase, and
 * ``check_entailment(lhs, rhs)`` — implication between two state formulas
   (used by predicate abstraction for covering checks),
@@ -101,7 +101,7 @@ from .quant import (
     skolemize_negative,
     split_hypotheses,
 )
-from .solver import SatResult, SmtSolver, SolverContext
+from .solver import SmtSolver, SolverContext
 from .ssa import SsaTranslation, rename_to_versions, ssa_translate
 
 __all__ = ["VcChecker", "PathFeasibility"]
@@ -153,13 +153,8 @@ class VcChecker:
     #: only kicks in for long sessions.
     PREPARED_EDGE_CAP = 2048
 
-    def __init__(
-        self,
-        integer_mode: bool = True,
-        bb_limit: int = 40,
-        batched_posts: bool = True,
-    ) -> None:
-        self.solver = SmtSolver(integer_mode=integer_mode, bb_limit=bb_limit)
+    def __init__(self, bb_limit: int = 40, batched_posts: bool = True) -> None:
+        self.solver = SmtSolver(bb_limit=bb_limit)
         self._fresh = FreshNames("vc")
         #: Route batched queries through the shared solver context.
         #: ``False`` degrades :meth:`post_all_predicates` to one scalar
@@ -295,19 +290,13 @@ class VcChecker:
             "evictions": self.cache_evictions,
         }
 
-    def snapshot(self) -> dict[str, float]:
-        """A frozen copy of :meth:`statistics`, for later delta computation.
+    def delta_since(self, snapshot: dict[str, float]) -> dict[str, float]:
+        """Per-counter growth since ``snapshot``, an earlier :meth:`statistics`.
 
-        The engine snapshots the checker when a run starts and reports the
-        run's own work with :meth:`delta_since` — the counters themselves are
+        The engine takes the statistics when a run starts and reports the
+        run's own work with this delta — the counters themselves are
         cumulative and shared by every run using this checker (a session, a
         portfolio's arms, a daemon worker serving many requests).
-        """
-        return dict(self.statistics())
-
-    def delta_since(self, snapshot: dict[str, float]) -> dict[str, float]:
-        """Per-counter growth since a :meth:`snapshot` was taken.
-
         Counters absent from the snapshot (none today, but the solver's
         cache-info keys may grow) are reported at their full current value.
         Timings are re-rounded like :meth:`statistics` rounds them, so the
@@ -740,16 +729,12 @@ class VcChecker:
     # ------------------------------------------------------------------
     # Path feasibility
     # ------------------------------------------------------------------
-    def is_feasible(
-        self, commands: Sequence[Command], pre: Formula = TRUE
-    ) -> PathFeasibility:
-        """Is there a concrete execution of ``commands`` from a ``pre`` state?"""
+    def is_feasible(self, commands: Sequence[Command]) -> PathFeasibility:
+        """Is there a concrete execution of ``commands``?"""
         self._check_deadline()
         self.num_feasibility_checks += 1
         translation = self._translate(commands)
-        pre_ssa = rename_to_versions(pre, {}, {})
-        obligation = conjoin([pre_ssa, translation.formula()])
-        prepared = self._prepare(obligation, translation)
+        prepared = self._prepare(translation.formula(), translation)
         result = self.solver.check_sat(prepared)
         return PathFeasibility(result.satisfiable, result.model, result.approximate)
 

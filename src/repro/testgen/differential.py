@@ -52,7 +52,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ..core.api import VerifierOptions
 from ..core.engine import PortfolioEngine, Verdict, VerificationEngine
@@ -62,7 +62,7 @@ from ..lang.cfg import build_program
 from ..lang.parser import parse_function
 from ..lang.source import format_function
 from ..smt.vcgen import VcChecker
-from .generator import GenConfig, GeneratedProgram, generate_corpus
+from .generator import GenConfig, generate_corpus
 from .shrink import shrink_function
 
 __all__ = [
@@ -486,12 +486,10 @@ def load_corpus(corpus_dir: Union[str, Path]) -> list[CorpusEntry]:
     return entries
 
 
-def verify_corpus_entry(
-    entry: CorpusEntry, options: Optional[VerifierOptions] = None
-) -> list[Mismatch]:
+def verify_corpus_entry(entry: CorpusEntry) -> list[Mismatch]:
     """Re-run a committed reproducer's oracle; empty = the bug stays fixed."""
     function = parse_function(entry.source)
-    _, mismatches = run_oracle(function, entry.oracle, options)
+    _, mismatches = run_oracle(function, entry.oracle)
     return mismatches
 
 

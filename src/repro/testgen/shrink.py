@@ -35,6 +35,9 @@ from ..lang.typecheck import TypeCheckError, check_function
 
 __all__ = ["shrink_function", "shrinkable_variants", "is_valid_function"]
 
+#: Most predicate calls one :func:`shrink_function` makes.
+MAX_STEPS = 5000
+
 
 def is_valid_function(function: FunctionDef) -> bool:
     """True when the function typechecks and builds a transition system."""
@@ -121,26 +124,24 @@ def shrinkable_variants(function: FunctionDef) -> Iterator[FunctionDef]:
 # The greedy loop
 # ----------------------------------------------------------------------
 def shrink_function(
-    function: FunctionDef,
-    predicate: Callable[[FunctionDef], bool],
-    max_steps: int = 5000,
+    function: FunctionDef, predicate: Callable[[FunctionDef], bool]
 ) -> FunctionDef:
     """Greedily minimise ``function`` while ``predicate`` keeps failing it.
 
     ``predicate(candidate) is True`` means "still exhibits the failure".
     Raises ``ValueError`` if the original function does not satisfy the
-    predicate (nothing to shrink).  ``max_steps`` bounds the total number
-    of candidate evaluations (predicate calls); on exhaustion the best
-    reduction so far is returned.
+    predicate (nothing to shrink).  :data:`MAX_STEPS` bounds the total
+    number of candidate evaluations (predicate calls); on exhaustion the
+    best reduction so far is returned.
     """
     if not predicate(function):
         raise ValueError("shrink_function: the original program must fail the predicate")
     steps = 0
     progress = True
-    while progress and steps < max_steps:
+    while progress and steps < MAX_STEPS:
         progress = False
         for candidate in shrinkable_variants(function):
-            if steps >= max_steps:
+            if steps >= MAX_STEPS:
                 break
             if not is_valid_function(candidate):
                 continue
