@@ -347,6 +347,8 @@ class PrecisionStore:
 
     def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
         self._store: dict[str, dict[str, set[Formula]]] = {}
+        #: Each fingerprint's sorted payload, kept until a merge adds to it.
+        self._payloads: dict[str, dict[str, tuple[Formula, ...]]] = {}
         self.path = Path(path) if path is not None else None
         #: Snapshot files quarantined (renamed ``*.corrupt``) by this store.
         self.quarantined: list[Path] = []
@@ -535,11 +537,11 @@ class PrecisionStore:
                     self._quarantine(target, error)
             if own:
                 self._replay_journal(self.journal_path)
-            payload = {
-                fingerprint: self.payload(fingerprint)
-                for fingerprint in self.fingerprints()
-                if self.payload(fingerprint)
-            }
+            payload = {}
+            for fingerprint in self.fingerprints():
+                predicates = self.payload(fingerprint)
+                if predicates:
+                    payload[fingerprint] = predicates
             temp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
             try:
                 with open(temp, "wb") as handle:
@@ -567,6 +569,8 @@ class PrecisionStore:
                 if predicate not in bucket:
                     bucket.add(predicate)
                     added += 1
+        if added:
+            self._payloads.pop(fingerprint, None)
         return added
 
     def update(self, fingerprint: str, precision: Precision) -> int:
@@ -574,15 +578,23 @@ class PrecisionStore:
         return self.merge(fingerprint, precision.by_location_name())
 
     def payload(self, fingerprint: str) -> Optional[dict[str, tuple[Formula, ...]]]:
-        """The stored predicates as a picklable location-name payload."""
-        entry = self._store.get(fingerprint)
-        if not entry:
-            return None
-        return {
-            location: tuple(sorted(predicates, key=str))
-            for location, predicates in entry.items()
-            if predicates
-        }
+        """The stored predicates as a picklable location-name payload.
+
+        The predicates are sorted once per change: the payload is kept until
+        a merge adds to the fingerprint.  Each call returns a new dict of
+        immutable tuples, so no caller can change what later callers get.
+        """
+        payload = self._payloads.get(fingerprint)
+        if payload is None:
+            entry = self._store.get(fingerprint)
+            if not entry:
+                return None
+            payload = self._payloads[fingerprint] = {
+                location: tuple(sorted(predicates, key=str))
+                for location, predicates in entry.items()
+                if predicates
+            }
+        return dict(payload)
 
     def seed_for(
         self,

@@ -9,7 +9,7 @@ genuine bugs) for the bug report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..lang.cfg import Transition

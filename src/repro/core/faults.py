@@ -91,7 +91,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "FAULT_KINDS",

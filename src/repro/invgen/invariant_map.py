@@ -9,9 +9,11 @@ of Section 3 of the paper:
   ``(l, rho, l')``, and
 * I2 (Safety): ``eta(lE) = false``.
 
-Whatever heuristic produced a map, :func:`check_invariant_map` re-validates
-all three conditions with the exact VC checker, so the synthesizer can never
-produce an unsound refinement.
+:func:`check_invariant_map` decides all three conditions with the exact VC
+checker.  The synthesizer does not call it: Houdini and the safety check
+decide the cut-point assertions exactly, and the assertions filled in at the
+other locations are not re-checked.  Those only become predicates, which
+shape the abstraction, so soundness does not depend on them.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ always an over-approximation of the exact strongest postcondition.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..lang.commands import ArrayAssign, Assign, Assume, Command, Havoc, Skip
 from ..logic.formulas import (
@@ -31,7 +31,6 @@ from ..logic.formulas import (
     Formula,
     Or,
     Relation,
-    TRUE,
     conjoin,
     conjuncts,
 )

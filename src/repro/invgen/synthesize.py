@@ -22,8 +22,11 @@ The synthesizer works at the cut-point level:
    program by strongest postconditions (as the paper's tool does), yielding
    the full path-invariant map.
 
-Every reported map is re-validated with the exact VC checker; heuristic
-failures can only lead to "no invariant found", never to unsoundness.
+Houdini (step 2) and the safety check (step 3) decide the cut-point
+assertions exactly with the VC checker.  The assertions that step 4 fills in
+at the other locations are not re-checked.  The refiner only takes their
+conjuncts as predicates, and predicates only shape the abstraction, so
+soundness does not depend on them.
 """
 
 from __future__ import annotations

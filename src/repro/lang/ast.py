@@ -9,8 +9,8 @@ condition ``*`` (used in FORWARD for the unmodelled branch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = [
     "Expr",

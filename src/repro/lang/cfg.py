@@ -12,8 +12,9 @@ location structure matches the paper's per-program-point labels (L0 ... L5).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from ..logic.formulas import (
     FALSE,
@@ -436,65 +437,55 @@ def compact(program: Program) -> Program:
     nor a location with a self-loop.  The result has the coarse location
     structure of the paper's figures (one location per program point that
     matters for control flow).
-    """
-    transitions = list(program.transitions)
-    changed = True
-    while changed:
-        changed = False
-        # Sorted by name: set iteration order varies with the interpreter's
-        # hash seed, and the merge sequence determines the final transition
-        # *order* — which seeds the frontier and hence the exploration
-        # micro-order.  Sorting makes the emitted transition system (and
-        # every downstream post-decision count) hash-seed-independent.
-        for location in sorted(
-            _intermediate_locations(program, transitions), key=lambda l: l.name
-        ):
-            incoming = [t for t in transitions if t.target == location]
-            outgoing = [t for t in transitions if t.source == location]
-            if len(incoming) != 1 or len(outgoing) != 1:
-                continue
-            before, after = incoming[0], outgoing[0]
-            if before.source == location or after.target == location:
-                continue  # self loop
-            merged = Transition(
-                before.source,
-                _strip_skips(before.commands + after.commands),
-                after.target,
-            )
-            transitions.remove(before)
-            transitions.remove(after)
-            transitions.append(merged)
-            changed = True
 
-    # Also normalise command lists on remaining transitions.
-    transitions = [
-        Transition(t.source, _strip_skips(t.commands), t.target) for t in transitions
-    ]
-    used_locations = {program.initial, program.error}
-    for transition in transitions:
-        used_locations.add(transition.source)
-        used_locations.add(transition.target)
-    locations = tuple(sorted(used_locations, key=lambda l: l.name))
-    return replace(
-        program,
-        locations=locations,
-        transitions=tuple(transitions),
+    Each location is visited once, in name order; one pass reaches the
+    fixed point, since a merge leaves every other location's in- and
+    out-degree as it was.  A merge drops its two transitions from the order
+    and appends the merged one.  That order seeds the frontier and hence
+    the exploration micro-order, and name order, unlike set order, does not
+    vary with the interpreter's hash seed.  Per-location indexes of
+    transition keys keep the pass linear apart from that sort.  Skips are
+    dropped once at the end (an edge with no other command keeps one), as
+    dropping them at every merge would.
+    """
+    table = dict(enumerate(program.transitions))  # insertion-ordered
+    incoming: dict[str, set[int]] = defaultdict(set)  # location name -> keys
+    outgoing: dict[str, set[int]] = defaultdict(set)
+    for key, transition in table.items():
+        outgoing[transition.source.name].add(key)
+        incoming[transition.target.name].add(key)
+    keys = itertools.count(len(table))
+    ends = {program.initial.name, program.error.name}
+    for name in sorted((incoming.keys() | outgoing.keys()) - ends):
+        into, out = incoming[name], outgoing[name]
+        if len(into) != 1 or len(out) != 1:
+            continue
+        (before_key,), (after_key,) = into, out
+        before, after = table[before_key], table[after_key]
+        if before.source.name == name or after.target.name == name:
+            continue  # self loop
+        del table[before_key], table[after_key]
+        outgoing[before.source.name].remove(before_key)
+        incoming[after.target.name].remove(after_key)
+        key = next(keys)
+        table[key] = Transition(before.source, before.commands + after.commands, after.target)
+        outgoing[before.source.name].add(key)
+        incoming[after.target.name].add(key)
+
+    transitions = tuple(
+        Transition(t.source, _strip_skips(t.commands), t.target) for t in table.values()
     )
+    used = {program.initial.name: program.initial, program.error.name: program.error}
+    for transition in transitions:
+        used[transition.source.name] = transition.source
+        used[transition.target.name] = transition.target
+    locations = tuple(used[name] for name in sorted(used))
+    return replace(program, locations=locations, transitions=transitions)
 
 
 def _strip_skips(commands: Sequence[Command]) -> tuple[Command, ...]:
     stripped = tuple(c for c in commands if not isinstance(c, Skip))
     return stripped if stripped else (Skip(),)
-
-
-def _intermediate_locations(program: Program, transitions: list[Transition]) -> set[Location]:
-    locations = set()
-    for transition in transitions:
-        locations.add(transition.source)
-        locations.add(transition.target)
-    locations.discard(program.initial)
-    locations.discard(program.error)
-    return locations
 
 
 # ----------------------------------------------------------------------

@@ -37,12 +37,13 @@ from .ast import (
     NondetExpr,
     Param,
     SkipStmt,
+    SourcePosition,
     Stmt,
     UnaryOp,
     VarRef,
     WhileStmt,
 )
-from .lexer import LexError, Token, tokenize
+from .lexer import Token, tokenize
 
 __all__ = ["ParseError", "parse_program", "parse_function", "parse_expression"]
 
@@ -53,7 +54,19 @@ class ParseError(ValueError):
     """Raised when the token stream does not match the grammar."""
 
 
+def _position(token: Token) -> SourcePosition:
+    """Where ``token`` starts."""
+    return SourcePosition(token[2], token[3])
+
+
 class _Parser:
+    """Recursive descent over ``(kind, text, line, column)`` tokens.
+
+    ``index`` never moves past the closing EOF token, so ``tokens[index]`` is
+    always a token, and so is ``tokens[index + 1]`` while ``tokens[index]``
+    is not EOF.
+    """
+
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.index = 0
@@ -62,27 +75,30 @@ class _Parser:
     # Token utilities
     # ------------------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index + offset]
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("symbol", "keyword")
+        # Keyword and symbol texts are never the text of an identifier, a
+        # number or EOF, so the text alone decides.
+        return self.tokens[self.index][1] == text
 
     def advance(self) -> Token:
         token = self.tokens[self.index]
-        if token.kind != "eof":
+        if token[0] != "eof":
             self.index += 1
         return token
 
     def expect(self, text: str) -> Token:
-        token = self.peek()
-        if token.text != text:
-            raise ParseError(f"expected {text!r} but found {token.text!r} at {token.position}")
-        return self.advance()
+        token = self.tokens[self.index]
+        if token[1] != text:
+            raise ParseError(f"expected {text!r} but found {token[1]!r} at {_position(token)}")
+        self.index += 1  # a non-empty text is not EOF's
+        return token
 
     def expect_kind(self, kind: str) -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(f"expected {kind} but found {token.text!r} at {token.position}")
+        token = self.tokens[self.index]
+        if token[0] != kind:
+            raise ParseError(f"expected {kind} but found {token[1]!r} at {_position(token)}")
         return self.advance()
 
     # ------------------------------------------------------------------
@@ -90,7 +106,7 @@ class _Parser:
     # ------------------------------------------------------------------
     def parse_program(self) -> list[FunctionDef]:
         functions = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             functions.append(self.parse_function())
         if not functions:
             raise ParseError("empty program")
@@ -99,7 +115,7 @@ class _Parser:
     def parse_function(self) -> FunctionDef:
         if self.at("void") or self.at("int"):
             self.advance()
-        name = self.expect_kind("ident").text
+        name = self.expect_kind("ident")[1]
         self.expect("(")
         params: list[Param] = []
         if not self.at(")"):
@@ -117,7 +133,7 @@ class _Parser:
         if self.at("*"):
             self.advance()
             is_array = True
-        name = self.expect_kind("ident").text
+        name = self.expect_kind("ident")[1]
         if self.at("["):
             self.advance()
             if not self.at("]"):
@@ -156,28 +172,28 @@ class _Parser:
         if self.at("skip"):
             self.advance()
             self.expect(";")
-            return SkipStmt(position=token.position)
+            return SkipStmt(position=_position(token))
         if self.at(";"):
             self.advance()
-            return SkipStmt(position=token.position)
+            return SkipStmt(position=_position(token))
         if self.at("return"):
             self.advance()
             if not self.at(";"):
                 self.parse_expression()
             self.expect(";")
-            return SkipStmt(position=token.position)
-        if token.kind == "ident":
+            return SkipStmt(position=_position(token))
+        if token[0] == "ident":
             statement = self.parse_simple_statement()
             self.expect(";")
             return statement
-        raise ParseError(f"unexpected token {token.text!r} at {token.position}")
+        raise ParseError(f"unexpected token {token[1]!r} at {_position(token)}")
 
     def parse_declaration(self) -> Stmt:
-        position = self.peek().position
+        position = _position(self.peek())
         self.expect("int")
         declarations: list[Stmt] = []
         while True:
-            name = self.expect_kind("ident").text
+            name = self.expect_kind("ident")[1]
             is_array = False
             size: Optional[Expr] = None
             initializer: Optional[Expr] = None
@@ -203,7 +219,7 @@ class _Parser:
         return Block(tuple(declarations))
 
     def parse_assume(self) -> Stmt:
-        position = self.peek().position
+        position = _position(self.peek())
         self.expect("assume")
         self.expect("(")
         condition = self.parse_condition()
@@ -212,7 +228,7 @@ class _Parser:
         return AssumeStmt(condition, position=position)
 
     def parse_assert(self) -> Stmt:
-        position = self.peek().position
+        position = _position(self.peek())
         self.expect("assert")
         self.expect("(")
         condition = self.parse_condition()
@@ -221,7 +237,7 @@ class _Parser:
         return AssertStmt(condition, position=position)
 
     def parse_if(self) -> Stmt:
-        position = self.peek().position
+        position = _position(self.peek())
         self.expect("if")
         self.expect("(")
         condition = self.parse_condition()
@@ -234,7 +250,7 @@ class _Parser:
         return IfStmt(condition, then_branch, else_branch, position=position)
 
     def parse_while(self) -> Stmt:
-        position = self.peek().position
+        position = _position(self.peek())
         self.expect("while")
         self.expect("(")
         condition = self.parse_condition()
@@ -243,7 +259,7 @@ class _Parser:
         return WhileStmt(condition, body, position=position)
 
     def parse_for(self) -> Stmt:
-        position = self.peek().position
+        position = _position(self.peek())
         self.expect("for")
         self.expect("(")
         init: Optional[Stmt] = None
@@ -277,8 +293,8 @@ class _Parser:
 
     def parse_simple_statement(self) -> Stmt:
         """An assignment / increment / array write (without the trailing ';')."""
-        position = self.peek().position
-        name = self.expect_kind("ident").text
+        position = _position(self.peek())
+        name = self.expect_kind("ident")[1]
         if self.at("["):
             self.advance()
             index = self.parse_expression()
@@ -336,7 +352,7 @@ class _Parser:
         if self.at("!"):
             self.advance()
             return BoolNot(self.parse_bool_atom())
-        if self.at("*") and self.peek(1).text in (")", "&&", "||"):
+        if self.at("*") and self.peek(1)[1] in (")", "&&", "||"):
             self.advance()
             return BoolNondet()
         if self.at("true"):
@@ -350,12 +366,12 @@ class _Parser:
         try:
             left = self.parse_expression()
             op_token = self.peek()
-            if op_token.text in _COMPARISON_OPS:
+            if op_token[1] in _COMPARISON_OPS:
                 self.advance()
                 right = self.parse_expression()
-                return Comparison(op_token.text, left, right)
+                return Comparison(op_token[1], left, right)
             raise ParseError(
-                f"expected comparison operator at {op_token.position}, found {op_token.text!r}"
+                f"expected comparison operator at {_position(op_token)}, found {op_token[1]!r}"
             )
         except ParseError:
             self.index = saved
@@ -364,7 +380,7 @@ class _Parser:
             inner = self.parse_condition()
             self.expect(")")
             return inner
-        raise ParseError(f"cannot parse condition at {token.position} ({token.text!r})")
+        raise ParseError(f"cannot parse condition at {_position(token)} ({token[1]!r})")
 
     # ------------------------------------------------------------------
     # Arithmetic expressions
@@ -372,7 +388,7 @@ class _Parser:
     def parse_expression(self) -> Expr:
         left = self.parse_term()
         while self.at("+") or self.at("-"):
-            op = self.advance().text
+            op = self.advance()[1]
             right = self.parse_term()
             left = BinaryOp(op, left, right)
         return left
@@ -390,28 +406,28 @@ class _Parser:
         if self.at("-"):
             self.advance()
             return UnaryOp("-", self.parse_factor())
-        if token.kind == "number":
+        if token[0] == "number":
             self.advance()
-            return IntLiteral(int(token.text))
+            return IntLiteral(int(token[1]))
         if self.at("nondet"):
             self.advance()
             self.expect("(")
             self.expect(")")
             return NondetExpr()
-        if token.kind == "ident":
+        if token[0] == "ident":
             self.advance()
             if self.at("["):
                 self.advance()
                 index = self.parse_expression()
                 self.expect("]")
-                return ArrayRef(token.text, index)
-            return VarRef(token.text)
+                return ArrayRef(token[1], index)
+            return VarRef(token[1])
         if self.at("("):
             self.advance()
             inner = self.parse_expression()
             self.expect(")")
             return inner
-        raise ParseError(f"unexpected token {token.text!r} at {token.position}")
+        raise ParseError(f"unexpected token {token[1]!r} at {_position(token)}")
 
 
 # ----------------------------------------------------------------------
@@ -434,6 +450,6 @@ def parse_expression(source: str) -> Expr:
     """Parse a standalone arithmetic expression (useful in tests)."""
     parser = _Parser(tokenize(source))
     expr = parser.parse_expression()
-    if parser.peek().kind != "eof":
-        raise ParseError(f"trailing input after expression: {parser.peek().text!r}")
+    if parser.peek()[0] != "eof":
+        raise ParseError(f"trailing input after expression: {parser.peek()[1]!r}")
     return expr

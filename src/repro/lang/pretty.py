@@ -7,7 +7,7 @@ assumptions are printed in square brackets and updates with ``:=``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cfg import Program, Transition
 

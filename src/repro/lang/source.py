@@ -54,7 +54,6 @@ from .ast import (
     IfStmt,
     IntLiteral,
     NondetExpr,
-    Param,
     SkipStmt,
     Stmt,
     UnaryOp,

@@ -10,7 +10,6 @@ represent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .ast import (
     ArrayAssignStmt,

@@ -24,7 +24,7 @@ from .formulas import (
     conjoin,
     disjoin,
 )
-from .terms import LinExpr, exact_div
+from .terms import exact_div
 
 __all__ = ["simplify", "normalize_atom", "simplify_conjunction"]
 

@@ -26,9 +26,8 @@ from .formulas import (
     Or,
     conjoin,
     disjoin,
-    negate,
 )
-from .terms import LinExpr, Var
+from .terms import Var
 
 __all__ = [
     "FreshNames",

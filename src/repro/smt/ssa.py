@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..lang.commands import ArrayAssign, Assign, Assume, Command, Havoc, Skip
 from ..logic.formulas import Formula, conjoin, eq
-from ..logic.terms import LinExpr, Var
+from ..logic.terms import LinExpr
 from .arrays import Store
 
 __all__ = ["SsaTranslation", "ssa_translate", "versioned", "rename_to_versions"]

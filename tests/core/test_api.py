@@ -456,6 +456,21 @@ class TestWarmStart:
         assert rebound_location in second.locations
         assert predicate in seed.snapshot()[rebound_location]
 
+    def test_store_payload_is_kept_until_a_merge_adds_to_it(self):
+        store = PrecisionStore()
+        zero = eq(LinExpr.variable("x"), LinExpr.constant(0))
+        one = eq(LinExpr.variable("y"), LinExpr.constant(1))
+        store.merge("f", {"L1": [zero]})
+        first = store.payload("f")
+        assert store.merge("f", {"L1": [zero], "L2": []}) == 0
+        kept = store.payload("f")
+        assert kept == first == {"L1": (zero,)}
+        assert kept["L1"] is first["L1"]  # not sorted again
+        kept["L3"] = (one,)  # a caller's dict is its own
+        assert store.payload("f") == {"L1": (zero,)}
+        assert store.merge("f", {"L1": [one]}) == 1
+        assert store.payload("f") == {"L1": tuple(sorted((zero, one), key=str))}
+
     def test_portfolio_warm_start_through_session(self):
         options = VerifierOptions(refiner="portfolio", max_refinements=8)
         session = Session(options)

@@ -8,7 +8,7 @@ string passed to ``getattr``/``hasattr``, or a string in perfbench's
 ``LAYER_ENTRY_POINTS`` (its tracer patches those entry points by name).
 Expressions inside f-strings are part of the tree, so they count;
 docstrings, comments and ``__all__`` entries are plain strings, so they do
-not.  Five rules hold over ``src/repro``:
+not.  Six rules hold over ``src/repro``:
 
 * every non-dunder function, method and class, and every module-level
   constant, is loaded somewhere outside its own definition;
@@ -20,7 +20,9 @@ not.  Five rules hold over ``src/repro``:
   a subclass without one, and ``super().__init__`` in a subclass), and a
   call that unpacks ``*args`` or ``**kwargs`` may pass anything.  A
   closure's parameter whose default reads a variable is exempt: it binds a
-  value of the enclosing scope (the engine's ``seal``), not a setting.
+  value of the enclosing scope (the engine's ``seal``), not a setting;
+* every name a module imports is loaded in that module or listed in its
+  ``__all__`` (a re-export).  ``from __future__`` imports are exempt.
 
 The rules match names, not bindings: a dead definition that shares its name
 with a live one goes unnoticed.  Calls are matched by the callee's name
@@ -73,6 +75,7 @@ class Corpus:
         self.stored = []  # (attribute, path, line) stored on self
         self.fields = []  # (class, field, path, line) of dataclasses
         self.parameters = []  # (label, callee, is __init__, position, name, path, line)
+        self.imports = []  # (bound name, path, line) not re-exported by __all__
         for path, text in sorted(files.items()):
             path = Path(path)
             tree = ast.parse(text)
@@ -81,6 +84,7 @@ class Corpus:
                 self._visit(node, path, defining, [])
             if defining:
                 self._constants(tree, path)
+                self._imports(tree, path)
 
     # -- scanning ---------------------------------------------------------
     def _visit(self, node, path, defining, scopes):
@@ -199,6 +203,25 @@ class Corpus:
                                 (name.id, path, node.lineno, node.end_lineno)
                             )
 
+    def _imports(self, tree, path):
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                _name_of(target) == "__all__" for target in node.targets
+            ):
+                exported |= {
+                    constant.value for constant in ast.walk(node.value)
+                    if isinstance(constant, ast.Constant)
+                }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in exported:
+                        self.imports.append((name, path, node.lineno))
+
     def _constructors(self, cls):
         """The names whose calls run ``cls.__init__``: the class and its
         subclasses that do not define their own."""
@@ -234,6 +257,13 @@ class Corpus:
             f"{path}:{line}: {owner}.{name}"
             for owner, name, path, line in self.fields
             if not self.attributes[name] and owner not in self.asdict_classes
+        )
+
+    def unused_imports(self):
+        return sorted(
+            f"{path}:{line}: {name}"
+            for name, path, line in self.imports
+            if not any(where == path for where, _ in self.names[name])
         )
 
     def unpassed_parameters(self):
@@ -275,6 +305,11 @@ def test_every_dataclass_field_is_read(repository):
 def test_every_defaulted_parameter_is_passed(repository):
     unpassed = repository.unpassed_parameters()
     assert not unpassed, "defaulted parameters no call passes:\n" + "\n".join(unpassed)
+
+
+def test_every_import_is_used(repository):
+    unused = repository.unused_imports()
+    assert not unused, "imports the module never loads:\n" + "\n".join(unused)
 
 
 # ----------------------------------------------------------------------
@@ -424,3 +459,31 @@ def test_planted_closure_default_bound_local_is_not_flagged():
         """,
     )
     assert corpus.unpassed_parameters() == ["src/repro/planted.py:4: hook(limit)"]
+
+
+def test_planted_import_nothing_loads_is_flagged():
+    corpus = _planted(
+        """
+        from __future__ import annotations
+
+        import os.path
+        import json as codec
+        from typing import Iterable, Optional, Sequence
+        from .formulas import TRUE
+
+        __all__ = ["TRUE", "read"]
+
+        def read(name: Optional[str]) -> Sequence[str]:
+            return os.path.split(name)
+        """,
+        """
+        from repro.planted import Iterable, read
+
+        print(read("a/b"), Iterable)
+        """,
+    )
+    # A load in another module does not count: only the importer's own do.
+    assert corpus.unused_imports() == [
+        "src/repro/planted.py:5: codec",
+        "src/repro/planted.py:6: Iterable",
+    ]
