@@ -101,11 +101,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "largest budget is killed and the task retried (default: none)",
     )
     parser.add_argument(
-        "--max-predicates-per-location", type=int, default=None, metavar="N",
-        help="cap the predicates tracked per location (bounds the "
-        "path-formula refiner's array-predicate flood; default: unbounded)",
-    )
-    parser.add_argument(
         "--no-warm-start", action="store_true",
         help="do not seed repeated programs from previously discovered "
         "precisions (batch mode runs every task cold)",
@@ -132,7 +127,6 @@ _FLAG_FIELDS = {
     "max_refinements": "max_refinements",
     "max_nodes": "max_nodes",
     "max_seconds": "max_seconds",
-    "max_predicates_per_location": "max_predicates_per_location",
     "retries": "task_retries",
 }
 

@@ -94,11 +94,13 @@ def program_fingerprint(program: Program) -> str:
     Two parses of the same source yield the same fingerprint, which is what
     lets a :class:`PrecisionStore` recognise a program it has seen before —
     in another task, another session epoch, or another process.  The
-    transitions are hashed in *sorted rendering order*: the CFG builder
-    emits them in an order that varies with Python's per-process hash seed,
-    so the raw list order would break exactly the cross-process recognition
-    a disk-backed store exists for.  Location names and the rendering itself
-    are deterministic.
+    transitions are hashed in *sorted rendering order*.  The CFG builder's
+    own order does not vary with the hash seed (``compact`` visits
+    locations in name order), but it is an artefact of how compaction
+    merges edges, while the fingerprint names the transition system, a set
+    of transitions: sorting keeps a change to the builder's emission order
+    from re-keying every precision a disk-backed store has banked.  Location
+    names and the rendering itself are deterministic.
     """
     digest = hashlib.sha256()
     digest.update(program.name.encode())
@@ -124,7 +126,9 @@ class VerifierOptions:
 
     Instances are frozen (safe to share across tasks and sessions) and
     round-trip losslessly through :meth:`to_dict`/:meth:`from_dict`; the CLI
-    loads them from TOML or JSON files via :meth:`from_file`.
+    loads them from TOML or JSON files via :meth:`from_file`.  A removed
+    knob is not kept as a disabled field: its key is rejected like any
+    unknown key.
     """
 
     #: Refinement strategy: ``path-invariant`` (the paper), ``path-formula``
@@ -143,9 +147,6 @@ class VerifierOptions:
     #: Checker triple-check budget (``None`` = unbounded); a run is never
     #: charged more.
     max_solver_calls: Optional[int] = None
-    #: Cap on predicates tracked per location (``None`` = unbounded); bounds
-    #: the path-formula refiner's array-predicate flood.
-    max_predicates_per_location: Optional[int] = None
     #: Let a :class:`Session` seed tasks from previously discovered
     #: precisions.  Seeding never changes a decided verdict (predicates only
     #: refine the abstraction); it removes refinement rounds already paid
@@ -179,14 +180,6 @@ class VerifierOptions:
         if self.max_solver_calls is not None and self.max_solver_calls < 1:
             raise ValueError(
                 f"max_solver_calls must be >= 1 or None, got {self.max_solver_calls}"
-            )
-        if (
-            self.max_predicates_per_location is not None
-            and self.max_predicates_per_location < 1
-        ):
-            raise ValueError(
-                "max_predicates_per_location must be >= 1 or None, "
-                f"got {self.max_predicates_per_location}"
             )
         if self.task_retries < 0:
             raise ValueError(f"task_retries must be >= 0, got {self.task_retries}")
@@ -225,7 +218,7 @@ class VerifierOptions:
         """Load options from a ``.toml`` or ``.json`` file.
 
         TOML has no null, so optional knobs (``max_seconds``,
-        ``max_predicates_per_location``, ...) are simply omitted there.
+        ``max_solver_calls``, ...) are simply omitted there.
         """
         path = Path(path)
         text = path.read_text()
@@ -596,17 +589,12 @@ class PrecisionStore:
             }
         return dict(payload)
 
-    def seed_for(
-        self,
-        fingerprint: str,
-        program: Program,
-        max_per_location: Optional[int] = None,
-    ) -> Optional[Precision]:
+    def seed_for(self, fingerprint: str, program: Program) -> Optional[Precision]:
         """A :class:`Precision` bound to ``program``'s locations, or ``None``."""
         payload = self.payload(fingerprint)
         if payload is None:
             return None
-        return Precision.from_location_names(program, payload, max_per_location)
+        return Precision.from_location_names(program, payload)
 
     # ------------------------------------------------------------------
     def fingerprints(self) -> list[str]:
@@ -770,9 +758,7 @@ class Session:
         warm = False
         if seed is None and opts.warm_start:
             with self._lock:
-                seed = self.store.seed_for(
-                    task.fingerprint, program, opts.max_predicates_per_location
-                )
+                seed = self.store.seed_for(task.fingerprint, program)
             warm = seed is not None
         result = run_engine(program, opts, self.checker, seed, refiner=task.refiner)
         with self._lock:

@@ -329,7 +329,6 @@ class VerificationEngine:
         strategy: Union[str, Frontier] = "bfs",
         budget: Optional[Budget] = None,
         incremental: bool = True,
-        max_predicates_per_location: Optional[int] = None,
     ) -> None:
         if isinstance(program, str):
             program = program_from_source(program)
@@ -340,10 +339,6 @@ class VerificationEngine:
         self.refiner = refiner if refiner is not None else PathInvariantRefiner(self.checker)
         self.budget = budget or Budget()
         self.incremental = incremental
-        #: Optional per-location predicate cap enforced by the precision
-        #: (``None`` = unbounded); bounds the path-formula refiner's array
-        #: predicate flood at the cost of refinement completeness.
-        self.max_predicates_per_location = max_predicates_per_location
         #: Checker statistics the solver budget and each record's
         #: ``solver_stats`` count from.  ``None`` starts a run on the checker
         #: and snapshots it at every fresh run; the portfolio starts the run
@@ -397,20 +392,10 @@ class VerificationEngine:
         ):
             return self._last_result  # the verdict is final; nothing to resume
         if not (resume and self.art is not None):
-            cap = self.max_predicates_per_location
             if initial_precision is None:
-                self._precision = Precision(cap)
-            elif cap is None:
-                self._precision = initial_precision.copy()
+                self._precision = Precision()
             else:
-                # Re-add the seed under the cap (deterministic order, like
-                # Precision.from_location_names) so a seed larger than the
-                # cap is truncated instead of silently exceeding it.
-                capped = Precision(cap)
-                for location, predicates in initial_precision.snapshot().items():
-                    for predicate in sorted(predicates, key=str):
-                        capped.add(location, predicate)
-                self._precision = capped
+                self._precision = initial_precision.copy()
             self._iterations = []
             self._elapsed = 0.0
             if self.counters_origin is not None:
@@ -548,9 +533,6 @@ class VerificationEngine:
             "strategy": self.strategy_name,
             "incremental": self.incremental,
         }
-        if precision.max_per_location is not None:
-            engine_stats["max_predicates_per_location"] = precision.max_per_location
-            engine_stats["predicates_dropped"] = precision.predicates_dropped
         if self.art is not None:
             art_stats = self.art.statistics()
             engine_stats.update(art_stats)
@@ -665,7 +647,6 @@ class PortfolioEngine:
         slice_refinements: int = 2,
         monitor_window: int = 3,
         initial_precision: Optional[Precision] = None,
-        max_predicates_per_location: Optional[int] = None,
     ) -> None:
         if isinstance(program, str):
             program = program_from_source(program)
@@ -694,7 +675,6 @@ class PortfolioEngine:
         #: predicates only refine the abstraction — it just lets an arm skip
         #: refinement rounds a previous run already paid for.
         self.initial_precision = initial_precision
-        self.max_predicates_per_location = max_predicates_per_location
 
     # ------------------------------------------------------------------
     def run(self) -> PortfolioResult:
@@ -724,7 +704,6 @@ class PortfolioEngine:
                     # The checker is shared, so this is a portfolio-total pool.
                     max_solver_calls=self.budget.max_solver_calls,
                 ),
-                max_predicates_per_location=self.max_predicates_per_location,
             )
             engine.counters_origin = origin
             arms.append(_PortfolioArm(name, engine, DivergenceMonitor(self.monitor_window)))
@@ -1003,7 +982,6 @@ def run_engine(
             budget=options.budget(),
             checker=checker,
             initial_precision=seed,
-            max_predicates_per_location=options.max_predicates_per_location,
         ).run()
     if refiner is None:
         from .verifier import make_refiner
@@ -1015,7 +993,6 @@ def run_engine(
         checker=checker,
         strategy=options.strategy,
         budget=options.budget(),
-        max_predicates_per_location=options.max_predicates_per_location,
     )
     return engine.run(initial_precision=seed)
 
@@ -1056,11 +1033,7 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
         )
         seed = None
         if payload["seed"]:
-            # Apply the cap while rebinding, like PrecisionStore.seed_for
-            # does in-process — a banked precision may exceed it.
-            seed = Precision.from_location_names(
-                program, payload["seed"], options.max_predicates_per_location
-            )
+            seed = Precision.from_location_names(program, payload["seed"])
         result = run_engine(program, options, checker, seed)
         doc = result.to_json(name=payload["name"])
         if result.precision is not None and result.verdict in (

@@ -80,22 +80,9 @@ class Precision:
     journal of successful additions so that the incremental engine can ask
     "which locations changed since the last reachability round?" without the
     refiners having to report anything (``mark()`` / ``added_since()``).
-
-    ``max_per_location`` optionally caps the number of predicates tracked at
-    any single location: further additions there are rejected (and counted in
-    ``predicates_dropped``).  This bounds the path-formula refiner's
-    predicate flood on array programs; ``None`` (the default) keeps the
-    historical unbounded behaviour.
     """
 
-    def __init__(self, max_per_location: Optional[int] = None) -> None:
-        if max_per_location is not None and max_per_location < 1:
-            raise ValueError(
-                f"max_per_location must be at least 1, got {max_per_location}"
-            )
-        self.max_per_location = max_per_location
-        #: Predicates rejected by the per-location cap (diagnostics only).
-        self.predicates_dropped = 0
+    def __init__(self) -> None:
         self._predicates: dict[Location, set[Formula]] = {}
         self._journal: list[tuple[Location, Formula]] = []
 
@@ -103,17 +90,11 @@ class Precision:
         return frozenset(self._predicates.get(location, set()))
 
     def add(self, location: Location, predicate: Formula) -> bool:
-        """Add a predicate; returns True when it is new (and under the cap)."""
+        """Add a predicate; returns True when it is new."""
         if predicate in (TRUE, FALSE):
             return False
         existing = self._predicates.setdefault(location, set())
         if predicate in existing:
-            return False
-        if (
-            self.max_per_location is not None
-            and len(existing) >= self.max_per_location
-        ):
-            self.predicates_dropped += 1
             return False
         existing.add(predicate)
         self._journal.append((location, predicate))
@@ -164,7 +145,6 @@ class Precision:
         cls,
         program: Program,
         payload: dict[str, Iterable[Formula]],
-        max_per_location: Optional[int] = None,
     ) -> "Precision":
         """Rebind a :meth:`by_location_name` payload onto ``program``.
 
@@ -172,7 +152,7 @@ class Precision:
         payload may come from a store keyed by fingerprint, but defensive
         matching keeps a stale entry from crashing a run).
         """
-        precision = cls(max_per_location)
+        precision = cls()
         locations = {location.name: location for location in program.locations}
         for name, predicates in payload.items():
             location = locations.get(name)
@@ -183,8 +163,7 @@ class Precision:
         return precision
 
     def copy(self) -> "Precision":
-        clone = Precision(self.max_per_location)
-        clone.predicates_dropped = self.predicates_dropped
+        clone = Precision()
         for location, predicates in self._predicates.items():
             clone._predicates[location] = set(predicates)
         clone._journal = list(self._journal)

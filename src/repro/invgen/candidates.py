@@ -10,9 +10,9 @@ assertions* over a structured, program-derived grid:
   from ``a+b = 3n``), and from simple bound patterns between variables;
 * universally quantified candidates follow the tractable template shape of
   Section 4.2, ``forall k: p1(X) <= k <= p2(X) -> a[k] REL p3(X)``, with the
-  bound expressions drawn from index variables (and their ±1 offsets) and the
-  right-hand sides drawn from the values written to or compared against the
-  array in the path program.
+  lower bounds ``0`` and the index variables, the upper bounds one below an
+  index or bound variable, and the right-hand sides drawn from the values
+  written to or compared against the array in the path program.
 
 The candidates are then filtered to the greatest inductive subset by the
 Houdini-style pruning loop in :mod:`repro.invgen.synthesize`; soundness never
@@ -229,8 +229,13 @@ def _add_body_candidate(fact: ArrayFacts, rel: str, rhs: LinExpr) -> None:
         fact.body_candidates.append((rel, rhs))
 
 
-def quantified_candidates(program: Program, wide: bool = False) -> list[Formula]:
-    """Universally quantified candidate assertions for every array."""
+def quantified_candidates(program: Program) -> list[Formula]:
+    """Universally quantified candidate assertions for every array.
+
+    There is one grid: each array's bodies over the lower bounds ``0`` and
+    its index variables and the upper bounds ``v - 1`` of its index and
+    bound variables ``v``.
+    """
     facts = collect_array_facts(program)
     candidates: list[Formula] = []
     seen: set[Formula] = set()
@@ -240,7 +245,7 @@ def quantified_candidates(program: Program, wide: bool = False) -> list[Formula]
             continue
         index_vars = sorted(fact.write_index_vars | fact.read_index_vars)
         bound_vars = sorted(fact.bound_vars - set(index_vars))
-        lowers, uppers = _bound_expressions(index_vars, bound_vars, wide)
+        lowers, uppers = _bound_expressions(index_vars, bound_vars)
         for rel, rhs in fact.body_candidates:
             body = _body_formula(name, rel, rhs)
             for lower in lowers:
@@ -267,7 +272,7 @@ def _body_formula(array: str, rel: str, rhs: LinExpr) -> Formula:
 
 
 def _bound_expressions(
-    index_vars: Sequence[Var], bound_vars: Sequence[Var], wide: bool
+    index_vars: Sequence[Var], bound_vars: Sequence[Var]
 ) -> tuple[list[LinExpr], list[LinExpr]]:
     """Lower/upper bound expressions for the quantified index."""
     zero = LinExpr.constant(0)
@@ -280,15 +285,4 @@ def _bound_expressions(
     for var in bound_vars:
         expr = LinExpr.make({var: 1})
         uppers.append(expr - LinExpr.constant(1))
-    if wide:
-        for var in list(index_vars) + list(bound_vars):
-            expr = LinExpr.make({var: 1})
-            for offset in (-1, 0, 1):
-                shifted = expr + LinExpr.constant(offset)
-                if shifted not in lowers:
-                    lowers.append(shifted)
-                if shifted not in uppers:
-                    uppers.append(shifted)
-        if LinExpr.constant(1) not in lowers:
-            lowers.append(LinExpr.constant(1))
     return lowers, uppers

@@ -4,13 +4,14 @@ Given a path program, the synthesizer produces an inductive, *safe* invariant
 map (Section 3: I0/I1/I2) or reports failure.  It is the component the
 CEGAR loop calls during abstraction refinement (Section 4.1).
 
-The synthesizer works at the cut-point level:
+The synthesizer works at the cut-point level, in one attempt over one
+candidate grid:
 
 1. propose candidate assertions for the cut-points — linear candidates mined
    from the path program plus the paper's assertion-parameterisation
    heuristic, universally quantified candidates following the Section 4.2
-   template shape, and (optionally) instantiations produced by the Farkas
-   template engine;
+   template shape (:func:`~repro.invgen.candidates.quantified_candidates`),
+   and (optionally) instantiations produced by the Farkas template engine;
 2. prune the candidates to their greatest inductive subset with a
    Houdini-style fixed point (every surviving assertion is established by
    every basic path into its cut-point, assuming the surviving assertions at
@@ -47,8 +48,6 @@ from .templates import equality_template
 
 __all__ = ["SynthesisResult", "PathInvariantSynthesizer", "SynthesisOptions"]
 
-#: Try the wide quantified-candidate grid if the focused grid fails.
-ALLOW_WIDE_QUANTIFIED = True
 #: Upper bound on Houdini candidates per cut-point (safety valve).
 MAX_CANDIDATES = 250
 
@@ -91,23 +90,7 @@ class PathInvariantSynthesizer:
         """Compute a safe invariant map of ``program`` (a path program)."""
         paths = basic_paths(program)
         cuts = sorted(cutpoints(program), key=lambda l: l.name)
-
-        result = self._attempt(program, paths, cuts, wide=False)
-        if not result.success and ALLOW_WIDE_QUANTIFIED and program.arrays:
-            wide_result = self._attempt(program, paths, cuts, wide=True)
-            if wide_result.success:
-                result = wide_result
-        return result
-
-    # ------------------------------------------------------------------
-    def _attempt(
-        self,
-        program: Program,
-        paths: Sequence[BasicPath],
-        cuts: Sequence[Location],
-        wide: bool,
-    ) -> SynthesisResult:
-        candidates = self._propose_candidates(program, cuts, wide)
+        candidates = self._propose_candidates(program, cuts)
         proposed = sum(len(v) for v in candidates.values())
 
         for location, formula in self._farkas_candidates(program, cuts).items():
@@ -142,10 +125,10 @@ class PathInvariantSynthesizer:
     # Candidate generation
     # ------------------------------------------------------------------
     def _propose_candidates(
-        self, program: Program, cuts: Sequence[Location], wide: bool
+        self, program: Program, cuts: Sequence[Location]
     ) -> dict[Location, list[Formula]]:
         linear = mine_linear_candidates(program)
-        quantified = quantified_candidates(program, wide=wide)
+        quantified = quantified_candidates(program)
         pool = (linear + quantified)[:MAX_CANDIDATES]
         return {cut: list(pool) for cut in cuts}
 

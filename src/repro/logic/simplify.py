@@ -8,6 +8,7 @@ formula; semantic simplification is the job of the solvers in
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable
 
 from .formulas import (
@@ -46,22 +47,10 @@ def normalize_atom(atom: Atom) -> Formula:
     denominators = [c.denominator for c in coeffs if c != 0]
     if not numerators:
         return atom
-    gcd = numerators[0]
-    for n in numerators[1:]:
-        gcd = _gcd(gcd, n)
-    lcm = denominators[0]
-    for d in denominators[1:]:
-        lcm = lcm * d // _gcd(lcm, d)
-    factor = exact_div(lcm, gcd)
+    factor = exact_div(lcm(*denominators), gcd(*numerators))
     if factor != 1:
         expr = expr.scale(factor)
     return Atom(expr, atom.rel)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def simplify(formula: Formula) -> Formula:

@@ -10,6 +10,7 @@ eliminated by the layers above (:mod:`repro.smt.solver`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from ..logic.formulas import Relation
 from ..logic.terms import LinExpr, Rat, Var, exact_div
@@ -52,14 +53,9 @@ def normalize_constraint(constraint: LinConstraint) -> LinConstraint:
     values = [coeff for _, coeff in expr.terms]
     if expr.const != 0:
         values.append(expr.const)
-    lcm = 1
-    for value in values:
-        lcm = lcm * value.denominator // _gcd(lcm, value.denominator)
-    scaled = [v * lcm for v in values]
-    gcd = 0
-    for value in scaled:
-        gcd = _gcd(gcd, value.numerator)
-    factor = exact_div(lcm, gcd) if gcd else lcm
+    multiple = lcm(*(value.denominator for value in values))
+    divisor = gcd(*((value * multiple).numerator for value in values))
+    factor = exact_div(multiple, divisor) if divisor else multiple
     if factor == 1:
         return constraint
     return LinConstraint(expr.scale(factor), constraint.rel)
@@ -87,28 +83,19 @@ def tighten_integer(constraint: LinConstraint) -> LinConstraint:
     # bound:  sum(a_v * v) REL -const  with all a_v divisible by g becomes
     # sum(a_v/g * v) <= floor(-const/g)  over the integers (with the strict
     # case rounding to the next smaller integer when the bound is integral).
-    gcd = 0
-    for _, coeff in expr.terms:
-        gcd = _gcd(gcd, coeff.numerator)
-    bound = exact_div(-expr.const, gcd)
+    divisor = gcd(*(coeff.numerator for _, coeff in expr.terms))
+    bound = exact_div(-expr.const, divisor)
     if constraint.rel is Relation.LT:
         tightened_bound = bound - 1 if bound.denominator == 1 else _floor(bound)
     else:
         tightened_bound = _floor(bound)
-    new_terms = tuple((atom, exact_div(coeff, gcd)) for atom, coeff in expr.terms)
+    new_terms = tuple((atom, exact_div(coeff, divisor)) for atom, coeff in expr.terms)
     new_expr = LinExpr(new_terms, -tightened_bound)
     return LinConstraint(new_expr, Relation.LE)
 
 
 def _floor(value: Rat) -> int:
     return value.numerator // value.denominator
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def is_trivial_true(constraint: LinConstraint) -> bool:

@@ -177,7 +177,6 @@ def _engine_record(
         strategy=options.strategy,
         budget=options.budget(),
         incremental=incremental,
-        max_predicates_per_location=options.max_predicates_per_location,
     )
     result = engine.run()
     return {
@@ -278,7 +277,6 @@ def _oracle_portfolio(function, options):
         strategy=options.strategy,
         budget=options.budget(),
         checker=checker,
-        max_predicates_per_location=options.max_predicates_per_location,
     ).run()
     record: dict = {
         "portfolio": {"verdict": portfolio.verdict, "winner": portfolio.winner}

@@ -62,7 +62,6 @@ class TestVerifierOptions:
             {"max_nodes": 0},
             {"max_seconds": -0.5},
             {"max_solver_calls": 0},
-            {"max_predicates_per_location": 0},
         ],
     )
     def test_validation_rejects_bad_values(self, changes):
@@ -76,7 +75,7 @@ class TestVerifierOptions:
             max_refinements=7,
             max_nodes=None,
             max_seconds=1.5,
-            max_predicates_per_location=9,
+            max_solver_calls=900,
             warm_start=False,
         )
         payload = options.to_dict()
@@ -97,6 +96,9 @@ class TestVerifierOptions:
             # The kill follows max_seconds; checkers recycle whole.
             {"task_timeout": 20.0},
             {"max_cache_entries": 16},
+            # The predicate cap decided no program the uncapped run leaves
+            # undecided.
+            {"max_predicates_per_location": 4},
         ],
         ids=lambda data: ",".join(data),
     )
@@ -107,8 +109,7 @@ class TestVerifierOptions:
     def test_field_names_are_pinned(self):
         assert [field.name for field in dataclasses.fields(VerifierOptions)] == [
             "refiner", "strategy", "max_refinements", "max_nodes", "max_seconds",
-            "max_solver_calls", "max_predicates_per_location", "warm_start",
-            "task_retries",
+            "max_solver_calls", "warm_start", "task_retries",
         ]
 
     def test_replace_validates(self):
@@ -121,14 +122,14 @@ class TestVerifierOptions:
         path = tmp_path / "opts.toml"
         path.write_text(
             'refiner = "path-formula"\nmax_refinements = 3\nstrategy = "dfs"\n'
-            "max_predicates_per_location = 5\nwarm_start = false\n"
+            "max_solver_calls = 5\nwarm_start = false\n"
         )
         options = VerifierOptions.from_file(path)
         assert options == VerifierOptions(
             refiner="path-formula",
             max_refinements=3,
             strategy="dfs",
-            max_predicates_per_location=5,
+            max_solver_calls=5,
             warm_start=False,
         )
 
@@ -481,62 +482,6 @@ class TestWarmStart:
 
 
 # ----------------------------------------------------------------------
-# The per-location predicate cap
-# ----------------------------------------------------------------------
-class TestPredicateCap:
-    def test_precision_enforces_cap(self):
-        program = get_program("simple_safe")
-        location = program.locations[0]
-        precision = Precision(max_per_location=2)
-        x = LinExpr.variable("x")
-        assert precision.add(location, eq(x, LinExpr.constant(0)))
-        assert precision.add(location, eq(x, LinExpr.constant(1)))
-        assert not precision.add(location, eq(x, LinExpr.constant(2)))
-        assert precision.total_predicates() == 2
-        assert precision.predicates_dropped == 1
-        clone = precision.copy()
-        assert clone.max_per_location == 2 and clone.predicates_dropped == 1
-
-    def test_cap_validation(self):
-        with pytest.raises(ValueError, match="max_per_location"):
-            Precision(max_per_location=0)
-
-    def test_capped_run_bounds_every_location(self):
-        options = VerifierOptions(
-            refiner="path-formula", max_refinements=6, max_predicates_per_location=4
-        )
-        result = Session(options).run("forward")
-        # The baseline diverges on FORWARD; the cap just bounds the flood.
-        assert result.verdict == Verdict.UNKNOWN
-        assert all(
-            len(preds) <= 4 for preds in result.precision.snapshot().values()
-        )
-        assert result.engine_stats["max_predicates_per_location"] == 4
-        assert result.engine_stats["predicates_dropped"] > 0
-
-    def test_oversized_explicit_seed_is_truncated_to_cap(self):
-        program = get_program("simple_safe")
-        seed = Precision()
-        location = program.locations[0]
-        x = LinExpr.variable("x")
-        for value in range(5):
-            seed.add(location, le(x, LinExpr.constant(value)))
-        options = VerifierOptions(max_predicates_per_location=2)
-        result = Session(options).run(
-            VerificationTask(program, initial_precision=seed)
-        )
-        assert result.verdict == Verdict.SAFE
-        assert all(
-            len(preds) <= 2 for preds in result.precision.snapshot().values()
-        )
-
-    def test_uncapped_default_unchanged(self):
-        result = Session().run("lock_step")
-        assert result.precision.max_per_location is None
-        assert "max_predicates_per_location" not in result.engine_stats
-
-
-# ----------------------------------------------------------------------
 # Pickling (the transport layer of precision transfer)
 # ----------------------------------------------------------------------
 class TestPickling:
@@ -682,7 +627,6 @@ class TestWorkerPayload:
                 (_BASE, {"max_nodes": 5}),
                 (_BASE, {"max_seconds": 0}),
                 (_BASE, {"max_solver_calls": 20}),
-                (_BASE, {"max_predicates_per_location": 1}),
                 (_BASE, {"refiner": "portfolio"}),
             ]
         ],

@@ -6,8 +6,10 @@ happens — every charged triple check, path-feasibility entry, store
 resolution and the solver's case splitter — and raises
 :class:`~repro.smt.budget.BudgetExhausted`.  The engine turns a trip into
 UNKNOWN with a reason naming the layer, from any layer, and stays
-resumable.  ``partition`` spends ~10 s in one refinement, so it is the
-program a budget checked only between ART expansions overruns.
+resumable.  ``initcheck_buggy`` never runs out of refinements to try and
+each one costs more than the last, so under a refinement cap it cannot
+reach it is the program a budget checked only between ART expansions
+overruns.
 """
 
 import time
@@ -148,9 +150,11 @@ class TestCheckerBudget:
 class TestEngineBudget:
     @pytest.mark.parametrize("refiner", ["path-invariant", "portfolio"])
     def test_wall_clock_holds_inside_refinement(self, refiner):
-        options = VerifierOptions(refiner=refiner, max_seconds=1.0, warm_start=False)
+        options = VerifierOptions(
+            refiner=refiner, max_refinements=200, max_seconds=1.0, warm_start=False
+        )
         started = time.perf_counter()
-        result = Session(options).run("partition")
+        result = Session(options).run("initcheck_buggy")
         assert time.perf_counter() - started < 2.0
         assert result.verdict == Verdict.UNKNOWN
         assert "wall-clock budget exhausted" in result.reason

@@ -87,8 +87,13 @@ class TestVerifyCommand:
             (["--degrade-on-retry"], "--degrade-on-retry"),
             # A hung worker is killed a fixed grace past --max-seconds.
             (["--task-timeout", "60"], "--task-timeout 60"),
+            # The predicate cap decided no program the uncapped run leaves
+            # undecided.
+            (["--max-predicates-per-location", "3"],
+             "--max-predicates-per-location 3"),
         ],
-        ids=["jobs", "portfolio-mode", "restart", "degrade-on-retry", "task-timeout"],
+        ids=["jobs", "portfolio-mode", "restart", "degrade-on-retry", "task-timeout",
+             "max-predicates-per-location"],
     )
     def test_removed_flags_are_rejected(self, args, rejected, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -112,9 +117,10 @@ class TestVerifyCommand:
             ("incremental", "incremental = false\n"),
             ("task_timeout", "task_timeout = 60.0\n"),
             ("max_cache_entries", "max_cache_entries = 64\n"),
+            ("max_predicates_per_location", "max_predicates_per_location = 4\n"),
         ],
         ids=["jobs", "portfolio_mode", "incremental", "task_timeout",
-             "max_cache_entries"],
+             "max_cache_entries", "max_predicates_per_location"],
     )
     def test_options_file_removed_key_is_a_usage_error(self, tmp_path, capsys, key, text):
         opts = tmp_path / "opts.toml"
@@ -125,19 +131,13 @@ class TestVerifyCommand:
     def test_max_seconds_ends_in_unknown_with_a_wall_clock_reason(self, capsys):
         """A run stuck in refinement still stops at its wall-clock budget."""
         started = time.perf_counter()
-        code = run_cli(["verify", "partition", "--max-seconds", "1", "--json"])
+        code = run_cli([
+            "verify", "initcheck_buggy", "--max-refinements", "200",
+            "--max-seconds", "1", "--json",
+        ])
         assert time.perf_counter() - started < 2.0
         assert code == 2
         assert "wall-clock budget exhausted" in json.loads(capsys.readouterr().out)["reason"]
-
-    def test_max_predicates_per_location_flag(self, capsys):
-        assert run_cli([
-            "verify", "forward", "--refiner", "path-formula",
-            "--max-refinements", "4", "--max-predicates-per-location", "3",
-            "--json",
-        ]) == 2
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"]["max_predicates_per_location"] == 3
 
     def test_source_file(self, tmp_path, capsys):
         source = tmp_path / "abs.c"

@@ -4,9 +4,10 @@ The :class:`PrecisionStore` gained a disk form this PR: with ``path`` set it
 loads (merges) the file at construction and re-saves atomically whenever a
 session banks new predicates, so warm starts survive *process lifetimes* —
 the acceptance property is the kill-and-restart round trip below.  The
-fingerprint a store is keyed by must therefore be stable across processes
-(the CFG builder emits transitions in a hash-seed-dependent order; the
-fingerprint sorts the renderings, and a subprocess test pins that).
+fingerprint a store is keyed by must therefore be stable across processes,
+each with its own hash seed; a subprocess test pins that.  (The fingerprint
+also sorts the transitions' renderings, so it does not depend on the order
+the CFG builder emits them in.)
 
 The checker's prepared-edge table is LRU-bounded at
 ``VcChecker.PREPARED_EDGE_CAP`` (each entry pins a live solver context);
@@ -137,7 +138,7 @@ class TestSessionRestart:
 
 class TestFingerprintStability:
     def test_fingerprint_is_stable_across_processes(self):
-        """Hash-seed-dependent transition order must not leak into the key."""
+        """Processes with different hash seeds compute the same key."""
         script = (
             "import sys; sys.path.insert(0, sys.argv[1])\n"
             "from repro import program_fingerprint\n"

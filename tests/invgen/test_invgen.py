@@ -303,3 +303,29 @@ class TestSynthesizer:
         assert any(
             formula.has_quantifier() for formula in result.cutpoint_assertions.values()
         )
+
+    def test_a_failed_synthesis_makes_one_attempt(self, monkeypatch):
+        # initcheck_buggy's second counterexample gives a path program no
+        # candidate of the grid proves safe: synthesis fails after one
+        # attempt, without retrying over a wider grid.
+        program = get_program("initcheck_buggy")
+        checker = VcChecker()
+        precision = Precision()
+        from repro.core.refiners import PathInvariantRefiner
+        from repro.invgen import synthesize as synthesize_module
+
+        refiner = PathInvariantRefiner(checker)
+        outcome = Art(program, checker).explore(precision, 4000)
+        refiner.refine(program, outcome.counterexample, precision)
+        outcome = Art(program, checker).explore(precision, 4000)
+        path_program = build_path_program(program, outcome.counterexample)
+        grids = []
+
+        def counted(program, *args, **kwargs):
+            grids.append(program)
+            return quantified_candidates(program, *args, **kwargs)
+
+        monkeypatch.setattr(synthesize_module, "quantified_candidates", counted)
+        result = PathInvariantSynthesizer(checker).synthesize(path_program.program)
+        assert not result.success
+        assert grids == [path_program.program]

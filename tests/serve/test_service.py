@@ -81,7 +81,9 @@ def test_bad_options_rejected_as_structured_doc(service, client):
     assert doc["error"]["status"] == 400
 
 
-@pytest.mark.parametrize("key", ["task_timeout", "max_cache_entries"])
+@pytest.mark.parametrize(
+    "key", ["task_timeout", "max_cache_entries", "max_predicates_per_location"]
+)
 def test_removed_option_keys_are_bad_requests(service, client, key):
     doc = client.verify("simple_safe", options={key: 16})
     assert doc["failure"]["kind"] == "bad-request"
@@ -340,15 +342,18 @@ class TestIsolation:
     def test_request_timeout_clamps_wall_clock(self):
         # Each request ends on its clamped wall-clock budget, on its first
         # attempt: none is killed, so none strikes the circuit breaker.
-        # partition needs seconds of solving, so the memo entries each
-        # clamped run leaves on the warm worker cannot add up to a decided
-        # run within four clamps.
+        # initcheck_buggy keeps refining past any clamp (its refinement cap
+        # is out of reach), so the memo entries each clamped run leaves on
+        # the warm worker cannot add up to a decided run within four clamps.
         service = VerificationService(
             ServiceConfig(workers=1, request_timeout=0.05)
         ).start()
         try:
             with ServiceClient(port=service.port) as client:
-                docs = [client.verify("partition") for _ in range(4)]
+                docs = [
+                    client.verify("initcheck_buggy", options={"max_refinements": 200})
+                    for _ in range(4)
+                ]
         finally:
             service.stop()
         for doc in docs:
@@ -366,7 +371,7 @@ class TestIsolation:
         try:
             with ServiceClient(port=service.port, timeout=120.0) as client:
                 doc = client.verify(
-                    "initcheck_buggy", options={"max_refinements": 30}
+                    "initcheck_buggy", options={"max_refinements": 200}
                 )
             totals = service.statistics()["service"]["supervision"]
         finally:
