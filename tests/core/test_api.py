@@ -258,6 +258,13 @@ ITERATION_KEYS = {
     "iteration", "nodes_created", "post_decisions", "counterexample_length",
     "counterexample_feasible", "new_predicates", "repair", "seconds",
 }
+#: The ``engine`` block: the frontier strategy, the mode, the ART's counters
+#: and the session stamp.  No option adds a key to it.
+ENGINE_KEYS = {
+    "strategy", "incremental", "nodes_created", "nodes_live", "nodes_invalidated",
+    "nodes_reused", "nodes_strengthened", "edges_expanded", "post_decisions",
+    "frontier", "session",
+}
 
 
 class TestResultSchema:
@@ -314,11 +321,26 @@ class TestResultSchema:
         self._check(doc, "unsafe")
         assert doc["witness"] == witness
 
+    @pytest.mark.parametrize(
+        "name,options",
+        [
+            ("lock_step", VerifierOptions()),
+            # A run its refinement budget stops, with dozens of predicates
+            # at one location, reports the same keys as a decided run.
+            ("forward", VerifierOptions(refiner="path-formula", max_refinements=6)),
+        ],
+        ids=["safe", "refinement-budget"],
+    )
+    def test_engine_block_key_set(self, name, options):
+        doc = Session(options).run(name).to_json()
+        assert set(doc["engine"]) == ENGINE_KEYS, sorted(doc["engine"])
+
     def test_portfolio_result_document(self):
         options = VerifierOptions(refiner="portfolio")
         doc = Session(options).run("lock_step").to_json()
         self._check(doc, "safe")
         assert doc["portfolio"]["winner"] in ("path-invariant", "path-formula")
+        assert set(doc["engine"]) == ENGINE_KEYS | {"winner"}
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,22 @@ class TestCandidates:
         )
         assert target in candidates
 
+    def test_quantified_candidates_range_over_one_grid(self):
+        # initcheck writes a[i] below n: the quantified range starts at 0 or
+        # i and ends at i - 1 or n - 1 (i..i-1 is empty).  No range starts
+        # at the constant 1 or at an offset of i or n.
+        program = get_program("initcheck")
+        index = var("__k")
+        ranges = set()
+        for candidate in quantified_candidates(program):
+            below, above, _ = candidate.body.args
+            ranges.add((index - below.expr, above.expr + index))
+        assert ranges == {
+            (const(0), var("i") - const(1)),
+            (const(0), var("n") - const(1)),
+            (var("i"), var("n") - const(1)),
+        }
+
     def test_no_quantified_candidates_without_arrays(self):
         program = get_program("forward")
         assert quantified_candidates(program) == []

@@ -1,5 +1,6 @@
 """Tests for normal forms, fresh names and simplification."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -139,3 +140,37 @@ def test_dnf_preserves_semantics(formula, valuation):
 @settings(max_examples=80, deadline=None)
 def test_simplify_preserves_semantics(formula, valuation):
     assert simplify(formula).evaluate(valuation) == formula.evaluate(valuation)
+
+
+@st.composite
+def rational_atoms(draw):
+    """An atom over x, y with rational coefficients and at least one
+    variable."""
+    value = st.fractions(-6, 6, max_denominator=4)
+    expr = const(draw(value))
+    for name in ("x", "y"):
+        expr = expr + var(name) * draw(value)
+    expr = expr + var(draw(names)) * draw(
+        st.fractions(Fraction(1, 4), 6, max_denominator=4)
+    )
+    rel = draw(st.sampled_from([Relation.LE, Relation.LT, Relation.EQ]))
+    return Atom(expr, rel)
+
+
+@given(rational_atoms(), st.fractions(Fraction(1, 6), 6, max_denominator=6))
+@settings(max_examples=80, deadline=None)
+def test_normalize_is_a_positive_multiple_with_coprime_integers(atom, factor):
+    """Every positive multiple of an atom normalises to one representative:
+    the atom scaled by a positive factor to coprime integer coefficients."""
+    normalised = normalize_atom(atom)
+    assert normalize_atom(Atom(atom.expr * factor, atom.rel)) == normalised
+    if atom.expr.is_constant():
+        return
+    assert normalised.rel is atom.rel
+    name, coeff = atom.expr.terms[0]
+    ratio = Fraction(normalised.expr.coeff(name)) / coeff
+    assert ratio > 0
+    assert normalised.expr == atom.expr * ratio
+    values = [coeff for _, coeff in normalised.expr.terms] + [normalised.expr.const]
+    assert all(Fraction(value).denominator == 1 for value in values)
+    assert math.gcd(*(int(value) for value in values)) == 1

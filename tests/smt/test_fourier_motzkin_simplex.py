@@ -1,6 +1,7 @@
 """Tests for the linear-arithmetic engines (Fourier–Motzkin and the
 incremental simplex)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,33 @@ class TestLinConstraint:
     def test_normalisation_scales_to_coprime_integers(self):
         constraint = normalize_constraint(c_le(var("x") * Fraction(2, 4) + const(1)))
         assert constraint.expr == var("x") + const(2)
+
+    @given(
+        st.lists(st.fractions(-6, 6, max_denominator=4), min_size=3, max_size=3),
+        st.fractions(Fraction(1, 4), 6, max_denominator=4),
+        st.fractions(Fraction(1, 6), 6, max_denominator=6),
+        st.sampled_from([Relation.LE, Relation.LT, Relation.EQ]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_normalisation_is_a_positive_multiple_with_coprime_integers(
+        self, values, lead, factor, rel
+    ):
+        """Every positive multiple of a constraint normalises to one
+        representative: the constraint scaled by a positive factor to coprime
+        integer coefficients."""
+        expr = const(values[0]) + var("x") * values[1] + var("y") * values[2]
+        constraint = LinConstraint(expr + var("z") * lead, rel)
+        normal = normalize_constraint(constraint)
+        assert normalize_constraint(
+            LinConstraint(constraint.expr * factor, rel)
+        ) == normal
+        assert normal.rel is rel
+        ratio = Fraction(normal.expr.coeff(Var("z"))) / lead
+        assert ratio > 0
+        assert normal.expr == constraint.expr * ratio
+        values = [coeff for _, coeff in normal.expr.terms] + [normal.expr.const]
+        assert all(Fraction(value).denominator == 1 for value in values)
+        assert math.gcd(*(int(value) for value in values)) == 1
 
     def test_integer_tightening_of_strict(self):
         tightened = tighten_integer(c_lt(var("x") - var("n")))
