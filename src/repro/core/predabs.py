@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from ..lang.cfg import Location, Program, Transition
-from ..lang.commands import touched_names, written_names
+from ..lang.commands import written_names
 from ..logic.formulas import FALSE, Formula, TRUE
 from ..smt.budget import BudgetExhausted
 from ..smt.vcgen import VcChecker
@@ -392,7 +392,7 @@ def split_frame_predicates(
         if predicate in state:
             if written is None:
                 written = written_names(transition.commands)
-            if not touched_names(predicate) & written:
+            if predicate.touched_names().isdisjoint(written):
                 carried.append(predicate)
                 continue
         undecided.append(predicate)

@@ -59,7 +59,7 @@ from .ast import (
     VarRef,
     WhileStmt,
 )
-from .commands import ArrayAssign, Assign, Assume, Command, Havoc, Skip
+from .commands import ArrayAssign, Assign, Assume, Command, HashedOnce, Havoc, Skip
 from .parser import parse_function
 from .typecheck import SymbolTable, check_function
 
@@ -81,22 +81,32 @@ class CfgBuildError(ValueError):
 
 
 @dataclass(frozen=True, order=True)
-class Location:
+class Location(HashedOnce):
     """A control location."""
 
     name: str
+
+    def _field_values(self) -> tuple:
+        return (self.name,)
+
+    __hash__ = HashedOnce.__hash__
 
     def __str__(self) -> str:
         return self.name
 
 
 @dataclass(frozen=True)
-class Transition:
+class Transition(HashedOnce):
     """An edge ``source --commands--> target``."""
 
     source: Location
     commands: tuple[Command, ...]
     target: Location
+
+    def _field_values(self) -> tuple:
+        return (self.source, self.commands, self.target)
+
+    __hash__ = HashedOnce.__hash__
 
     def __str__(self) -> str:
         label = "; ".join(str(c) for c in self.commands) or "skip"

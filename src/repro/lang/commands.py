@@ -18,6 +18,7 @@ from ..logic.formulas import Formula
 from ..logic.terms import LinExpr
 
 __all__ = [
+    "HashedOnce",
     "Command",
     "Assume",
     "Assign",
@@ -25,11 +26,44 @@ __all__ = [
     "Havoc",
     "Skip",
     "written_names",
-    "touched_names",
 ]
 
 
-class Command:
+class HashedOnce:
+    """Mixin of the frozen dataclasses that are parts of the checker's memo
+    keys: the commands here, locations and transitions in
+    :mod:`repro.lang.cfg`.
+
+    A memo lookup hashes every part of its key tuple again, and the
+    generated dataclass ``__hash__`` rebuilds and hashes the field tuple on
+    every call.  Here ``hash(x)`` is that same value, the hash of
+    :meth:`_field_values`, computed on first use and kept; objects never
+    hashed (the CFG builder's intermediate transitions) never pay for it.
+    The value itself must not change: hash values fix set iteration order,
+    and with it the solver counters.  Pickling goes through the
+    constructor, so a process under another hash seed computes its own
+    instead of inheriting a stale one.  A subclass defines
+    :meth:`_field_values` and restates ``__hash__ = HashedOnce.__hash__``
+    (``@dataclass`` replaces a ``__hash__`` its class body does not define).
+    """
+
+    _hash = None
+
+    def _field_values(self) -> tuple:
+        raise NotImplementedError
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash(self._field_values())
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        return (type(self), self._field_values())
+
+
+class Command(HashedOnce):
     """Base class of primitive commands (frozen dataclass subclasses)."""
 
 
@@ -38,6 +72,11 @@ class Assume(Command):
     """``assume(cond)`` — block execution unless ``cond`` holds."""
 
     cond: Formula
+
+    def _field_values(self) -> tuple:
+        return (self.cond,)
+
+    __hash__ = HashedOnce.__hash__
 
     def __str__(self) -> str:
         return f"[{self.cond}]"
@@ -49,6 +88,11 @@ class Assign(Command):
 
     var: str
     expr: LinExpr
+
+    def _field_values(self) -> tuple:
+        return (self.var, self.expr)
+
+    __hash__ = HashedOnce.__hash__
 
     def __str__(self) -> str:
         return f"{self.var} := {self.expr}"
@@ -62,6 +106,11 @@ class ArrayAssign(Command):
     index: LinExpr
     value: LinExpr
 
+    def _field_values(self) -> tuple:
+        return (self.array, self.index, self.value)
+
+    __hash__ = HashedOnce.__hash__
+
     def __str__(self) -> str:
         return f"{self.array}[{self.index}] := {self.value}"
 
@@ -72,6 +121,11 @@ class Havoc(Command):
 
     vars: tuple[str, ...]
 
+    def _field_values(self) -> tuple:
+        return (self.vars,)
+
+    __hash__ = HashedOnce.__hash__
+
     def __str__(self) -> str:
         return f"havoc({', '.join(self.vars)})"
 
@@ -80,6 +134,11 @@ class Havoc(Command):
 class Skip(Command):
     """No-op."""
 
+    def _field_values(self) -> tuple:
+        return ()
+
+    __hash__ = HashedOnce.__hash__
+
     def __str__(self) -> str:
         return "skip"
 
@@ -87,8 +146,9 @@ class Skip(Command):
 def written_names(commands: Iterable[Command]) -> set[str]:
     """Names of the scalar variables and arrays a command sequence writes.
 
-    With :func:`touched_names` this is the frame rule: a formula that holds
-    before the commands and touches none of these names holds after them.
+    With :meth:`~repro.logic.formulas.Formula.touched_names` this is the
+    frame rule: a formula that holds before the commands and touches none of
+    these names holds after them.
     """
     written: set[str] = set()
     for cmd in commands:
@@ -99,9 +159,3 @@ def written_names(commands: Iterable[Command]) -> set[str]:
         elif isinstance(cmd, Havoc):
             written.update(cmd.vars)
     return written
-
-
-def touched_names(formula: Formula) -> set[str]:
-    """Names of the free scalar variables and the arrays ``formula`` mentions."""
-    return {v.name for v in formula.variables()} | formula.arrays()
-

@@ -13,10 +13,12 @@ The formula language mirrors the assertion language of the paper:
 All formula objects are immutable, hashable and **hash-consed**: constructing
 a node returns the unique interned instance for its content, equality is a
 pointer comparison in the common case, ``__hash__`` reads a cached field, and
-the structural queries (``variables()``, ``array_reads()``, ``atoms()``) are
-computed once per node and shared as frozensets.  This makes the pervasive
-set/dict operations of the predicate abstraction (per-location predicate
-sets, ART state subsumption, VC memo keys) cheap regardless of formula size.
+the structural queries (``variables()``, ``array_reads()``, ``atoms()``,
+``touched_names()``) are computed once per node and shared as frozensets, as
+is the rendering ``str()`` that state formulas and precisions sort by.  This
+makes the pervasive set/dict operations of the predicate abstraction
+(per-location predicate sets, ART state subsumption, VC memo keys) cheap
+regardless of formula size.
 """
 
 from __future__ import annotations
@@ -82,16 +84,29 @@ _NEGATIONS = {
 class Formula:
     """Base class of all formulas.  Subclasses are interned immutable nodes."""
 
-    __slots__ = ("_hash", "_variables", "_array_reads", "_atoms")
+    __slots__ = (
+        "_hash", "_variables", "_array_reads", "_atoms", "_touched_names", "_str"
+    )
 
     def _init_caches(self, hash_value: int) -> None:
         self._hash = hash_value
         self._variables = None
         self._array_reads = None
         self._atoms = None
+        self._touched_names = None
+        self._str = None
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __str__(self) -> str:
+        cached = self._str
+        if cached is None:
+            cached = self._str = self._render()
+        return cached
+
+    def _render(self) -> str:
+        raise NotImplementedError
 
     # -- structural queries -------------------------------------------------
     def variables(self) -> frozenset[Var]:
@@ -117,6 +132,16 @@ class Formula:
 
     def arrays(self) -> set[str]:
         return {r.array for r in self.array_reads()}
+
+    def touched_names(self) -> frozenset[str]:
+        """Names of the free scalar variables and the arrays the formula
+        mentions: what the frame rule checks against the names a command
+        sequence writes (:func:`repro.lang.commands.written_names`)."""
+        cached = self._touched_names
+        if cached is None:
+            cached = frozenset({v.name for v in self.variables()} | self.arrays())
+            self._touched_names = cached
+        return cached
 
     def _compute_variables(self) -> Iterable[Var]:
         raise NotImplementedError
@@ -223,7 +248,7 @@ class BoolConst(Formula):
     def evaluate(self, valuation: Mapping[Atomic, Rat]) -> bool:
         return self.value
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return "true" if self.value else "false"
 
     def __repr__(self) -> str:
@@ -310,7 +335,7 @@ class Atom(Formula):
             return False
         return not self.rel.holds(self.expr.const)
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"{self.expr} {self.rel.value} 0"
 
     def __repr__(self) -> str:
@@ -383,7 +408,7 @@ class And(Formula):
     def evaluate(self, valuation: Mapping[Atomic, Rat]) -> bool:
         return all(arg.evaluate(valuation) for arg in self.args)
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return "(" + " /\\ ".join(str(arg) for arg in self.args) + ")"
 
     def __repr__(self) -> str:
@@ -456,7 +481,7 @@ class Or(Formula):
     def evaluate(self, valuation: Mapping[Atomic, Rat]) -> bool:
         return any(arg.evaluate(valuation) for arg in self.args)
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return "(" + " \\/ ".join(str(arg) for arg in self.args) + ")"
 
     def __repr__(self) -> str:
@@ -520,7 +545,7 @@ class Not(Formula):
     def evaluate(self, valuation: Mapping[Atomic, Rat]) -> bool:
         return not self.arg.evaluate(valuation)
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"!({self.arg})"
 
     def __repr__(self) -> str:
@@ -603,7 +628,7 @@ class Forall(Formula):
     def evaluate(self, valuation: Mapping[Atomic, Rat]) -> bool:
         raise NotImplementedError("quantified formulas cannot be evaluated directly")
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"(forall {self.index}: {self.body})"
 
     def __repr__(self) -> str:

@@ -89,7 +89,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ..lang.commands import Command, touched_names, written_names
+from ..lang.commands import Command, written_names
 from ..logic.formulas import FALSE, Forall, Formula, TRUE, conjoin, conjuncts, negate
 from ..logic.terms import LinExpr, Rat, Var
 from ..logic.transform import FreshNames, quantifier_free
@@ -378,12 +378,22 @@ class VcChecker:
     def _ask(self, key, hit: bool) -> None:
         """Ledger step of a run on populated tables: charge a hit on an
         entry the run has not asked before (a miss is charged where it is
-        decided)."""
+        decided).
+
+        One set operation records the key: the size tells whether it was
+        new.  A carried charge that raises takes the key back out, so if
+        the run goes on (a resumed slice) it is charged when asked again,
+        where a cold run would decide it.
+        """
         asked = self._run_asked
-        if key not in asked:
-            if hit:
+        size = len(asked)
+        asked.add(key)
+        if hit and len(asked) > size:
+            try:
                 self._charge(carried=True)
-            asked.add(key)
+            except BudgetExhausted:
+                asked.discard(key)
+                raise
 
     def asked_keys(self) -> set:
         """The edge/post memo keys the current run has asked so far (empty
@@ -650,7 +660,7 @@ class VcChecker:
                 continue
             if framed is None:
                 framed, written = frozenset(conjuncts(pre)), written_names(commands)
-            if post in framed and not touched_names(post) & written:
+            if post in framed and post.touched_names().isdisjoint(written):
                 self.num_frame_answers += 1
                 verdict = True
             else:

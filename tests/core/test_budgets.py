@@ -25,6 +25,7 @@ from repro.core import (
 )
 from repro.core import engine as engine_module
 from repro.lang import get_program
+from repro.lang.cfg import Location, Transition
 from repro.lang.commands import Assign
 from repro.logic.formulas import FALSE, TRUE, conjoin, disjoin, eq, le
 from repro.logic.terms import ArrayRead, LinExpr
@@ -107,6 +108,28 @@ class TestCheckerBudget:
         checker.check_triple(TRUE, (), TRUE)
         with pytest.raises(BudgetExhausted):
             checker.check_triple(TRUE, (), TRUE)
+
+    def test_a_trip_on_a_carried_hit_stops_where_a_cold_checker_stops(self):
+        """A warm run whose cap trips on a memo hit an earlier run left
+        charges it as the cold run charges the check it saves: not before
+        the trip, and once when the run goes on, so both spend the same."""
+        transition = Transition(Location("A"), _COMMANDS, Location("B"))
+        state = frozenset({_PRE})
+        posts = (_POSTS[0], _POSTS[1], _POSTS[3])
+        warm = VcChecker()
+        expected = warm.post_all_predicates(state, transition, posts)
+        for checker in (warm, VcChecker()):
+            checker.begin_run()
+            start = checker.charged_checks
+            checker.set_budget(None, 1)
+            with pytest.raises(BudgetExhausted, match="solver budget of 1"):
+                checker.post_all_predicates(state, transition, posts)
+            assert checker.charged_checks - start == 1
+            checker.set_budget(None, None)
+            assert checker.post_all_predicates(state, transition, posts) == expected
+            assert checker.charged_checks - start == len(posts)
+        assert warm.num_carried_hits == len(posts)
+        assert len(warm.asked_keys()) == len(posts)
 
     def test_passed_deadline_trips_every_checked_layer(self):
         checker = VcChecker()
